@@ -44,11 +44,6 @@ from .value_iteration import (
     Selector,
     TabulatedValue,
     VIResult,
-    bellman_backup,
-    bellman_backup_point,
-    exact_sample_evaluator,
-    greedy_selector,
-    mcshane_evaluator,
     rollout_estimate,
     selector_policy,
     solve_vi,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySample, MaxItersExceeded, SolverFailure
-from .measures import EUCLIDEAN_1D, DiscreteMeasure, LipschitzFn, integrate
+from .measures import EUCLIDEAN_1D, DiscreteMeasure, LipschitzFn, integrate, lipschitz_constants
 from .model import CertifiedConstants, PomdpModel, certify
 from .sampling import BeliefSample
 from .value_iteration import TabulatedValue
@@ -340,17 +340,6 @@ def lip_growth_constants(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
     return c1, c0
 
 
-def _grid_lip(grid, rows: np.ndarray) -> np.ndarray:
-    """Lipschitz constants of many grid functions at once."""
-    if grid.metric_kind == EUCLIDEAN_1D:
-        return (np.abs(np.diff(rows, axis=1)) / np.diff(grid.points)[None, :]).max(axis=1)
-    pw = grid.pairwise()
-    n = rows.shape[1]
-    iu = np.triu_indices(n, 1)
-    gaps = np.abs(rows[:, iu[0]] - rows[:, iu[1]])
-    return (gaps / pw[iu][None, :]).max(axis=1)
-
-
 # --------------------------------------------------------------------------
 # solver loop
 # --------------------------------------------------------------------------
@@ -472,12 +461,12 @@ def _measure_growth(model, current_set, result, growth_consts):
     fmat = current_set.matrix()
     anchor = _anchor_index(model)
     spread = float(fmat[:, anchor].max() - fmat[:, anchor].min())
-    l_set = float(_grid_lip(model.state_grid, fmat).max())
-    lip_r = _grid_lip(model.state_grid, model.reward)
+    l_set = float(lipschitz_constants(model.state_grid, fmat).max())
+    lip_r = lipschitz_constants(model.state_grid, model.reward)
     bound = float(
         (lip_r + model.discount * (l_set * c1 + spread * c0)).max()
     )
     measured = float(
-        _grid_lip(model.state_grid, result.backed.reshape(-1, model.n_states)).max()
+        lipschitz_constants(model.state_grid, result.backed.reshape(-1, model.n_states)).max()
     )
     return measured, bound

@@ -21,7 +21,7 @@ immutable once a measure is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "DiscreteMeasure",
     "WeightFunction",
     "LipschitzFn",
+    "lipschitz_constants",
     "make_measure",
     "dirac",
     "w1_1d",
@@ -72,7 +73,8 @@ class StateGrid:
     metric_kind : one of ``euclidean_1d``, ``discrete``, ``explicit_table``.
     distance_table : required (n, n) symmetric matrix when
         ``metric_kind == "explicit_table"``; validated for zero diagonal,
-        symmetry and the triangle inequality on construction.
+        positive off-diagonal entries, symmetry and the triangle inequality
+        on construction.
     """
 
     points: np.ndarray
@@ -102,6 +104,8 @@ class StateGrid:
                 raise MetricKindMismatch("table must be symmetric with zero diagonal")
             if (t < 0).any():
                 raise MetricKindMismatch("distances must be nonnegative")
+            if (t[~np.eye(n, dtype=bool)] == 0).any():
+                raise MetricKindMismatch("distinct points need a positive distance")
             # triangle inequality, vectorised over the middle point:
             # min_k t[i,k] + t[k,j] must not undercut t[i,j]
             if ((t[:, None, :] + t.T[None, :, :]).min(axis=2) < t - 1e-12).any():
@@ -166,12 +170,6 @@ class DiscreteMeasure:
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0)
-
-    def cdf(self) -> np.ndarray:
-        """Right-continuous CDF evaluated at the grid points (1-D mode)."""
-        if self.grid.metric_kind != EUCLIDEAN_1D:
-            raise MetricKindMismatch("cdf is defined for the 1-D metric only")
-        return np.cumsum(self.weights)
 
     def mean(self) -> float:
         return float(np.dot(self.grid.points, self.weights))
@@ -248,20 +246,7 @@ class LipschitzFn:
             raise DimensionMismatch("function values must be finite")
         self.values = v
         self.values.flags.writeable = False
-        self.lip_const = self._lip_const()
-
-    def _lip_const(self) -> float:
-        if self.grid.n == 1:
-            return 0.0
-        if self.grid.metric_kind == EUCLIDEAN_1D:
-            # adjacent pairs are enough for a piecewise-linear interpolant
-            return float(np.max(np.abs(np.diff(self.values)) / np.diff(self.grid.points)))
-        if self.grid.metric_kind == DISCRETE:
-            return float(self.values.max() - self.values.min())
-        d = self.grid.pairwise()
-        diff = np.abs(self.values[:, None] - self.values[None, :])
-        mask = d > 0
-        return float((diff[mask] / d[mask]).max()) if mask.any() else 0.0
+        self.lip_const = float(lipschitz_constants(grid, v))
 
     def eval_at(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -279,6 +264,27 @@ class LipschitzFn:
     @classmethod
     def from_callable(cls, grid: StateGrid, fn: Callable[[float], float]) -> "LipschitzFn":
         return cls(grid, [fn(x) for x in grid.points])
+
+
+def lipschitz_constants(grid: StateGrid, rows: np.ndarray) -> np.ndarray:
+    """Lipschitz constants of grid functions, one per row (last axis: states).
+
+    1-D: adjacent pairs are enough for the piecewise-linear interpolant.
+    Discrete: every pair is at distance one, so the constant is the spread.
+    Explicit table: every pair of distinct points, each divided by the
+    smaller of its two table entries (symmetry is only checked to 1e-12).
+    """
+    rows = np.asarray(rows, dtype=float)
+    if grid.n == 1:
+        return np.zeros(rows.shape[:-1])
+    if grid.metric_kind == EUCLIDEAN_1D:
+        return (np.abs(np.diff(rows, axis=-1)) / np.diff(grid.points)).max(axis=-1)
+    if grid.metric_kind == DISCRETE:
+        return rows.max(axis=-1) - rows.min(axis=-1)
+    pw = grid.pairwise()
+    iu = np.triu_indices(grid.n, 1)
+    gaps = np.abs(rows[..., iu[0]] - rows[..., iu[1]])
+    return (gaps / np.minimum(pw, pw.T)[iu]).max(axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -385,20 +391,3 @@ def integrate(f: LipschitzFn, mu: DiscreteMeasure) -> float:
         return float(np.dot(f.eval_at(xs), w))
     raise DimensionMismatch("cross-grid integration needs the 1-D metric")
 
-
-def cdf_embedding(beliefs: Iterable[DiscreteMeasure], grid: StateGrid) -> np.ndarray:
-    """Stack of CDF vectors scaled by cell widths (shared 1-D grid).
-
-    In this embedding W1 between two measures equals the plain L1 distance
-    between their rows, which is what the belief samplers and the
-    nearest-neighbour generalizer exploit.
-    """
-    if grid.metric_kind != EUCLIDEAN_1D:
-        raise MetricKindMismatch("cdf embedding needs the 1-D metric")
-    rows = []
-    for b in beliefs:
-        if not b.grid.same_points(grid):
-            raise DimensionMismatch("cdf embedding needs a shared grid")
-        rows.append(np.cumsum(b.weights)[:-1])
-    emb = np.asarray(rows) if rows else np.zeros((0, grid.n - 1))
-    return emb * np.diff(grid.points)[None, :]

@@ -84,10 +84,7 @@ class PomdpModel:
 
     * ``trans[a, x, x']``   transition probability, rows normalised,
     * ``obs_density[a, x', j]``  q(y_j | x', a), rows quadrature-normalised,
-    * ``reward[a, x]``      two-sided bounded only through the weight,
-    * ``init_obs[x, j]``    optional initial observation density; stored for
-      completeness, no solver consumes it (the caller supplies the initial
-      belief directly).
+    * ``reward[a, x]``      two-sided bounded only through the weight.
     """
 
     state_grid: StateGrid
@@ -98,7 +95,6 @@ class PomdpModel:
     reward: np.ndarray
     discount: float
     weight: WeightFunction
-    init_obs: np.ndarray | None = None
     weight_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -142,11 +138,6 @@ class PomdpModel:
                 f"max |sum phi_j q - 1| = {np.abs(q_mass - 1.0).max():.3e}"
             )
         self.obs_density = self.obs_density / q_mass[:, :, None]
-
-        if self.init_obs is not None:
-            self.init_obs = np.asarray(self.init_obs, dtype=float)
-            if self.init_obs.shape != (n, j):
-                raise DimensionMismatch("init_obs shape mismatch")
 
         self.weight_values = self.weight.values_on(self.state_grid)
         for arr in (self.trans, self.obs_density, self.reward, self.weight_values):

@@ -14,20 +14,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySample
 from .filtering import bayes_update, obs_marginal
-from .measures import (
-    DISCRETE,
-    EUCLIDEAN_1D,
-    DiscreteMeasure,
-    cdf_embedding,
-    make_measure,
-    w1_lp,
-)
+from .measures import DISCRETE, EUCLIDEAN_1D, DiscreteMeasure, make_measure, w1_lp
 from .model import PomdpModel
 
-__all__ = ["BeliefSample", "user_sample", "reachability_tree", "DEDUP_W1_TOL"]
+__all__ = ["BeliefSample", "BeliefDistances", "user_sample", "reachability_tree", "DEDUP_W1_TOL"]
 
 # beliefs closer than this in W1 are treated as the same sample point
 DEDUP_W1_TOL = 1e-6
+
+# query rows per distance block: bounds the (rows x kept x states)
+# broadcast temporary
+_DIST_CHUNK = 64
 
 
 @dataclass(eq=False)
@@ -87,13 +84,67 @@ def _embed_rows(grid, weight_rows: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _dists_to_kept(grid, cand: DiscreteMeasure, kept_rows: np.ndarray) -> np.ndarray:
-    emb = _embed_rows(grid, np.vstack([kept_rows, cand.weights[None, :]]))
-    if emb is not None:
-        return np.abs(emb[:-1] - emb[-1][None, :]).sum(axis=1)
-    # table metric: exact but slow; fine at the sizes such models come in
-    kept = [make_measure(grid, row) for row in kept_rows]
-    return np.array([w1_lp(b, cand) for b in kept])
+class BeliefDistances:
+    """W1 from belief weight rows to a growing set of kept beliefs.
+
+    Where the metric embeds isometrically into L1 (1-D, discrete) each kept
+    belief is embedded once, on construction or by :meth:`add`, and a
+    distance block is an L1 reduction over chunks of ``_DIST_CHUNK`` query
+    rows.  Explicit tables have no embedding (``emb`` is None) and fall
+    back to one transportation solve per pair: exact, but only meant for
+    desk-size models.  ``beliefs`` supplies the kept measures for that
+    fallback; by default they are rebuilt from ``rows``.
+    """
+
+    def __init__(self, grid, rows: np.ndarray, beliefs=None):
+        rows = np.asarray(rows, dtype=float)
+        self.grid = grid
+        self.emb = _embed_rows(grid, rows)
+        self.beliefs = None
+        if self.emb is None:
+            self.beliefs = list(beliefs) if beliefs is not None else [
+                make_measure(grid, r) for r in rows
+            ]
+        self._buf = self.emb  # spare rows for add(); emb is its live prefix
+
+    def __len__(self) -> int:
+        return len(self.beliefs) if self.emb is None else len(self.emb)
+
+    def add(self, row: np.ndarray) -> None:
+        """Keep one more belief, given by its weight row."""
+        if self.emb is None:
+            self.beliefs.append(make_measure(self.grid, row))
+            return
+        k = len(self.emb)
+        if k == len(self._buf):  # full: double the capacity
+            self._buf = np.concatenate([self.emb, np.empty((max(k, 1), self.emb.shape[1]))])
+        self._buf[k] = _embed_rows(self.grid, row[None, :])[0]
+        self.emb = self._buf[:k + 1]
+
+    def l1(self, q: np.ndarray) -> np.ndarray:
+        """(len(q), len(self)) L1 block from embedded query rows."""
+        out = np.empty((len(q), len(self.emb)))
+        for s in range(0, len(q), _DIST_CHUNK):
+            out[s:s + _DIST_CHUNK] = np.abs(
+                q[s:s + _DIST_CHUNK, None, :] - self.emb[None, :, :]
+            ).sum(axis=2)
+        return out
+
+    def dists(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), len(self)) W1 block from belief weight rows."""
+        if self.emb is not None:
+            return self.l1(_embed_rows(self.grid, rows))
+        out = np.empty((len(rows), len(self.beliefs)))
+        for i, r in enumerate(rows):
+            mu = make_measure(self.grid, r)
+            out[i] = [w1_lp(mu, b) for b in self.beliefs]
+        return out
+
+    def pairwise(self) -> np.ndarray:
+        """W1 between every ordered pair of kept beliefs."""
+        if self.emb is not None:
+            return self.l1(self.emb)
+        return self.dists(np.stack([b.weights for b in self.beliefs]))
 
 
 def reachability_tree(
@@ -119,7 +170,7 @@ def reachability_tree(
     if depth < 0:
         raise DimensionMismatch("depth must be >= 0")
     beliefs = [mu0]
-    rows = mu0.weights[None, :]
+    kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
     edges: list[tuple[int, int, int, int]] = []
     truncated = False
 
@@ -135,8 +186,7 @@ def reachability_tree(
                 probs = obs_marginal(model, beliefs[parent], a).node_probs
                 for j in np.flatnonzero(probs > 0):
                     post = bayes_update(model, beliefs[parent], a, int(j))
-                    d = _dists_to_kept(model.state_grid, post, rows)
-                    if d.min() < dedup_tol:
+                    if kept.dists(post.weights[None, :]).min() < dedup_tol:
                         continue
                     if len(beliefs) >= cap:
                         truncated = True
@@ -144,7 +194,7 @@ def reachability_tree(
                     edges.append((parent, a, int(j), len(beliefs)))
                     next_frontier.append(len(beliefs))
                     beliefs.append(post)
-                    rows = np.vstack([rows, post.weights[None, :]])
+                    kept.add(post.weights)
                 if truncated:
                     break
         frontier = next_frontier
@@ -160,14 +210,13 @@ def reachability_tree(
             model.state_grid,
             kappa * beliefs[i].weights + (1.0 - kappa) * beliefs[j].weights,
         )
-        d = _dists_to_kept(model.state_grid, mix, rows)
-        if d.min() < dedup_tol:
+        if kept.dists(mix.weights[None, :]).min() < dedup_tol:
             continue
         if len(beliefs) >= cap:
             truncated = True
             break
         beliefs.append(mix)
-        rows = np.vstack([rows, mix.weights[None, :]])
+        kept.add(mix.weights)
         added += 1
 
     return BeliefSample(

@@ -1,5 +1,5 @@
-"""Bellman backups on tabulated belief values, fixed-point iteration with
-certified stopping, greedy selectors, and Monte Carlo policy evaluation.
+"""Tabulated value iteration with certified stopping, greedy selectors,
+and Monte Carlo policy evaluation.
 
 Values live on a fixed :class:`~wpomdp.sampling.BeliefSample`.  Posteriors
 of sampled beliefs generally leave the sample, so backups need a
@@ -12,7 +12,8 @@ generalizer; two are provided:
   table.
 
 ``solve_vi`` precomputes all posterior geometry once, so a sweep is a few
-fused array operations regardless of the generalizer.
+fused array operations regardless of the generalizer.  The per-belief
+reference form of the same operator lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -27,20 +28,14 @@ from .errors import (
     NonFiniteValue,
     SolverFailure,
 )
-from .filtering import bayes_update, expected_reward, obs_marginal
 from .measures import DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify
-from .sampling import BeliefSample, _embed_rows
+from .sampling import BeliefDistances, BeliefSample, _embed_rows
 
 __all__ = [
     "TabulatedValue",
     "Selector",
     "VIResult",
-    "bellman_backup_point",
-    "bellman_backup",
-    "greedy_selector",
-    "exact_sample_evaluator",
-    "mcshane_evaluator",
     "solve_vi",
     "rollout_estimate",
     "NearestAnchorPolicy",
@@ -50,11 +45,9 @@ __all__ = [
 # distances below this are "the same belief" for exact-sample lookup
 _EXACT_MATCH_TOL = 1e-9
 
-# fixed work-unit sizes; results are assembled by index, so outputs are
-# identical for any worker count.  The inner distance block keeps the
-# (rows x sample x states) broadcast temporaries modest.
+# fixed k-NN work-unit size; results are assembled by index, so outputs
+# are identical for any worker count
 _CHUNK = 256
-_DIST_CHUNK = 64
 
 
 @dataclass(eq=False)
@@ -100,47 +93,8 @@ class VIResult:
 
 
 # --------------------------------------------------------------------------
-# sample geometry shared by the generalizers and the solver
+# solver
 # --------------------------------------------------------------------------
-
-class _SampleGeometry:
-    """W1 distances from arbitrary beliefs to the sample, vectorised.
-
-    Uses the L1-isometric embedding where one exists (1-D, discrete); the
-    explicit-table metric falls back to per-pair transport solves and is
-    only meant for desk-size models.
-    """
-
-    def __init__(self, sample: BeliefSample):
-        self.sample = sample
-        self.rows = sample.weight_matrix()
-        self.emb = _embed_rows(sample.grid, self.rows)
-
-    def dists_from_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(m, sample.n) distance block for m belief weight rows."""
-        if self.emb is None:
-            from .measures import w1_lp  # local: only the slow path needs it
-
-            grid = self.sample.grid
-            out = np.empty((len(rows), self.sample.n))
-            for i, r in enumerate(rows):
-                mu = make_measure(grid, r)
-                out[i] = [w1_lp(mu, b) for b in self.sample.beliefs]
-            return out
-        out = np.empty((len(rows), self.sample.n))
-        for s in range(0, len(rows), _DIST_CHUNK):
-            q = _embed_rows(self.sample.grid, rows[s:s + _DIST_CHUNK])
-            out[s:s + _DIST_CHUNK] = np.abs(
-                q[:, None, :] - self.emb[None, :, :]
-            ).sum(axis=2)
-        return out
-
-    def dists_from(self, mu: DiscreteMeasure) -> np.ndarray:
-        return self.dists_from_rows(mu.weights[None, :])[0]
-
-    def pairwise(self) -> np.ndarray:
-        return self.dists_from_rows(self.rows)
-
 
 def _table_lip_estimate(values: np.ndarray, pair_d: np.ndarray) -> float:
     """Largest |dv| / W1 over sample pairs (0 when no pair is separated)."""
@@ -151,110 +105,15 @@ def _table_lip_estimate(values: np.ndarray, pair_d: np.ndarray) -> float:
     return float((gaps[mask] / pair_d[mask]).max())
 
 
-def exact_sample_evaluator(table: TabulatedValue, *, atol: float = _EXACT_MATCH_TOL):
-    """Value lookup for samples closed under filtering; off-sample raises."""
-    geom = _SampleGeometry(table.sample)
-
-    def evaluate(mu: DiscreteMeasure) -> float:
-        d = geom.dists_from(mu)
-        i = int(d.argmin())
-        if d[i] > atol:
-            raise SolverFailure(
-                f"belief is {d[i]:.3e} away from the sample; "
-                "exact-sample evaluation needs a filtering-closed sample"
-            )
-        return float(table.values[i])
-
-    return evaluate
-
-
-def mcshane_evaluator(
-    table: TabulatedValue,
-    *,
-    lip_bound: float | None = None,
-    k_neighbors: int | None = None,
-):
-    """Lower-bound extension max_i (v_i - L * W1(mu, b_i)).
-
-    ``lip_bound`` defaults to the largest difference quotient measured on
-    the table itself; restricting to ``k_neighbors`` nearest sample points
-    trades tightness for speed without breaking the lower-bound property.
-    """
-    geom = _SampleGeometry(table.sample)
-    if lip_bound is None:
-        lip_bound = _table_lip_estimate(table.values, geom.pairwise())
-
-    def evaluate(mu: DiscreteMeasure) -> float:
-        d = geom.dists_from(mu)
-        if k_neighbors is not None and k_neighbors < len(d):
-            keep = np.argpartition(d, k_neighbors)[:k_neighbors]
-            return float((table.values[keep] - lip_bound * d[keep]).max())
-        return float((table.values - lip_bound * d).max())
-
-    return evaluate
-
-
-# --------------------------------------------------------------------------
-# Bellman operator, reference (per-belief) form
-# --------------------------------------------------------------------------
-
-def bellman_backup_point(model: PomdpModel, value_eval, mu: DiscreteMeasure, a: int) -> float:
-    """One-action backup r~(mu,a) + alpha * E_nodes[ value(posterior) ].
-
-    Nodes with zero marginal probability contribute nothing and are
-    skipped (conditioning on them is undefined).
-    """
-    marg = obs_marginal(model, mu, a)
-    acc = 0.0
-    for j, p in enumerate(marg.node_probs):
-        if p <= 0.0:
-            continue
-        v = value_eval(bayes_update(model, mu, a, j))
-        if not np.isfinite(v):
-            raise NonFiniteValue(f"generalizer returned {v!r} at node {j}")
-        acc += p * v
-    return expected_reward(model, mu, a) + model.discount * acc
-
-
-def _backup_all_actions(model, value_eval, mu):
-    return [bellman_backup_point(model, value_eval, mu, a) for a in range(model.n_actions)]
-
-
-def bellman_backup(model: PomdpModel, value: TabulatedValue, value_eval) -> TabulatedValue:
-    """Full Jacobi sweep: max_a backup of every sampled belief.
-
-    ``value_eval`` is the generalizer for the *current* table; the new
-    table is written only after all reads, matching the operator
-    semantics.
-    """
-    certify(model)
-    out = np.array(
-        [max(_backup_all_actions(model, value_eval, mu)) for mu in value.sample.beliefs]
-    )
-    return TabulatedValue(value.sample, out)
-
-
-def greedy_selector(model: PomdpModel, value: TabulatedValue, value_eval) -> Selector:
-    acts = []
-    for mu in value.sample.beliefs:
-        q = _backup_all_actions(model, value_eval, mu)
-        acts.append(int(np.argmax(q)))
-    return Selector(value.sample, tuple(acts))
-
-
-# --------------------------------------------------------------------------
-# solver
-# --------------------------------------------------------------------------
-
 def _nearest_in_sample(
-    geom: _SampleGeometry, rows: np.ndarray, k: int, parallel: int
+    geom: BeliefDistances, rows: np.ndarray, k: int, parallel: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """k smallest sample distances per row, ascending: (idx, dist), (m, k).
 
     Work is split into fixed chunks; each chunk is row-independent, so the
     result is byte-identical for every worker count.
     """
-    m, big = len(rows), geom.sample.n
+    m, big = len(rows), len(geom)
     k = min(k, big)
     idx = np.empty((m, k), dtype=np.int32)
     dst = np.empty((m, k))
@@ -262,7 +121,7 @@ def _nearest_in_sample(
 
     def work(span):
         s, e = span
-        d = geom.dists_from_rows(rows[s:e])
+        d = geom.dists(rows[s:e])
         part = np.argpartition(d, k - 1, axis=1)[:, :k]
         picked = np.take_along_axis(d, part, axis=1)
         order = np.argsort(picked, axis=1, kind="stable")
@@ -292,7 +151,7 @@ class _Precomputed:
         J, n = model.n_obs, model.n_states
         K = min(k_neighbors, B)
         W = sample.weight_matrix()
-        geom = _SampleGeometry(sample)
+        geom = BeliefDistances(sample.grid, W, sample.beliefs)
 
         self.tilde_w = W @ model.weight.values_on(model.state_grid)
         self.reward = W @ model.reward.T  # (B, A)
@@ -401,15 +260,16 @@ class NearestAnchorPolicy:
     """
 
     def __init__(self, grid, anchor_rows: np.ndarray, actions, *, coarse_dim: int | None = None):
-        emb = _embed_rows(grid, np.asarray(anchor_rows, dtype=float))
+        self.anchors = BeliefDistances(grid, anchor_rows)
+        emb = self.anchors.emb
         if emb is None:
             raise DimensionMismatch("anchor policies need an embeddable metric")
         self.grid = grid
         self.cols = None
         if coarse_dim is not None and coarse_dim < emb.shape[1]:
             self.cols = np.linspace(0, emb.shape[1] - 1, coarse_dim).round().astype(int)
-            emb = emb[:, self.cols]
-        self.emb = np.ascontiguousarray(emb)
+            self.anchors.emb = np.ascontiguousarray(emb[:, self.cols])
+        self.emb = self.anchors.emb
         self.actions = np.asarray(actions, dtype=np.int64)
         if len(self.actions) != len(self.emb):
             raise DimensionMismatch("one action per anchor required")
@@ -418,11 +278,8 @@ class NearestAnchorPolicy:
         q = _embed_rows(self.grid, rows)
         if self.cols is not None:
             q = q[:, self.cols]
-        out = np.empty(len(rows), dtype=np.int64)
-        for s in range(0, len(rows), _CHUNK):
-            block = np.abs(q[s:s + _CHUNK, None, :] - self.emb[None, :, :]).sum(axis=2)
-            out[s:s + _CHUNK] = self.actions[block.argmin(axis=1)]
-        return out
+        # argmin: ties go to the lowest anchor index
+        return self.actions[self.anchors.l1(q).argmin(axis=1)]
 
     def __call__(self, mu: DiscreteMeasure) -> int:
         return int(self.act_batch(mu.weights[None, :])[0])

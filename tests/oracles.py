@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations for the test suite.
 
-Nothing in here imports solver internals beyond plain data containers; each
-oracle recomputes its target quantity by the most literal method available
-(vertex enumeration, exhaustive recursion, dense matrix algebra) so that
-agreement with the package is evidence, not tautology.
+Nothing in here imports solver internals beyond plain data containers and
+the per-belief building blocks (filter steps, pairwise W1); each oracle
+recomputes its target quantity by the most literal method available
+(vertex enumeration, exhaustive recursion, dense matrix algebra, one W1 per
+pair) so that agreement with the package is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -11,6 +12,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from wpomdp.errors import NonFiniteValue, SolverFailure
+from wpomdp.filtering import bayes_update, expected_reward, obs_marginal
+from wpomdp.measures import w1
+from wpomdp.model import certify
+from wpomdp.value_iteration import Selector, TabulatedValue
 
 
 # --------------------------------------------------------------------------
@@ -175,3 +182,108 @@ def classical_pbvi_backup(trans, obs, reward, alpha, vectors, beliefs):
                 best_val, best_vec = val, g
         out.append(best_vec)
     return np.asarray(out)
+
+
+# --------------------------------------------------------------------------
+# per-belief Bellman operator on tabulated values
+# --------------------------------------------------------------------------
+
+# distances below this are "the same belief" for exact-sample lookup
+EXACT_MATCH_TOL = 1e-9
+
+
+def sample_distances(sample, mu):
+    """W1 from ``mu`` to every sampled belief, one solve per pair."""
+    return np.array([w1(mu, b) for b in sample.beliefs])
+
+
+def table_lip_estimate(table):
+    """Largest |dv| / W1 over separated sample pairs (0 when none are)."""
+    beliefs, v = table.sample.beliefs, table.values
+    best = 0.0
+    for i, j in itertools.combinations(range(len(beliefs)), 2):
+        d = w1(beliefs[i], beliefs[j])
+        if d > 1e-9:
+            best = max(best, abs(v[i] - v[j]) / d)
+    return best
+
+
+def exact_sample_evaluator(table, *, atol=EXACT_MATCH_TOL):
+    """Value lookup for samples closed under filtering; off-sample raises."""
+
+    def evaluate(mu):
+        d = sample_distances(table.sample, mu)
+        i = int(d.argmin())
+        if d[i] > atol:
+            raise SolverFailure(
+                f"belief is {d[i]:.3e} away from the sample; "
+                "exact-sample evaluation needs a filtering-closed sample"
+            )
+        return float(table.values[i])
+
+    return evaluate
+
+
+def mcshane_evaluator(table, *, lip_bound=None, k_neighbors=None):
+    """Lower-bound extension max_i (v_i - L * W1(mu, b_i)).
+
+    ``lip_bound`` defaults to the largest difference quotient measured on
+    the table itself; ``k_neighbors`` restricts the max to that many
+    nearest sample points.
+    """
+    if lip_bound is None:
+        lip_bound = table_lip_estimate(table)
+
+    def evaluate(mu):
+        d = sample_distances(table.sample, mu)
+        keep = np.arange(len(d))
+        if k_neighbors is not None and k_neighbors < len(d):
+            keep = np.argsort(d, kind="stable")[:k_neighbors]
+        return float((table.values[keep] - lip_bound * d[keep]).max())
+
+    return evaluate
+
+
+def bellman_backup_point(model, value_eval, mu, a):
+    """One-action backup r~(mu,a) + alpha * E_nodes[ value(posterior) ].
+
+    Nodes with zero marginal probability contribute nothing and are
+    skipped (conditioning on them is undefined).
+    """
+    marg = obs_marginal(model, mu, a)
+    acc = 0.0
+    for j, p in enumerate(marg.node_probs):
+        if p <= 0.0:
+            continue
+        v = value_eval(bayes_update(model, mu, a, j))
+        if not np.isfinite(v):
+            raise NonFiniteValue(f"generalizer returned {v!r} at node {j}")
+        acc += p * v
+    return expected_reward(model, mu, a) + model.discount * acc
+
+
+def _backup_all_actions(model, value_eval, mu):
+    return [bellman_backup_point(model, value_eval, mu, a) for a in range(model.n_actions)]
+
+
+def bellman_backup(model, value, value_eval):
+    """Full Jacobi sweep: max_a backup of every sampled belief.
+
+    ``value_eval`` is the generalizer for the *current* table; the new
+    table is written only after all reads, matching the operator
+    semantics.
+    """
+    certify(model)
+    out = np.array(
+        [max(_backup_all_actions(model, value_eval, mu)) for mu in value.sample.beliefs]
+    )
+    return TabulatedValue(value.sample, out)
+
+
+def greedy_selector(model, value, value_eval):
+    """Greedy action per sampled belief (ties -> lowest action index)."""
+    acts = [
+        int(np.argmax(_backup_all_actions(model, value_eval, mu)))
+        for mu in value.sample.beliefs
+    ]
+    return Selector(value.sample, tuple(acts))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import classical_pbvi_backup
+from oracles import bellman_backup_point, classical_pbvi_backup
 from wpomdp.conjugate import (
     AlphaSet,
     conjugate_rho,
@@ -32,7 +32,7 @@ from wpomdp.synthetic import (
     revealing_toy,
     uniform_belief,
 )
-from wpomdp.value_iteration import bellman_backup_point, solve_vi
+from wpomdp.value_iteration import solve_vi
 
 
 def belief(model, p):

@@ -22,7 +22,6 @@ from wpomdp.measures import (
     LipschitzFn,
     StateGrid,
     WeightFunction,
-    cdf_embedding,
     dirac,
     integrate,
     kr_dual_gap,
@@ -33,6 +32,7 @@ from wpomdp.measures import (
     w1_lp,
     weighted_norm,
 )
+from wpomdp.sampling import _embed_rows
 from wpomdp.transport import solve_transport
 
 
@@ -68,6 +68,12 @@ class TestStateGrid:
     def test_table_requires_triangle_inequality(self):
         # d(0,2)=5 but the path through 1 costs 2
         t = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        with pytest.raises(MetricKindMismatch):
+            StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
+
+    def test_table_requires_positive_distances_between_distinct_points(self):
+        # a metric table, except that points 0 and 1 sit at distance zero
+        t = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(MetricKindMismatch):
             StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
 
@@ -433,16 +439,16 @@ class TestIntegrate:
 class TestCdfEmbedding:
     def test_l1_distance_equals_w1_on_shared_grid(self):
         rng = np.random.default_rng(37)
-        g = line_grid(0.0, 0.5, 1.5, 2.0)
-        beliefs = [make_measure(g, rng.dirichlet(np.ones(4))) for _ in range(6)]
-        emb = cdf_embedding(beliefs, g)
-        for i in range(6):
-            for j in range(6):
-                assert_allclose(
-                    np.abs(emb[i] - emb[j]).sum(),
-                    w1_1d(beliefs[i], beliefs[j]),
-                    atol=1e-12,
-                )
+        for g in (line_grid(0.0, 0.5, 1.5, 2.0), StateGrid(np.arange(4.0), metric_kind=DISCRETE)):
+            beliefs = [make_measure(g, rng.dirichlet(np.ones(4))) for _ in range(6)]
+            emb = _embed_rows(g, np.stack([b.weights for b in beliefs]))
+            for i in range(6):
+                for j in range(6):
+                    assert_allclose(
+                        np.abs(emb[i] - emb[j]).sum(),
+                        w1(beliefs[i], beliefs[j]),
+                        atol=1e-12,
+                    )
 
 
 # --------------------------------------------------------------------------

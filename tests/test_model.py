@@ -98,8 +98,6 @@ class TestModelValidation:
             tiny_model(reward=np.zeros((1, 3)))
         with pytest.raises(DimensionMismatch):
             tiny_model(obs_density=np.ones((1, 2, 4)))
-        with pytest.raises(DimensionMismatch):
-            tiny_model(init_obs=np.ones((3, 1)))
 
     def test_tables_frozen_after_load(self):
         m = tiny_model()

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update
-from wpomdp.measures import StateGrid, make_measure, w1
-from wpomdp.sampling import DEDUP_W1_TOL, BeliefSample, reachability_tree, user_sample
+from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
+from wpomdp.sampling import (
+    DEDUP_W1_TOL,
+    BeliefDistances,
+    BeliefSample,
+    reachability_tree,
+    user_sample,
+)
 from wpomdp.synthetic import pbvi_toy, revealing_toy, uniform_belief
+from wpomdp.value_iteration import NearestAnchorPolicy
 
 
 class TestUserSample:
@@ -128,3 +137,62 @@ class TestSampleValidation:
             BeliefSample((), provenance="user_supplied")
         s = BeliefSample((uniform_belief(m),), provenance="user_supplied")
         assert s.grid is m.state_grid
+
+
+def random_grid(kind, n, rng):
+    if kind == "line":
+        return StateGrid(np.cumsum(rng.uniform(0.1, 2.0, n)))
+    if kind == "discrete":
+        return StateGrid(np.arange(float(n)), metric_kind=DISCRETE)
+    # Euclidean distances between distinct planar points form a metric
+    xy = rng.uniform(-1.0, 1.0, (n, 2))
+    table = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+    return StateGrid(np.arange(float(n)), metric_kind=EXPLICIT_TABLE, distance_table=table)
+
+
+def random_rows(grid, m, rng):
+    # sparse supports too, so the LP sees degenerate couplings
+    w = rng.dirichlet(np.ones(grid.n), size=m) * (rng.uniform(size=(m, grid.n)) < 0.7)
+    w[:, 0] += 1e-3
+    return np.stack([make_measure(grid, r).weights for r in w])
+
+
+class TestBeliefDistances:
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from(["line", "discrete", "table"]), st.integers(0, 2**32 - 1))
+    def test_block_equals_pairwise_w1(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(kind, int(rng.integers(2, 6)), rng)
+        kept = random_rows(g, int(rng.integers(1, 5)), rng)
+        # past one _DIST_CHUNK of queries, except on the slow LP path
+        queries = random_rows(g, int(rng.integers(1, 5 if kind == "table" else 150)), rng)
+        block = BeliefDistances(g, kept).dists(queries)
+        want = [
+            [w1(make_measure(g, q), make_measure(g, k)) for k in kept] for q in queries
+        ]
+        np.testing.assert_allclose(block, want, rtol=0, atol=1e-9 if kind == "table" else 1e-12)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from(["line", "discrete", "table"]), st.integers(0, 2**32 - 1))
+    def test_incremental_add_matches_stacked_build(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(kind, int(rng.integers(2, 8)), rng)
+        rows = random_rows(g, int(rng.integers(2, 12)), rng)
+        queries = random_rows(g, 3, rng)
+        stacked = BeliefDistances(g, rows)
+        grown = BeliefDistances(g, rows[:1])
+        for r in rows[1:]:
+            grown.add(r)
+        assert len(grown) == len(stacked) == len(rows)
+        if stacked.emb is not None:
+            np.testing.assert_array_equal(grown.emb, stacked.emb)
+        np.testing.assert_array_equal(grown.dists(queries), stacked.dists(queries))
+        np.testing.assert_array_equal(grown.pairwise(), stacked.pairwise())
+
+    @pytest.mark.parametrize("kind", ["line", "discrete"])
+    def test_anchor_ties_go_to_the_lowest_index(self, kind):
+        rng = np.random.default_rng(11)
+        g = random_grid(kind, 5, rng)
+        a, b = random_rows(g, 2, rng)
+        pol = NearestAnchorPolicy(g, np.stack([b, a, a, b]), [3, 2, 0, 1])
+        np.testing.assert_array_equal(pol.act_batch(np.stack([a, b, a])), [2, 3, 2])

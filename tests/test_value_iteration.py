@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import backup_value_bruteforce, finite_horizon_value_bruteforce
+from oracles import (
+    backup_value_bruteforce,
+    bellman_backup,
+    bellman_backup_point,
+    exact_sample_evaluator,
+    finite_horizon_value_bruteforce,
+    greedy_selector,
+    mcshane_evaluator,
+)
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
 from wpomdp.filtering import expected_reward
 from wpomdp.measures import LipschitzFn, make_measure, weighted_norm
@@ -24,11 +32,6 @@ from wpomdp.value_iteration import (
     NearestAnchorPolicy,
     Selector,
     TabulatedValue,
-    bellman_backup,
-    bellman_backup_point,
-    exact_sample_evaluator,
-    greedy_selector,
-    mcshane_evaluator,
     rollout_estimate,
     selector_policy,
     solve_vi,
@@ -240,6 +243,46 @@ class TestOperatorProperties:
                 mid = belief(m, kappa * p1 + (1 - kappa) * p2)
                 combo = kappa * backed(belief(m, p1)) + (1 - kappa) * backed(belief(m, p2))
                 assert backed(mid) <= combo + 1e-8
+
+
+class TestFastOperatorMatchesReference:
+    """t sweeps of ``solve_vi`` equal t sweeps of the per-belief oracle.
+
+    With this in place the operator properties above, checked on the
+    oracle, also vouch for the precomputed solver.
+    """
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_exact_on_closed_tree(self, t):
+        m = revealing_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=2)
+        res = solve_vi(m, s, epsilon=1e-9, max_iters=t, generalizer="exact")
+        table = TabulatedValue.zeros(s)
+        for _ in range(t):
+            ev = exact_sample_evaluator(table)
+            sel = greedy_selector(m, table, ev)
+            table = bellman_backup(m, table, ev)
+        assert res.iterations == t
+        assert_allclose(res.value.values, table.values, rtol=0, atol=1e-10)
+        assert res.selector.actions == sel.actions
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_mcshane_on_open_tree(self, t):
+        m = pbvi_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=2)
+        kw = dict(epsilon=1e-9, generalizer="mcshane", k_neighbors=s.n)
+        res = solve_vi(m, s, max_iters=t, **kw)
+        table = TabulatedValue.zeros(s)
+        for i in range(t):
+            # the slope of sweep i+1 is the estimate after sweep i
+            slope = solve_vi(m, s, max_iters=i, **kw).lip_estimate
+            ev = mcshane_evaluator(table, lip_bound=slope, k_neighbors=s.n)
+            sel = greedy_selector(m, table, ev)
+            table = bellman_backup(m, table, ev)
+        assert res.iterations == t
+        assert res.lip_estimate > 0.0
+        assert_allclose(res.value.values, table.values, rtol=0, atol=1e-10)
+        assert res.selector.actions == sel.actions
 
 
 class TestSolveVi:
