@@ -157,7 +157,7 @@ def cmd_rollout(args) -> int:
         horizon = c.iterations_for(args.epsilon / 10.0)  # tail below eps/10
     mean, err = rollout_estimate(
         model,
-        selector_policy(res, coarse_dim=args.coarse_dim),
+        selector_policy(res),
         mu0,
         horizon,
         args.n_paths,
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--n-paths", type=int, default=10_000)
-    p.add_argument("--coarse-dim", type=int, default=None)
     p.set_defaults(fn=cmd_rollout)
 
     p = sub.add_parser("compare", help="run both solvers and diff the values")

@@ -26,6 +26,12 @@ DEDUP_W1_TOL = 1e-6
 # broadcast temporary
 _DIST_CHUNK = 64
 
+# contiguous column blocks of the k-NN lower bound (fewer when the
+# embedding has fewer columns), and query rows per pruned search: bounds
+# the (rows x kept) bound block; larger blocks ran slower on 300 anchors
+_KNN_BLOCKS = 4
+_KNN_CHUNK = 256
+
 
 @dataclass(eq=False)
 class BeliefSample:
@@ -90,7 +96,8 @@ class BeliefDistances:
     Where the metric embeds isometrically into L1 (1-D, discrete) each kept
     belief is embedded once, on construction or by :meth:`add`, and a
     distance block is an L1 reduction over chunks of ``_DIST_CHUNK`` query
-    rows.  Explicit tables have no embedding (``emb`` is None) and fall
+    rows, and :meth:`knn` prunes with a block lower bound before computing
+    any exact distance.  Explicit tables have no embedding (``emb`` is None) and fall
     back to one transportation solve per pair: exact, but only meant for
     desk-size models.  ``beliefs`` supplies the kept measures for that
     fallback; by default they are rebuilt from ``rows``.
@@ -145,6 +152,84 @@ class BeliefDistances:
         if self.emb is not None:
             return self.l1(self.emb)
         return self.dists(np.stack([b.weights for b in self.beliefs]))
+
+    def knn(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k nearest kept beliefs of each weight row: (idx, dist), (m, k).
+
+        Exact: each row lists the first k kept beliefs in (distance, index)
+        order, so ties go to the lowest index, and every distance has the
+        bits of the matching :meth:`dists` entry.  Where the metric embeds,
+        a block lower bound skips the beliefs that cannot be among the k
+        nearest; explicit tables solve every pair by LP.
+        """
+        m, k = len(rows), min(k, len(self))
+        if self.emb is None:
+            d = self.dists(rows)
+            r, j = np.indices(d.shape)
+            return _first_k(m, k, r.ravel(), d.ravel(), j.ravel())
+        idx = np.empty((m, k), dtype=np.intp)
+        dist = np.empty((m, k))
+        for s in range(0, m, _KNN_CHUNK):
+            idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = self._pruned_knn(
+                _embed_rows(self.grid, rows[s:s + _KNN_CHUNK]), k
+            )
+        return idx, dist
+
+    def _pruned_knn(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`knn` for embedded query rows ``q``, 1 <= k <= len(self)."""
+        m, e = len(q), self.emb
+        cols = e.shape[1]
+        # Summing the embedding over contiguous column blocks maps L1 to
+        # L1 with Lipschitz constant 1, so the block-summed distance never
+        # exceeds the exact one.  Edges must be distinct: reduceat returns
+        # a whole column at a repeated edge, which would count it twice.
+        edges = np.unique(np.arange(_KNN_BLOCKS) * cols // _KNN_BLOCKS)
+        qb, eb = (np.add.reduceat(x, edges, axis=1) if cols else x for x in (q, e))
+        lb = np.zeros((m, len(e)))
+        tmp = np.empty_like(lb)
+        for qc, ec in zip(qb.T, np.ascontiguousarray(eb.T)):
+            np.subtract(qc[:, None], ec[None, :], out=tmp)
+            lb += np.abs(tmp, out=tmp)
+
+        # exact distances to the k lowest bounds; their largest, tau, is at
+        # least the k-th nearest distance (argmin: a partition costs ~30x
+        # more for the anchor policy's k = 1)
+        if k == 1:
+            cand = lb.argmin(axis=1)[:, None]
+        else:
+            cand = np.argpartition(lb, k - 1, axis=1)[:, :k]
+        g = e[cand]
+        d = np.abs(np.subtract(q[:, None, :], g, out=g), out=g).sum(axis=2)
+        tau = d.max(axis=1)
+        # Rounding slack.  With S >= |q|_1 + |e|_1 for every pair, each
+        # computed distance is within cols*eps*S of the exact L1, and each
+        # computed bound within (cols + blocks)*eps*S of its exact value
+        # (block sums, then the sum over blocks).  A computed distance
+        # <= tau thus has a computed bound <= tau + (2*cols + blocks + 1)
+        # *eps*S; the slack below covers that with room for second-order
+        # terms.  It only lets a few more pairs reach the exact step.
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + np.abs(e).sum(axis=1).max(initial=0.0)
+        slack = 4 * (cols + len(edges)) * np.finfo(float).eps * scale
+        keep = lb <= (tau + slack)[:, None]
+        r = np.repeat(np.arange(m), k)
+        keep[r, cand.ravel()] = False  # already exact
+        r2, j2 = np.nonzero(keep)
+        d2 = np.abs(q[r2] - e[j2]).sum(axis=1)
+        return _first_k(
+            m, k, np.concatenate([r, r2]), np.concatenate([d.ravel(), d2]),
+            np.concatenate([cand.ravel(), j2]),
+        )
+
+
+def _first_k(m: int, k: int, rows, dist, idx) -> tuple[np.ndarray, np.ndarray]:
+    """The first k (distance, index)-ordered triples of each of m rows.
+
+    Every row must have at least k triples.
+    """
+    order = np.lexsort((idx, dist, rows))
+    first = np.searchsorted(rows[order], np.arange(m))
+    take = order[first[:, None] + np.arange(k)]
+    return idx[take], dist[take]
 
 
 def reachability_tree(

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify
-from .sampling import BeliefDistances, BeliefSample, _embed_rows
+from .sampling import BeliefDistances, BeliefSample
 
 __all__ = [
     "TabulatedValue",
@@ -48,6 +48,13 @@ _EXACT_MATCH_TOL = 1e-9
 # fixed k-NN work-unit size; results are assembled by index, so outputs
 # are identical for any worker count
 _CHUNK = 256
+
+# Explicit-table metrics solve one pure-Python transportation LP per
+# (posterior or sample point, sample point) pair, at a measured median of
+# about 2.3 ms each: 100k solves is about four minutes, so past this a
+# solve fails up front instead of running for hours.
+_MAX_TABLE_LP_SOLVES = 100_000
+_LP_SOLVE_S = 2.3e-3
 
 
 @dataclass(eq=False)
@@ -96,22 +103,41 @@ class VIResult:
 # solver
 # --------------------------------------------------------------------------
 
-def _table_lip_estimate(values: np.ndarray, pair_d: np.ndarray) -> float:
-    """Largest |dv| / W1 over sample pairs (0 when no pair is separated)."""
-    gaps = np.abs(values[:, None] - values[None, :])
-    mask = pair_d > 1e-9
-    if not mask.any():
+def _separated_pairs(pair_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample pairs i < j more than 1e-9 apart: (i, j, distance).
+
+    Each pair carries the smaller of its two separated ordered entries, so
+    the quotient max in :func:`_table_lip_estimate` equals the max over
+    every separated ordered pair even for a block that is not bitwise
+    symmetric (division is monotone in the denominator).
+    """
+    i, j = np.triu_indices(len(pair_d), 1)
+    d = np.where(pair_d > 1e-9, pair_d, np.inf)
+    d = np.minimum(d[i, j], d[j, i])
+    keep = np.isfinite(d)
+    return i[keep], j[keep], d[keep]
+
+
+def _table_lip_estimate(values: np.ndarray, pairs) -> float:
+    """Largest |dv| / W1 over separated sample pairs (0 when there are none)."""
+    i, j, d = pairs
+    if not len(d):
         return 0.0
-    return float((gaps[mask] / pair_d[mask]).max())
+    return float((np.abs(values[i] - values[j]) / d).max())
 
 
 def _nearest_in_sample(
     geom: BeliefDistances, rows: np.ndarray, k: int, parallel: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest sample distances per row, ascending: (idx, dist), (m, k).
+    """k nearest sample points per row by (distance, index): (idx, dist), (m, k).
 
     Work is split into fixed chunks; each chunk is row-independent, so the
-    result is byte-identical for every worker count.
+    result is byte-identical for every worker count.  Equal distances are
+    ordered by index (an unordered partition would leave them in any
+    order); the solve reads nothing that depends on that order: McShane
+    takes the max over all k, and exact mode reads only the nearest point,
+    whose distance is at most ``_EXACT_MATCH_TOL`` and so cannot tie with
+    a second point under the sample's dedup tolerance.
     """
     m, big = len(rows), len(geom)
     k = min(k, big)
@@ -121,12 +147,7 @@ def _nearest_in_sample(
 
     def work(span):
         s, e = span
-        d = geom.dists(rows[s:e])
-        part = np.argpartition(d, k - 1, axis=1)[:, :k]
-        picked = np.take_along_axis(d, part, axis=1)
-        order = np.argsort(picked, axis=1, kind="stable")
-        idx[s:e] = np.take_along_axis(part, order, axis=1)
-        dst[s:e] = np.take_along_axis(picked, order, axis=1)
+        idx[s:e], dst[s:e] = geom.knn(rows[s:e], k)
 
     if parallel > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -143,7 +164,8 @@ class _Precomputed:
     Shapes: B sampled beliefs, A actions, J nodes, K kept neighbours.
     ``nn_idx``/``nn_dist`` give, for each (b, a, j) posterior, its nearest
     sample points; invalid (zero-probability) nodes carry zeros and are
-    masked by ``node_probs`` anyway.
+    masked by ``node_probs`` anyway.  ``pairs`` lists the separated sample
+    pairs for the McShane slope estimate.
     """
 
     def __init__(self, model: PomdpModel, sample: BeliefSample, k_neighbors: int, parallel: int):
@@ -152,13 +174,21 @@ class _Precomputed:
         K = min(k_neighbors, B)
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
+        if geom.emb is None:
+            solves = (B * A * J + B) * B
+            if solves > _MAX_TABLE_LP_SOLVES:
+                raise SolverFailure(
+                    f"the explicit-table metric needs {solves:,} transport solves "
+                    f"(about {solves * _LP_SOLVE_S / 60:,.0f} min at {_LP_SOLVE_S * 1e3:.1f} ms "
+                    f"each); the limit is {_MAX_TABLE_LP_SOLVES:,}: use a smaller sample"
+                )
 
         self.tilde_w = W @ model.weight.values_on(model.state_grid)
         self.reward = W @ model.reward.T  # (B, A)
         self.node_probs = np.empty((B, A, J))
         self.nn_idx = np.zeros((B, A, J, K), dtype=np.int32)
         self.nn_dist = np.zeros((B, A, J, K))
-        self.pair_dist = geom.pairwise()
+        self.pairs = _separated_pairs(geom.pairwise())
 
         phi = model.obs_quadrature.weights
         for a in range(A):
@@ -231,7 +261,7 @@ def solve_vi(
         if generalizer == "mcshane":
             # never let the correction slope shrink between sweeps: keeps
             # the effective operator stationary once the estimate settles
-            lip_hat = max(lip_hat, _table_lip_estimate(v, pre.pair_dist))
+            lip_hat = max(lip_hat, _table_lip_estimate(v, pre.pairs))
 
     table = TabulatedValue(sample, v)
     selector = Selector(sample, tuple(int(i) for i in q.argmax(axis=1)))
@@ -254,45 +284,29 @@ def solve_vi(
 class NearestAnchorPolicy:
     """Vectorised belief->action map: copy the action of the nearest anchor.
 
-    ``coarse_dim`` optionally subsamples the embedding columns so that
-    huge path batches stay cheap; the lookup then uses an L1 proxy of W1
-    instead of the exact distance.
+    The nearest anchor is exact in W1, with ties going to the lowest
+    anchor index.
     """
 
-    def __init__(self, grid, anchor_rows: np.ndarray, actions, *, coarse_dim: int | None = None):
+    def __init__(self, grid, anchor_rows: np.ndarray, actions):
         self.anchors = BeliefDistances(grid, anchor_rows)
-        emb = self.anchors.emb
-        if emb is None:
+        if self.anchors.emb is None:
             raise DimensionMismatch("anchor policies need an embeddable metric")
-        self.grid = grid
-        self.cols = None
-        if coarse_dim is not None and coarse_dim < emb.shape[1]:
-            self.cols = np.linspace(0, emb.shape[1] - 1, coarse_dim).round().astype(int)
-            self.anchors.emb = np.ascontiguousarray(emb[:, self.cols])
         self.emb = self.anchors.emb
         self.actions = np.asarray(actions, dtype=np.int64)
         if len(self.actions) != len(self.emb):
             raise DimensionMismatch("one action per anchor required")
 
     def act_batch(self, rows: np.ndarray) -> np.ndarray:
-        q = _embed_rows(self.grid, rows)
-        if self.cols is not None:
-            q = q[:, self.cols]
-        # argmin: ties go to the lowest anchor index
-        return self.actions[self.anchors.l1(q).argmin(axis=1)]
+        return self.actions[self.anchors.knn(rows, 1)[0][:, 0]]
 
     def __call__(self, mu: DiscreteMeasure) -> int:
         return int(self.act_batch(mu.weights[None, :])[0])
 
 
-def selector_policy(result: VIResult, *, coarse_dim: int | None = None) -> NearestAnchorPolicy:
+def selector_policy(result: VIResult) -> NearestAnchorPolicy:
     sample = result.selector.sample
-    return NearestAnchorPolicy(
-        sample.grid,
-        sample.weight_matrix(),
-        result.selector.actions,
-        coarse_dim=coarse_dim,
-    )
+    return NearestAnchorPolicy(sample.grid, sample.weight_matrix(), result.selector.actions)
 
 
 def rollout_estimate(

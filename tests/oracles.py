@@ -208,6 +208,22 @@ def table_lip_estimate(table):
     return best
 
 
+def table_lip_estimate_dense(values, pair_d):
+    """Largest |dv| / d over the separated ordered pairs of a full block."""
+    gaps = np.abs(values[:, None] - values[None, :])
+    mask = pair_d > 1e-9
+    if not mask.any():
+        return 0.0
+    return float((gaps[mask] / pair_d[mask]).max())
+
+
+def knn_bruteforce(geom, rows, k):
+    """k nearest kept beliefs by a stable sort of the full distance block."""
+    d = geom.dists(rows)
+    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(d, idx, axis=1)
+
+
 def exact_sample_evaluator(table, *, atol=EXACT_MATCH_TOL):
     """Value lookup for samples closed under filtering; off-sample raises."""
 

@@ -359,7 +359,7 @@ def test_c10_policy_value_realism(kalman_ref):
     horizon = c.iterations_for(eps / 10.0)
     assert c.r_bar * c.gamma ** (horizon + 1) / (1.0 - c.gamma) < eps / 10.0
     mean, err = rollout_estimate(
-        model, selector_policy(vi, coarse_dim=24), mu0, horizon, 10_000, seed=1
+        model, selector_policy(vi), mu0, horizon, 10_000, seed=1
     )
     results.append((abs(mean - vi.value.values[0]), 3.0 * err + 2.0 * eps))
 

@@ -101,6 +101,12 @@ class TestUsageErrors:
             main(["solve-sets", "--model", str(toy_file), "--algorithm", "bogus"])
         assert exc.value.code == 2
 
+    def test_rollout_has_no_coarse_dim(self, toy_file):
+        # the rolled-out policy is always the exact nearest-anchor selector
+        with pytest.raises(SystemExit) as exc:
+            main(["rollout", "--model", str(toy_file), "--coarse-dim", "24"])
+        assert exc.value.code == 2
+
 
 class TestSolveVi:
     def test_huge_epsilon_means_one_sweep(self, toy_file, tmp_path, capsys):

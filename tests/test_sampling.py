@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import knn_bruteforce
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update
 from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
@@ -196,3 +197,55 @@ class TestBeliefDistances:
         a, b = random_rows(g, 2, rng)
         pol = NearestAnchorPolicy(g, np.stack([b, a, a, b]), [3, 2, 0, 1])
         np.testing.assert_array_equal(pol.act_batch(np.stack([a, b, a])), [2, 3, 2])
+
+
+class TestKnn:
+    """``BeliefDistances.knn`` against a stable sort of the full block."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        st.sampled_from(["line", "discrete", "table"]),
+        st.integers(1, 40),  # states: often fewer embedding columns than blocks
+        st.integers(1, 40),  # k: often at least the kept count
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_brute_force(self, kind, n, k, zero_rows, seed):
+        rng = np.random.default_rng(seed)
+        table = kind == "table"  # one LP per pair: keep it small
+        g = random_grid(kind, min(n, 4) if table else n, rng)
+        base = random_rows(g, int(rng.integers(1, 4 if table else 12)), rng)
+        # repeated beliefs tie exactly, inside the top k and at its boundary
+        picks = rng.integers(0, len(base), int(rng.integers(1, 6 if table else 30)))
+        sample = user_sample([make_measure(g, base[i]) for i in picks])
+        geom = BeliefDistances(g, sample.weight_matrix(), sample.beliefs)
+        queries = np.concatenate([
+            random_rows(g, int(rng.integers(1, 3 if table else 40)), rng),
+            sample.weight_matrix()[:4],
+        ])
+        if zero_rows and not table:  # as _Precomputed passes for zero-likelihood nodes
+            queries = np.concatenate([queries, np.zeros((2, g.n))])
+
+        idx, dist = geom.knn(queries, k)
+        want_idx, want_dist = knn_bruteforce(geom, queries, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist.view(np.int64), want_dist.view(np.int64))
+        for q, row_idx, row_d in zip(queries, want_idx, want_dist):
+            if q.sum() > 0:
+                mu = make_measure(g, q)
+                per_pair = [w1(mu, sample.beliefs[i]) for i in row_idx]
+                np.testing.assert_allclose(row_d, per_pair, rtol=0, atol=1e-12)
+        if not table:
+            pol = NearestAnchorPolicy(g, sample.weight_matrix(), np.arange(sample.n))
+            np.testing.assert_array_equal(pol.act_batch(queries), want_idx[:, 0])
+
+    @pytest.mark.parametrize("kind", ["line", "discrete", "table"])
+    def test_ties_go_to_the_lowest_index(self, kind):
+        rng = np.random.default_rng(5)
+        g = random_grid(kind, 4, rng)
+        a, b = random_rows(g, 2, rng)
+        geom = BeliefDistances(g, np.stack([b, a, b, a, b]))
+        # the two copies of a tie at 0; three copies of b tie across k = 3
+        idx, dist = geom.knn(a[None, :], 3)
+        np.testing.assert_array_equal(idx, [[1, 3, 0]])
+        assert dist[0, 0] == dist[0, 1] == 0.0 < dist[0, 2]

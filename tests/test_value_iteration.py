@@ -16,15 +16,18 @@ from oracles import (
     finite_horizon_value_bruteforce,
     greedy_selector,
     mcshane_evaluator,
+    table_lip_estimate_dense,
 )
+from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
 from wpomdp.filtering import expected_reward
-from wpomdp.measures import LipschitzFn, make_measure, weighted_norm
+from wpomdp.measures import EXPLICIT_TABLE, LipschitzFn, StateGrid, make_measure, weighted_norm
 from wpomdp.model import certify
-from wpomdp.sampling import reachability_tree, user_sample
+from wpomdp.sampling import BeliefDistances, reachability_tree, user_sample
 from wpomdp.synthetic import (
     absorbing_unit_reward_toy,
     pbvi_toy,
+    random_finite_model,
     revealing_toy,
     uniform_belief,
 )
@@ -32,6 +35,8 @@ from wpomdp.value_iteration import (
     NearestAnchorPolicy,
     Selector,
     TabulatedValue,
+    _separated_pairs,
+    _table_lip_estimate,
     rollout_estimate,
     selector_policy,
     solve_vi,
@@ -283,6 +288,73 @@ class TestFastOperatorMatchesReference:
         assert res.lip_estimate > 0.0
         assert_allclose(res.value.values, table.values, rtol=0, atol=1e-10)
         assert res.selector.actions == sel.actions
+
+
+class TestTableLipEstimate:
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_separated_pairs_equal_the_dense_form(self, n, symmetric, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n).round(1)  # repeated values: zero gaps
+        d = rng.uniform(0.0, 2.0, (n, n))
+        d[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        d[rng.uniform(size=(n, n)) < 0.1] = 5e-10  # not separated
+        if symmetric:
+            d = np.triu(d, 1) + np.triu(d, 1).T
+        got = _table_lip_estimate(values, _separated_pairs(d))
+        assert got == table_lip_estimate_dense(values, d)
+
+    def test_equals_the_dense_form_on_a_solved_tree(self):
+        m = pbvi_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=3)
+        d = BeliefDistances(s.grid, s.weight_matrix()).pairwise()
+        v = solve_vi(m, s, epsilon=1e-2).value.values
+        got = _table_lip_estimate(v, _separated_pairs(d))
+        assert got == table_lip_estimate_dense(v, d) > 0.0
+
+
+class TestExplicitTableSolve:
+    @staticmethod
+    def models():
+        """One finite model under the discrete metric and as a table."""
+        m = random_finite_model(4, n_states=3, n_actions=2, n_obs=3)
+        grid = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=1 - np.eye(3))
+        return m, dataclasses.replace(m, state_grid=grid)
+
+    @staticmethod
+    def sample(model, n):
+        rng = np.random.default_rng(1)
+        return user_sample(
+            [make_measure(model.state_grid, w) for w in rng.dirichlet(np.ones(3), n)]
+        )
+
+    def test_lp_route_matches_the_embedding(self, monkeypatch):
+        disc, tab = self.models()
+        calls = []
+        lp = sampling.w1_lp
+
+        def counted(mu, nu):
+            calls.append(1)
+            return lp(mu, nu)
+
+        monkeypatch.setattr(sampling, "w1_lp", counted)
+        kw = dict(epsilon=1e-2, generalizer="mcshane")
+        want = solve_vi(disc, self.sample(disc, 6), **kw)
+        got = solve_vi(tab, self.sample(tab, 6), **kw)
+        assert len(calls) == (6 * 2 * 3 + 6) * 6  # the up-front estimate is exact
+        assert_allclose(got.value.values, want.value.values, rtol=0, atol=1e-9)
+        assert got.selector.actions == want.selector.actions
+
+    def test_oversized_sample_fails_before_any_lp(self, monkeypatch):
+        _, tab = self.models()
+        s = self.sample(tab, 200)
+
+        def no_lp(mu, nu):
+            raise AssertionError("a transport LP was solved")
+
+        monkeypatch.setattr(sampling, "w1_lp", no_lp)
+        with pytest.raises(SolverFailure, match="280,000 transport solves"):
+            solve_vi(tab, s, epsilon=1e-2)
 
 
 class TestSolveVi:
