@@ -31,7 +31,6 @@ from .model import (
 )
 from .filtering import (
     ObservationMarginal,
-    PredictedMeasure,
     SampledTransition,
     bayes_update,
     expected_reward,

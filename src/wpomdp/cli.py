@@ -117,7 +117,8 @@ def cmd_solve_sets(args) -> int:
     serialize.write_argmax_trace_csv(out / "argmax_trace.csv", winners, res.chosen_action)
     print(
         f"solve-sets[{res.algorithm}]: {sample.n} beliefs, {res.iterations} "
-        f"iterations, {res.final_set_size} functions, bound {res.error_bound:.6g}"
+        f"iterations, {res.final_set_size} functions, bound {res.error_bound:.6g}, "
+        f"converged={res.converged}"
     )
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, MaxItersExceeded, SolverFailure
+from .errors import EmptySample, SolverFailure
 from .measures import EUCLIDEAN_1D, DiscreteMeasure, LipschitzFn, integrate, lipschitz_constants
 from .model import CertifiedConstants, PomdpModel, certify
 from .sampling import BeliefSample
@@ -346,13 +346,14 @@ def lip_growth_constants(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class SetSolveResult:
-    """Converged set iteration (plain or per-action)."""
+    """Set iteration (plain or per-action), converged unless cut short."""
 
     sets: AlphaSet | tuple[AlphaSet, ...]
     table: TabulatedValue
     iterations: int
     error_bound: float
     sup_diffs: tuple[float, ...]
+    converged: bool
     constants: CertifiedConstants
     algorithm: str
     chosen_action: np.ndarray
@@ -380,8 +381,9 @@ def solve_sets(
     ``alg1`` carries one plain set; ``alg2`` one set per action with the
     inner sup over their union.  Both start from the zero singleton, so
     the value bound r_bar * gamma^t / (1 - gamma) applies verbatim and
-    fixes the iteration count.  Raises :class:`MaxItersExceeded` when
-    ``max_iters`` is smaller than that count.
+    fixes the iteration count.  As in :func:`solve_vi`, ``max_iters`` cuts
+    the run short with ``converged=False``; ``max_iters=0`` returns the
+    zero start with the greedy actions of the expected reward.
     """
     constants = certify(model)
     if epsilon <= 0:
@@ -389,64 +391,43 @@ def solve_sets(
     if algorithm not in ("alg1", "alg2"):
         raise SolverFailure(f"unknown algorithm {algorithm!r}")
     t_star = constants.iterations_for(epsilon)
-    if t_star > max_iters:
-        raise MaxItersExceeded(
-            f"{t_star} iterations required for epsilon={epsilon:g}, "
-            f"max_iters={max_iters}"
-        )
+    t = min(t_star, max_iters)
 
     growth_consts = lip_growth_constants(model) if track_lip_growth else None
-    tilde_w = sample.weight_matrix() @ model.weight.values_on(model.state_grid)
-    values = np.zeros(sample.n)
+    W = sample.weight_matrix()
+    tilde_w = W @ model.weight.values_on(model.state_grid)
+    table = TabulatedValue.zeros(sample)
+    chosen = (W @ model.reward.T).argmax(axis=1)
     sup_diffs: list[float] = []
     set_sizes: list[int] = []
     lip_growth: list[tuple[float, float]] = []
 
     if algorithm == "alg1":
-        current = zero_alpha_set(model)
-        result = None
-        for _ in range(t_star):
-            result = set_backup(model, current, sample)
-            if track_lip_growth:
-                lip_growth.append(
-                    _measure_growth(model, current, result, growth_consts)
-                )
-            nxt = result.new_set
-            current = prune(nxt, sample) if prune_sets else nxt
-            sup_diffs.append(float((np.abs(result.table.values - values) / tilde_w).max()))
-            values = result.table.values
-            set_sizes.append(current.n_fns)
-        sets_out: AlphaSet | tuple[AlphaSet, ...] = current
-        chosen = result.chosen_action
-        table = result.table
+        sets = (zero_alpha_set(model),)
     else:
-        per_action = tuple(
-            zero_alpha_set(model, f"action:{a}") for a in range(model.n_actions)
-        )
-        result = None
-        for _ in range(t_star):
-            result = q_set_backup(model, per_action, sample)
-            if track_lip_growth:
-                union = AlphaSet(
-                    tuple(f for s in per_action for f in s.fns), "plain"
-                )
-                lip_growth.append(_measure_growth(model, union, result, growth_consts))
-            per_action = tuple(
-                prune(s, sample) if prune_sets else s for s in result.new_sets
-            )
-            sup_diffs.append(float((np.abs(result.table.values - values) / tilde_w).max()))
-            values = result.table.values
-            set_sizes.append(sum(s.n_fns for s in per_action))
-        sets_out = per_action
-        chosen = result.chosen_action
-        table = result.table
+        sets = tuple(zero_alpha_set(model, f"action:{a}") for a in range(model.n_actions))
+    for _ in range(t):
+        if algorithm == "alg1":
+            result = set_backup(model, sets[0], sample)
+            new_sets = (result.new_set,)
+        else:
+            result = q_set_backup(model, sets, sample)
+            new_sets = result.new_sets
+        if track_lip_growth:
+            union = AlphaSet(tuple(f for s in sets for f in s.fns), "plain")
+            lip_growth.append(_measure_growth(model, union, result, growth_consts))
+        sets = tuple(prune(s, sample) if prune_sets else s for s in new_sets)
+        sup_diffs.append(float((np.abs(result.table.values - table.values) / tilde_w).max()))
+        table, chosen = result.table, result.chosen_action
+        set_sizes.append(sum(s.n_fns for s in sets))
 
     return SetSolveResult(
-        sets=sets_out,
+        sets=sets[0] if algorithm == "alg1" else sets,
         table=table,
-        iterations=t_star,
-        error_bound=constants.apriori_bound(t_star),
+        iterations=t,
+        error_bound=constants.apriori_bound(t),
         sup_diffs=tuple(sup_diffs),
+        converged=(t >= t_star),
         constants=constants,
         algorithm=algorithm,
         chosen_action=np.asarray(chosen),

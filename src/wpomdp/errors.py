@@ -69,7 +69,3 @@ class ZeroLikelihood(BeliefSpaceError):
 
 class NonFiniteValue(BeliefSpaceError):
     """A value iterate became NaN or infinite."""
-
-
-class MaxItersExceeded(BeliefSpaceError):
-    """Iteration budget too small for the requested accuracy."""

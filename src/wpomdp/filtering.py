@@ -8,6 +8,9 @@ The hidden-state problem is driven entirely through four maps on beliefs:
                           predicted belief (the observation marginal),
 * ``bayes_update``     -- condition the predicted belief on one node.
 
+``bayes_step`` is the one Bayes step behind ``bayes_update``: it conditions
+a batch of prediction rows at once, which is how rollouts filter.
+
 Together they realise the belief recursion: observing node j after playing
 action a moves belief mu to the normalised product of its prediction with
 the j-th likelihood column.  The node marginals ``phi_j * lam_j`` are
@@ -26,12 +29,12 @@ from .measures import DiscreteMeasure, make_measure
 from .model import PomdpModel
 
 __all__ = [
-    "PredictedMeasure",
     "ObservationMarginal",
     "SampledTransition",
     "expected_reward",
     "predict",
     "obs_marginal",
+    "bayes_step",
     "bayes_update",
     "sample_transition",
 ]
@@ -42,15 +45,6 @@ __all__ = [
 POSTERIOR_PRUNE_TOL = 1e-15
 
 _ZERO_LIKELIHOOD_TOL = 1e-300
-
-
-@dataclass(frozen=True)
-class PredictedMeasure:
-    """One-step-ahead state distribution, tagged with its origin."""
-
-    measure: DiscreteMeasure
-    origin: DiscreteMeasure
-    action: int
 
 
 @dataclass(frozen=True)
@@ -82,40 +76,49 @@ def expected_reward(model: PomdpModel, mu: DiscreteMeasure, a: int) -> float:
     return float(np.dot(model.reward[a], mu.weights))
 
 
-def predict(model: PomdpModel, mu: DiscreteMeasure, a: int) -> PredictedMeasure:
+def predict(model: PomdpModel, mu: DiscreteMeasure, a: int) -> DiscreteMeasure:
     """Belief pushed through the transition kernel of action ``a``."""
     model.check_belief(mu)
-    w = mu.weights @ model.trans[a]
-    return PredictedMeasure(
-        measure=make_measure(model.state_grid, w), origin=mu, action=a
-    )
+    return make_measure(model.state_grid, mu.weights @ model.trans[a])
 
 
 def obs_marginal(model: PomdpModel, mu: DiscreteMeasure, a: int) -> ObservationMarginal:
-    pred = predict(model, mu, a).measure
-    lam = pred.weights @ model.obs_density[a]
+    lam = predict(model, mu, a).weights @ model.obs_density[a]
     return ObservationMarginal(lam=lam, quad_weights=model.obs_quadrature.weights)
 
 
-def _posterior_from_pred(model: PomdpModel, pred_w: np.ndarray, a: int, j: int):
-    """Shared un-normalised Bayes step; raises on a ~impossible node."""
-    unnorm = pred_w * model.obs_density[a, :, j]
-    lam = unnorm.sum()
-    if lam <= _ZERO_LIKELIHOOD_TOL:
+def bayes_step(model: PomdpModel, pred_rows: np.ndarray, actions, nodes) -> np.ndarray:
+    """Posterior weight rows of (prediction row, action, node) triples.
+
+    Row i conditions ``pred_rows[i]``, a prediction under ``actions[i]`` (up
+    to a positive factor), on quadrature node ``nodes[i]``: the product with
+    the node's likelihood column is normalised, atoms below
+    ``POSTERIOR_PRUNE_TOL`` are dropped and the rest renormalised.  Rows are
+    independent, so a batched row has the bits of its own one-row call.
+    Raises :class:`ZeroLikelihood` when a node is ~impossible under its row.
+    """
+    unnorm = pred_rows * model.obs_density[actions, :, nodes]
+    lam = unnorm.sum(axis=1)
+    bad = np.flatnonzero(lam <= _ZERO_LIKELIHOOD_TOL)
+    if len(bad):
+        i = bad[0]
         raise ZeroLikelihood(
-            f"node {j} has marginal likelihood {lam:.3e} under the prior"
+            f"node {nodes[i]} has marginal likelihood {lam[i]:.3e} under the prior"
         )
-    post = unnorm / lam
+    post = unnorm / lam[:, None]
     post = np.where(post < POSTERIOR_PRUNE_TOL, 0.0, post)
-    return make_measure(model.state_grid, post)
+    return post / post.sum(axis=1, keepdims=True)
 
 
 def bayes_update(model: PomdpModel, mu: DiscreteMeasure, a: int, j: int) -> DiscreteMeasure:
     """Posterior after playing ``a`` and observing quadrature node ``j``."""
     if not 0 <= j < model.n_obs:
         raise IndexError(f"observation node {j} out of range")
-    pred = predict(model, mu, a).measure
-    return _posterior_from_pred(model, pred.weights, a, j)
+    pred = predict(model, mu, a).weights
+    # already a probability row: make_measure would normalise it twice
+    post = DiscreteMeasure(model.state_grid, bayes_step(model, pred[None, :], [a], [j])[0])
+    post.weights.flags.writeable = False
+    return post
 
 
 def sample_transition(
@@ -126,13 +129,11 @@ def sample_transition(
     The per-call seed (no shared generator state) keeps parallel rollouts
     reproducible.
     """
-    pred = predict(model, mu, a).measure
-    lam = pred.weights @ model.obs_density[a]
-    probs = model.obs_quadrature.weights * lam
+    probs = obs_marginal(model, mu, a).node_probs
     rng = np.random.default_rng(rng_seed)
     j = int(rng.choice(len(probs), p=probs / probs.sum()))
     return SampledTransition(
         node_index=j,
         node_value=float(model.obs_quadrature.nodes[j]),
-        posterior=_posterior_from_pred(model, pred.weights, a, j),
+        posterior=bayes_update(model, mu, a, j),
     )

@@ -168,7 +168,6 @@ class CertifiedConstants:
     beta: float
     gamma: float
     k: float
-    K: float | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -196,8 +195,6 @@ class CertifiedConstants:
             f"gamma = {self.gamma:.12g}",
             f"k     = {self.k:.12g}",
         ]
-        if self.K is not None:
-            lines.append(f"K     = {self.K:.12g}")
         if self.degenerate:
             lines.append("note  : reward identically zero (degenerate model)")
         return "\n".join(lines)
@@ -225,7 +222,7 @@ def estimate_drift_beta(model: PomdpModel) -> float:
     return beta_hat
 
 
-def certify(model: PomdpModel, *, K: float | None = None) -> CertifiedConstants:
+def certify(model: PomdpModel) -> CertifiedConstants:
     """Full certificate; every solver entry point calls this first."""
     r_bar = validate_reward_bound(model)
     beta = estimate_drift_beta(model)
@@ -234,7 +231,6 @@ def certify(model: PomdpModel, *, K: float | None = None) -> CertifiedConstants:
         beta=beta,
         gamma=model.discount * beta,
         k=model.weight.k,
-        K=K,
     )
 
 

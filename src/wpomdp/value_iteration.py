@@ -11,9 +11,10 @@ generalizer; two are provided:
   max_i (v_i - L * W1(mu, b_i)), the McShane-style lower extension of the
   table.
 
-``solve_vi`` precomputes all posterior geometry once, so a sweep is a few
-fused array operations regardless of the generalizer.  The per-belief
-reference form of the same operator lives with the test oracles.
+``solve_vi`` precomputes all posterior geometry once, takes the exact
+lookup exactly when the sample turns out closed, and runs a sweep as a few
+fused array operations.  The per-belief reference form of the same
+operator lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     NonFiniteValue,
     SolverFailure,
 )
+from .filtering import bayes_step
 from .measures import DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify
 from .sampling import BeliefDistances, BeliefSample
@@ -48,6 +50,12 @@ _EXACT_MATCH_TOL = 1e-9
 # fixed k-NN work-unit size; results are assembled by index, so outputs
 # are identical for any worker count
 _CHUNK = 256
+
+# sample points the McShane extension maximises over, per posterior
+_K_NEIGHBORS = 16
+
+# simulated paths per seeded generator in rollouts
+_PATH_CHUNK = 4096
 
 # Explicit-table metrics solve one pure-Python transportation LP per
 # (posterior or sample point, sample point) pair, at a measured median of
@@ -127,19 +135,20 @@ def _table_lip_estimate(values: np.ndarray, pairs) -> float:
 
 
 def _nearest_in_sample(
-    geom: BeliefDistances, rows: np.ndarray, k: int, parallel: int
+    geom: BeliefDistances, rows: np.ndarray, which: np.ndarray, k: int, parallel: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest sample points per row by (distance, index): (idx, dist), (m, k).
+    """k nearest sample points of ``rows[which]`` by (distance, index): (m, k).
 
-    Work is split into fixed chunks; each chunk is row-independent, so the
-    result is byte-identical for every worker count.  Equal distances are
-    ordered by index (an unordered partition would leave them in any
-    order); the solve reads nothing that depends on that order: McShane
-    takes the max over all k, and exact mode reads only the nearest point,
-    whose distance is at most ``_EXACT_MATCH_TOL`` and so cannot tie with
-    a second point under the sample's dedup tolerance.
+    Work is split into fixed chunks that gather their own rows; each chunk
+    is row-independent, so the result is byte-identical for every worker
+    count.  Equal distances are ordered by index (an unordered partition
+    would leave them in any order); the solve reads nothing that depends
+    on that order: McShane takes the max over all k, and the exact lookup
+    reads only the nearest point, whose distance is at most
+    ``_EXACT_MATCH_TOL`` and so cannot tie with a second point under the
+    sample's dedup tolerance.
     """
-    m, big = len(rows), len(geom)
+    m, big = len(which), len(geom)
     k = min(k, big)
     idx = np.empty((m, k), dtype=np.int32)
     dst = np.empty((m, k))
@@ -147,7 +156,7 @@ def _nearest_in_sample(
 
     def work(span):
         s, e = span
-        idx[s:e], dst[s:e] = geom.knn(rows[s:e], k)
+        idx[s:e], dst[s:e] = geom.knn(rows[which[s:e]], k)
 
     if parallel > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -163,15 +172,16 @@ class _Precomputed:
 
     Shapes: B sampled beliefs, A actions, J nodes, K kept neighbours.
     ``nn_idx``/``nn_dist`` give, for each (b, a, j) posterior, its nearest
-    sample points; invalid (zero-probability) nodes carry zeros and are
-    masked by ``node_probs`` anyway.  ``pairs`` lists the separated sample
-    pairs for the McShane slope estimate.
+    sample points; nodes of zero likelihood have no posterior, so they are
+    never queried, carry zeros and are masked by ``node_probs`` anyway.
+    ``pairs`` lists the separated sample pairs for the McShane slope
+    estimate.
     """
 
-    def __init__(self, model: PomdpModel, sample: BeliefSample, k_neighbors: int, parallel: int):
+    def __init__(self, model: PomdpModel, sample: BeliefSample, parallel: int):
         B, A = sample.n, model.n_actions
         J, n = model.n_obs, model.n_states
-        K = min(k_neighbors, B)
+        K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
         if geom.emb is None:
@@ -199,10 +209,11 @@ class _Precomputed:
             post = pred[:, None, :] * model.obs_density[a].T[None, :, :]
             valid = lam > 0.0
             post /= np.where(valid, lam, 1.0)[:, :, None]
-            idx, dst = _nearest_in_sample(geom, post.reshape(B * J, n), K, parallel)
-            mask = valid[:, :, None]
-            self.nn_idx[:, a] = np.where(mask, idx.reshape(B, J, K), 0)
-            self.nn_dist[:, a] = np.where(mask, dst.reshape(B, J, K), 0.0)
+            flat = np.flatnonzero(valid)
+            b, j = np.divmod(flat, J)
+            self.nn_idx[b, a, j], self.nn_dist[b, a, j] = _nearest_in_sample(
+                geom, post.reshape(B * J, n), flat, K, parallel
+            )
 
         self.closed = bool(
             (np.where(self.node_probs > 0, self.nn_dist[..., 0], 0.0) <= _EXACT_MATCH_TOL).all()
@@ -215,8 +226,6 @@ def solve_vi(
     epsilon: float = 1e-3,
     max_iters: int = 1000,
     *,
-    generalizer: str = "auto",
-    k_neighbors: int = 16,
     parallel: int = 1,
 ) -> VIResult:
     """Value iteration from the zero table with a certified stop.
@@ -225,22 +234,17 @@ def solve_vi(
     r_bar * gamma^t / (1 - gamma) needs to fall below ``epsilon`` (the
     empirical sup-difference is reported alongside, and is typically far
     smaller).  If ``max_iters`` cuts the run short the result is returned
-    with ``converged=False`` rather than raised.
+    with ``converged=False`` rather than raised; ``max_iters=0`` returns
+    the zero table with the greedy actions of the expected reward.
 
-    generalizer: "exact" demands a filtering-closed sample; "mcshane"
-    forces the nearest-neighbour extension; "auto" picks "exact" exactly
-    when the sample is closed.
+    Posteriors read the value of their sample point when every posterior
+    lies in the sample (a closed sample), and the McShane extension over
+    their ``_K_NEIGHBORS`` nearest sample points otherwise.
     """
     constants = certify(model)
     if epsilon <= 0:
         raise SolverFailure("epsilon must be positive")
-    pre = _Precomputed(model, sample, k_neighbors, parallel)
-    if generalizer == "auto":
-        generalizer = "exact" if pre.closed else "mcshane"
-    if generalizer == "exact" and not pre.closed:
-        raise SolverFailure("sample is not filtering-closed; exact mode impossible")
-    if generalizer not in ("exact", "mcshane"):
-        raise SolverFailure(f"unknown generalizer {generalizer!r}")
+    pre = _Precomputed(model, sample, parallel)
 
     t_star = constants.iterations_for(epsilon)
     v = np.zeros(sample.n)
@@ -249,7 +253,7 @@ def solve_vi(
     q = pre.reward  # the zero-sweep greedy actions, if we never iterate
     t = 0
     while t < min(t_star, max_iters):
-        if generalizer == "exact":
+        if pre.closed:
             post_vals = v[pre.nn_idx[..., 0]]
         else:
             post_vals = (v[pre.nn_idx] - lip_hat * pre.nn_dist).max(axis=-1)
@@ -258,7 +262,7 @@ def solve_vi(
         sup_diffs.append(float((np.abs(v_new - v) / pre.tilde_w).max()))
         v = v_new
         t += 1
-        if generalizer == "mcshane":
+        if not pre.closed:
             # never let the correction slope shrink between sweeps: keeps
             # the effective operator stationary once the estimate settles
             lip_hat = max(lip_hat, _table_lip_estimate(v, pre.pairs))
@@ -316,13 +320,12 @@ def rollout_estimate(
     horizon: int,
     n_paths: int,
     seed: int = 0,
-    *,
-    path_chunk: int = 4096,
 ) -> tuple[float, float]:
     """Discounted reward of ``policy`` over simulated hidden trajectories.
 
     Each path samples a hidden start from mu0 and runs ``horizon + 1``
-    decision steps; the policy only ever sees the exactly-filtered belief.
+    decision steps; the policy only ever sees the belief filtered by
+    :func:`~wpomdp.filtering.bayes_step`, as ``bayes_update`` would.
     Paths are simulated in fixed-size chunks with per-chunk seeded
     generators, so results do not depend on how workers are scheduled.
     ``policy`` is either a plain callable on beliefs or an object with a
@@ -341,8 +344,8 @@ def rollout_estimate(
     )  # (A, n, J)
 
     totals = np.empty(n_paths)
-    for c, start in enumerate(range(0, n_paths, path_chunk)):
-        p = min(path_chunk, n_paths - start)
+    for c, start in enumerate(range(0, n_paths, _PATH_CHUNK)):
+        p = min(_PATH_CHUNK, n_paths - start)
         rng = np.random.default_rng([seed, c])
         x = rng.choice(n, size=p, p=mu0.weights)
         beliefs = np.broadcast_to(mu0.weights, (p, n)).copy()
@@ -370,10 +373,7 @@ def rollout_estimate(
                 sel = acts == a
                 if sel.any():
                     pred[sel] = beliefs[sel] @ model.trans[a]
-            like = model.obs_density[acts, :, nodes]  # (p, n)
-            post = pred * like
-            mass = np.maximum(post.sum(axis=1, keepdims=True), 1e-300)
-            beliefs = post / mass
+            beliefs = bayes_step(model, pred, acts, nodes)
         totals[start:start + p] = acc
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

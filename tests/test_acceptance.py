@@ -161,7 +161,7 @@ def test_c03_filter_consistency():
         a = int(rng.integers(m.n_actions))
         probs = obs_marginal(m, mu, a).node_probs
         worst_mass = max(worst_mass, abs(float(probs.sum()) - 1.0))
-        pred = predict(m, mu, a).measure.weights
+        pred = predict(m, mu, a).weights
         mix = np.zeros_like(pred)
         for j in range(m.n_obs):
             mix += probs[j] * bayes_update(m, mu, a, j).weights

@@ -172,6 +172,16 @@ class TestSolveSets:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("cmd", ["solve-vi", "solve-sets"])
+    def test_max_iters_cuts_short_in_both_solvers(self, cmd, toy_file, tmp_path, capsys):
+        flags = ["--model", str(toy_file), "--out-dir", str(tmp_path), "--depth", "1",
+                 "--epsilon", "1e-6"]
+        assert main([cmd, *flags, "--max-iters", "2"]) == 0
+        assert "2 iterations" in capsys.readouterr().out.split("converged=False")[0]
+        assert len(read_csv(tmp_path / "convergence.csv")[1]) == 2
+        assert main([cmd, *flags]) == 0
+        assert "converged=True" in capsys.readouterr().out
+
 
 class TestFilter:
     def test_trace_layout(self, kalman_file, tmp_path):

@@ -21,7 +21,7 @@ from wpomdp.conjugate import (
     solve_sets,
     zero_alpha_set,
 )
-from wpomdp.errors import EmptySample, MaxItersExceeded
+from wpomdp.errors import EmptySample
 from wpomdp.filtering import expected_reward
 from wpomdp.measures import LipschitzFn, make_measure, w1
 from wpomdp.model import certify
@@ -384,11 +384,26 @@ class TestSolveSets:
         gap = np.abs(vi.value.values - st.table.values).max()
         assert gap <= 2 * (vi.error_bound + st.error_bound)
 
-    def test_max_iters_exceeded_raises(self):
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_max_iters_cuts_short_without_raising(self, algorithm):
         m = revealing_toy()
         s = reachability_tree(m, uniform_belief(m), depth=1)
-        with pytest.raises(MaxItersExceeded):
-            solve_sets(m, s, epsilon=1e-6, max_iters=3)
+        res = solve_sets(m, s, epsilon=1e-6, max_iters=3, algorithm=algorithm)
+        assert not res.converged
+        assert res.iterations == len(res.sup_diffs) == len(res.set_sizes) == 3
+        assert res.error_bound == res.constants.apriori_bound(3)
+        assert solve_sets(m, s, epsilon=1e-6, algorithm=algorithm).converged
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_zero_iterations_return_the_zero_start(self, algorithm):
+        m = pbvi_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=2)
+        res = solve_sets(m, s, epsilon=1e-3, max_iters=0, algorithm=algorithm)
+        vi = solve_vi(m, s, epsilon=1e-3, max_iters=0)
+        assert res.iterations == 0 and not res.converged and res.sup_diffs == ()
+        np.testing.assert_array_equal(res.table.values, vi.value.values)
+        assert tuple(int(a) for a in res.chosen_action) == vi.selector.actions
+        assert res.final_set_size == (1 if algorithm == "alg1" else m.n_actions)
 
     def test_alg2_stays_within_certificates(self):
         m = pbvi_toy()

@@ -2,18 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wpomdp.errors import ZeroLikelihood
 from wpomdp.filtering import (
+    POSTERIOR_PRUNE_TOL,
     SampledTransition,
+    bayes_step,
     bayes_update,
     expected_reward,
     obs_marginal,
     predict,
     sample_transition,
 )
-from wpomdp.measures import StateGrid, WeightFunction, dirac, make_measure
+from wpomdp.measures import (
+    DISCRETE,
+    EXPLICIT_TABLE,
+    StateGrid,
+    WeightFunction,
+    dirac,
+    make_measure,
+)
 from wpomdp.model import PomdpModel
 from wpomdp.synthetic import (
     finite_obs_quadrature,
@@ -68,9 +79,7 @@ class TestPredict:
     def test_identity_kernel_fixes_belief(self):
         m = line_model()
         mu = make_measure(m.state_grid, [0.3, 0.7])
-        out = predict(m, mu, 0)
-        assert_allclose(out.measure.weights, mu.weights)
-        assert out.action == 0 and out.origin is mu
+        assert_allclose(predict(m, mu, 0).weights, mu.weights)
 
     def test_absorbing_kernel_maps_to_dirac(self):
         m = line_model()
@@ -85,7 +94,7 @@ class TestPredict:
             weight=m.weight,
         )
         out = predict(absorbing, uniform_belief(absorbing), 0)
-        assert_allclose(out.measure.weights, [1.0, 0.0])
+        assert_allclose(out.weights, [1.0, 0.0])
 
     def test_swap_kernel_reverses_weights(self):
         m = line_model()
@@ -100,7 +109,7 @@ class TestPredict:
             weight=m.weight,
         )
         mu = make_measure(m.state_grid, [0.2, 0.8])
-        assert_allclose(predict(swap, mu, 0).measure.weights, [0.8, 0.2])
+        assert_allclose(predict(swap, mu, 0).weights, [0.8, 0.2])
 
     def test_affine_in_the_prior(self):
         m = random_finite_model(2)
@@ -110,9 +119,9 @@ class TestPredict:
         mix = make_measure(m.state_grid, 0.3 * mu.weights + 0.7 * nu.weights)
         for a in range(m.n_actions):
             assert_allclose(
-                predict(m, mix, a).measure.weights,
-                0.3 * predict(m, mu, a).measure.weights
-                + 0.7 * predict(m, nu, a).measure.weights,
+                predict(m, mix, a).weights,
+                0.3 * predict(m, mu, a).weights
+                + 0.7 * predict(m, nu, a).weights,
                 atol=1e-12,
             )
 
@@ -152,7 +161,7 @@ class TestObsMarginal:
     def test_uniform_belief_averages_columns(self):
         m = revealing_toy()
         mu = uniform_belief(m)
-        pred = predict(m, mu, 0).measure.weights
+        pred = predict(m, mu, 0).weights
         marg = obs_marginal(m, mu, 0)
         assert_allclose(marg.lam, pred @ m.obs_density[0])
 
@@ -212,6 +221,84 @@ class TestBayesUpdate:
             bayes_update(m, uniform_belief(m), 0, 5)
 
 
+def sparse_model(kind, n, rng):
+    """Two actions, three nodes; zeros in both kernels, atoms down to 1e-20.
+
+    Node 0 is possible from every state, the others may not be, so some
+    (belief, action, node) triples have zero likelihood.
+    """
+    if kind == "line":
+        grid = StateGrid(np.cumsum(rng.uniform(0.1, 2.0, n)))
+    elif kind == "discrete":
+        grid = StateGrid(np.arange(float(n)), DISCRETE)
+    else:
+        grid = StateGrid(np.arange(float(n)), EXPLICIT_TABLE, 1.0 - np.eye(n))
+
+    def kernel(shape):
+        k = rng.dirichlet(np.ones(shape[-1]), shape[:-1]) * (rng.uniform(size=shape) < 0.6)
+        k *= 10.0 ** -rng.integers(0, 20, shape)
+        k[..., 0] += 1e-3
+        return k / k.sum(axis=-1, keepdims=True)
+
+    return PomdpModel(
+        state_grid=grid,
+        actions=("a", "b"),
+        obs_quadrature=finite_obs_quadrature(3),
+        trans=kernel((2, n, n)),
+        obs_density=kernel((2, n, 3)),
+        reward=np.zeros((2, n)),
+        discount=0.9,
+        weight=WeightFunction(0.0, 0.1),
+    )
+
+
+class TestBayesStep:
+    """The one Bayes step: one-row calls are ``bayes_update``, batches are rows."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        st.sampled_from(["line", "discrete", "table"]),
+        st.integers(1, 12),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_bayes_update(self, kind, n, m, seed):
+        rng = np.random.default_rng(seed)
+        model = sparse_model(kind, n, rng)
+        tiny = lambda: rng.dirichlet(np.ones(n)) * 10.0 ** -rng.integers(0, 20, n)
+        mus = [make_measure(model.state_grid, tiny()) for _ in range(m)]
+        acts, nodes = rng.integers(0, 2, m), rng.integers(0, 3, m)
+        preds = np.stack([predict(model, mu, a).weights for mu, a in zip(mus, acts)])
+        possible = np.array([(p * model.obs_density[a, :, j]).sum() > 0
+                             for p, a, j in zip(preds, acts, nodes)])
+
+        def one(i):
+            return bayes_step(model, preds[i:i + 1], acts[i:i + 1], nodes[i:i + 1])[0]
+
+        for i in np.flatnonzero(possible):
+            got = bayes_update(model, mus[i], int(acts[i]), int(nodes[i])).weights
+            # the arithmetic bayes_update has always used, written out
+            post = preds[i] * model.obs_density[acts[i], :, nodes[i]]
+            post = post / post.sum()
+            want = make_measure(model.state_grid, np.where(post < POSTERIOR_PRUNE_TOL, 0.0, post))
+            np.testing.assert_array_equal(got.view(np.int64), want.weights.view(np.int64))
+            np.testing.assert_array_equal(one(i).view(np.int64), got.view(np.int64))
+            assert ((got == 0.0) | (got >= POSTERIOR_PRUNE_TOL)).all()
+        for i in np.flatnonzero(~possible):
+            with pytest.raises(ZeroLikelihood):
+                one(i)
+            with pytest.raises(ZeroLikelihood):
+                bayes_update(model, mus[i], int(acts[i]), int(nodes[i]))
+
+        ok = np.flatnonzero(possible)
+        batch = bayes_step(model, preds[ok], acts[ok], nodes[ok])
+        for row, i in zip(batch, ok):
+            np.testing.assert_array_equal(row.view(np.int64), one(i).view(np.int64))
+        if not possible.all():
+            with pytest.raises(ZeroLikelihood):
+                bayes_step(model, preds, acts, nodes)
+
+
 class TestReductionIdentities:
     """Joint-measure consistency of marginal and posterior."""
 
@@ -226,7 +313,7 @@ class TestReductionIdentities:
                     p * bayes_update(m, mu, a, j).weights
                     for j, p in enumerate(marg.node_probs)
                 )
-                assert_allclose(mixed, predict(m, mu, a).measure.weights, atol=1e-9)
+                assert_allclose(mixed, predict(m, mu, a).weights, atol=1e-9)
 
     def test_cell_by_node_consistency(self):
         # For every state cell and node subset the two ways of computing the
@@ -236,7 +323,7 @@ class TestReductionIdentities:
         mu = make_measure(m.state_grid, rng.dirichlet(np.ones(m.n_states)))
         phi = m.obs_quadrature.weights
         for a in range(m.n_actions):
-            pred = predict(m, mu, a).measure.weights
+            pred = predict(m, mu, a).weights
             marg = obs_marginal(m, mu, a)
             posts = [bayes_update(m, mu, a, j).weights for j in range(m.n_obs)]
             for subset in ([0], [1], [2], [0, 2], list(range(m.n_obs))):

@@ -170,7 +170,7 @@ class TestCertify:
         c = certify(revealing_toy())
         assert_allclose(c.beta, 1.2)
         assert_allclose(c.gamma, 0.9)
-        assert c.k == 0.5 and c.K is None
+        assert c.k == 0.5
 
     def test_gamma_strictly_below_one(self):
         for seed in range(8):
@@ -200,8 +200,8 @@ class TestCertify:
         assert c.iterations_for(1e-9) == 1
 
     def test_str_lists_all_constants(self):
-        text = str(certify(revealing_toy(), K=2.5))
-        for token in ("r_bar", "beta", "gamma", "k", "K"):
+        text = str(certify(revealing_toy()))
+        for token in ("r_bar", "beta", "gamma", "k"):
             assert token in text
 
 

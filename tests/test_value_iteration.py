@@ -20,12 +20,21 @@ from oracles import (
 )
 from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
-from wpomdp.filtering import expected_reward
-from wpomdp.measures import EXPLICIT_TABLE, LipschitzFn, StateGrid, make_measure, weighted_norm
-from wpomdp.model import certify
+from wpomdp.filtering import POSTERIOR_PRUNE_TOL, bayes_update, expected_reward
+from wpomdp.measures import (
+    DISCRETE,
+    EXPLICIT_TABLE,
+    LipschitzFn,
+    StateGrid,
+    WeightFunction,
+    make_measure,
+    weighted_norm,
+)
+from wpomdp.model import PomdpModel, certify
 from wpomdp.sampling import BeliefDistances, reachability_tree, user_sample
 from wpomdp.synthetic import (
     absorbing_unit_reward_toy,
+    finite_obs_quadrature,
     pbvi_toy,
     random_finite_model,
     revealing_toy,
@@ -261,13 +270,14 @@ class TestFastOperatorMatchesReference:
     def test_exact_on_closed_tree(self, t):
         m = revealing_toy()
         s = reachability_tree(m, uniform_belief(m), depth=2)
-        res = solve_vi(m, s, epsilon=1e-9, max_iters=t, generalizer="exact")
+        res = solve_vi(m, s, epsilon=1e-9, max_iters=t)
         table = TabulatedValue.zeros(s)
         for _ in range(t):
             ev = exact_sample_evaluator(table)
             sel = greedy_selector(m, table, ev)
             table = bellman_backup(m, table, ev)
         assert res.iterations == t
+        assert res.lip_estimate == 0.0  # the closed sample takes the exact lookup
         assert_allclose(res.value.values, table.values, rtol=0, atol=1e-10)
         assert res.selector.actions == sel.actions
 
@@ -275,13 +285,12 @@ class TestFastOperatorMatchesReference:
     def test_mcshane_on_open_tree(self, t):
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=2)
-        kw = dict(epsilon=1e-9, generalizer="mcshane", k_neighbors=s.n)
-        res = solve_vi(m, s, max_iters=t, **kw)
+        res = solve_vi(m, s, epsilon=1e-9, max_iters=t)
         table = TabulatedValue.zeros(s)
         for i in range(t):
             # the slope of sweep i+1 is the estimate after sweep i
-            slope = solve_vi(m, s, max_iters=i, **kw).lip_estimate
-            ev = mcshane_evaluator(table, lip_bound=slope, k_neighbors=s.n)
+            slope = solve_vi(m, s, epsilon=1e-9, max_iters=i).lip_estimate
+            ev = mcshane_evaluator(table, lip_bound=slope, k_neighbors=16)
             sel = greedy_selector(m, table, ev)
             table = bellman_backup(m, table, ev)
         assert res.iterations == t
@@ -338,10 +347,35 @@ class TestExplicitTableSolve:
             return lp(mu, nu)
 
         monkeypatch.setattr(sampling, "w1_lp", counted)
-        kw = dict(epsilon=1e-2, generalizer="mcshane")
-        want = solve_vi(disc, self.sample(disc, 6), **kw)
-        got = solve_vi(tab, self.sample(tab, 6), **kw)
+        want = solve_vi(disc, self.sample(disc, 6), epsilon=1e-2)
+        got = solve_vi(tab, self.sample(tab, 6), epsilon=1e-2)
         assert len(calls) == (6 * 2 * 3 + 6) * 6  # the up-front estimate is exact
+        assert_allclose(got.value.values, want.value.values, rtol=0, atol=1e-9)
+        assert got.selector.actions == want.selector.actions
+
+    def test_zero_likelihood_node_on_a_table_grid(self):
+        # node 1 is only ever emitted from state 0, which action 1 never
+        # reaches: that node has no posterior and must not be queried
+        trans = np.array([[[0.5, 0.5, 0.0]] * 3, [[0.0, 1.0, 0.0]] * 3])
+        obs = np.array([[[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]] * 2)
+        disc = PomdpModel(
+            state_grid=StateGrid(np.arange(3.0), DISCRETE),
+            actions=("a", "b"),
+            obs_quadrature=finite_obs_quadrature(2),
+            trans=trans,
+            obs_density=obs,
+            reward=np.array([[1.0, -0.5, 0.2], [0.3, 0.8, -1.0]]),
+            discount=0.7,
+            weight=WeightFunction(0.0, 0.3),
+        )
+        tab = dataclasses.replace(
+            disc, state_grid=StateGrid(np.arange(3.0), EXPLICIT_TABLE, 1.0 - np.eye(3))
+        )
+        tree = reachability_tree(disc, uniform_belief(disc), depth=2)
+        want = solve_vi(disc, tree, epsilon=1e-2)
+        got = solve_vi(tab, user_sample(
+            [make_measure(tab.state_grid, w) for w in tree.weight_matrix()]
+        ), epsilon=1e-2)
         assert_allclose(got.value.values, want.value.values, rtol=0, atol=1e-9)
         assert got.selector.actions == want.selector.actions
 
@@ -405,21 +439,25 @@ class TestSolveVi:
         with pytest.raises(SolverFailure):
             solve_vi(m, s, epsilon=0.0)
 
-    def test_exact_mode_needs_closed_sample(self):
-        m = pbvi_toy()
-        s = reachability_tree(m, uniform_belief(m), depth=2)
-        with pytest.raises(SolverFailure):
-            solve_vi(m, s, epsilon=1e-2, generalizer="exact")
-        with pytest.raises(SolverFailure):
-            solve_vi(m, s, epsilon=1e-2, generalizer="spline")
-
     def test_auto_picks_exact_on_closed_sample(self):
         m = revealing_toy()
         s = reachability_tree(m, uniform_belief(m), depth=1)
         auto = solve_vi(m, s, epsilon=1e-3)
-        forced = solve_vi(m, s, epsilon=1e-3, generalizer="exact")
-        np.testing.assert_array_equal(auto.value.values, forced.value.values)
+        table = TabulatedValue.zeros(s)
+        for _ in range(auto.iterations):
+            table = bellman_backup(m, table, exact_sample_evaluator(table))
+        assert_allclose(auto.value.values, table.values, rtol=0, atol=1e-10)
         assert auto.lip_estimate == 0.0  # mcshane slope never engaged
+
+    def test_zero_iterations_return_the_zero_start(self):
+        m = pbvi_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=2)
+        res = solve_vi(m, s, epsilon=1e-3, max_iters=0)
+        assert res.iterations == 0 and not res.converged and res.sup_diffs == ()
+        np.testing.assert_array_equal(res.value.values, np.zeros(s.n))
+        greedy = (s.weight_matrix() @ m.reward.T).argmax(axis=1)
+        assert res.selector.actions == tuple(int(a) for a in greedy)
+        assert res.error_bound == res.constants.apriori_bound(0)
 
     def test_worker_count_does_not_change_bits(self):
         m = pbvi_toy()
@@ -473,6 +511,41 @@ class TestRollout:
         tail = c.r_bar * c.gamma ** (horizon + 1) / (1.0 - c.gamma)
         mean, err = rollout_estimate(m, pol, uniform_belief(m), horizon, 10_000, seed=5)
         assert abs(mean - res.value.values[0]) <= 3 * err + tail + res.error_bound
+
+    def test_policy_sees_bayes_updates(self):
+        # identity dynamics and informative nodes: the belief concentrates
+        # on the hidden state, so the other atoms fall below the prune level
+        q = np.full((3, 3), 0.1) + 0.7 * np.eye(3)
+        m = PomdpModel(
+            state_grid=StateGrid(np.arange(3.0), DISCRETE),
+            actions=("a", "b"),
+            obs_quadrature=finite_obs_quadrature(3),
+            trans=np.array([np.eye(3), [[0.9, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]),
+            obs_density=np.array([q, q]),
+            reward=np.array([[1.0, 0.0, -1.0], [0.5, 0.5, 0.5]]),
+            discount=0.7,
+            weight=WeightFunction(0.0, 0.3),
+        )
+        seen = []
+
+        class Recording:
+            def act_batch(self, rows):
+                acts = (rows.argmax(axis=1) == 0).astype(np.int64)
+                seen.append((rows.copy(), acts))
+                return acts
+
+        mu0 = make_measure(m.state_grid, [0.5, 0.3, 0.2])
+        rollout_estimate(m, Recording(), mu0, 40, 8, seed=4)
+        np.testing.assert_array_equal(seen[0][0], np.tile(mu0.weights, (8, 1)))
+        for (prev, acts), (rows, _) in zip(seen, seen[1:]):
+            for p, a, row in zip(prev, acts, rows):
+                mu = make_measure(m.state_grid, p)
+                gaps = [np.abs(bayes_update(m, mu, int(a), j).weights - row).max()
+                        for j in range(m.n_obs)]
+                assert min(gaps) <= 1e-12
+        rows = np.concatenate([r for r, _ in seen])
+        assert ((rows == 0.0) | (rows >= POSTERIOR_PRUNE_TOL)).all()
+        assert (rows == 0.0).any()  # the prune did drop atoms
 
     def test_bad_arguments_rejected(self):
         m = pbvi_toy()
