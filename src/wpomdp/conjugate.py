@@ -178,12 +178,22 @@ class QSetBackupResult:
 
 
 def _merge_duplicate_rows(rows: np.ndarray) -> np.ndarray:
-    """Drop rows within _DUP_TOL (sup norm) of an earlier row."""
-    keep: list[int] = []
+    """Drop rows within _DUP_TOL (sup norm) of an earlier kept row.
+
+    Greedy in row order, over the first occurrence of each bitwise-distinct
+    row only.  A later bitwise repeat is always dropped: if its first copy
+    was kept, the repeat is at distance 0 from it; if not, the kept row
+    that dropped the first copy is within _DUP_TOL of the repeat too.
+    """
+    first: dict[bytes, int] = {}
     for i, row in enumerate(rows):
-        if all(np.abs(row - rows[j]).max() >= _DUP_TOL for j in keep):
+        first.setdefault(row.tobytes(), i)
+    cand = rows[list(first.values())]
+    keep: list[int] = []
+    for i, row in enumerate(cand):
+        if (np.abs(cand[keep] - row).max(axis=1) >= _DUP_TOL).all():
             keep.append(i)
-    return rows[keep]
+    return cand[keep]
 
 
 def _rows_to_set(grid, rows: np.ndarray, tag: str) -> AlphaSet:
@@ -321,7 +331,7 @@ def lip_growth_constants(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
     grid = model.state_grid
     pw = grid.pairwise()
     n = model.n_states
-    if grid.metric_kind == "euclidean_1d":
+    if grid.metric_kind == EUCLIDEAN_1D:
         pairs = [(i, i + 1) for i in range(n - 1)]
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -22,9 +22,9 @@ __all__ = ["BeliefSample", "BeliefDistances", "user_sample", "reachability_tree"
 # beliefs closer than this in W1 are treated as the same sample point
 DEDUP_W1_TOL = 1e-6
 
-# query rows per distance block: bounds the (rows x kept x states)
-# broadcast temporary
-_DIST_CHUNK = 64
+# bytes of the (rows x kept x cols) difference block of one l1 step: the
+# query rows per step are as many as fit, and at least one
+_L1_BLOCK_BYTES = 4 << 20
 
 # contiguous column blocks of the k-NN lower bound (fewer when the
 # embedding has fewer columns), and query rows per pruned search: bounds
@@ -95,12 +95,14 @@ class BeliefDistances:
 
     Where the metric embeds isometrically into L1 (1-D, discrete) each kept
     belief is embedded once, on construction or by :meth:`add`, and a
-    distance block is an L1 reduction over chunks of ``_DIST_CHUNK`` query
-    rows, and :meth:`knn` prunes with a block lower bound before computing
-    any exact distance.  Explicit tables have no embedding (``emb`` is None) and fall
-    back to one transportation solve per pair: exact, but only meant for
-    desk-size models.  ``beliefs`` supplies the kept measures for that
-    fallback; by default they are rebuilt from ``rows``.
+    distance block is an L1 reduction over steps of as many query rows as
+    keep the difference block within ``_L1_BLOCK_BYTES`` (one row at
+    least), and :meth:`knn` prunes with a block lower bound before
+    computing any exact distance.  Explicit tables have no embedding
+    (``emb`` is None) and fall back to one transportation solve per pair:
+    exact, but only meant for desk-size models.  ``beliefs`` supplies the
+    kept measures for that fallback; by default they are rebuilt from
+    ``rows``.
     """
 
     def __init__(self, grid, rows: np.ndarray, beliefs=None):
@@ -130,11 +132,15 @@ class BeliefDistances:
 
     def l1(self, q: np.ndarray) -> np.ndarray:
         """(len(q), len(self)) L1 block from embedded query rows."""
-        out = np.empty((len(q), len(self.emb)))
-        for s in range(0, len(q), _DIST_CHUNK):
-            out[s:s + _DIST_CHUNK] = np.abs(
-                q[s:s + _DIST_CHUNK, None, :] - self.emb[None, :, :]
-            ).sum(axis=2)
+        kept, cols = self.emb.shape
+        out = np.empty((len(q), kept))
+        step = max(1, _L1_BLOCK_BYTES // max(1, 8 * kept * cols))
+        buf = np.empty((min(step, len(q)), kept, cols))
+        for s in range(0, len(q), step):
+            qc = q[s:s + step]
+            t = buf[:len(qc)]
+            np.subtract(qc[:, None, :], self.emb[None, :, :], out=t)
+            np.abs(t, out=t).sum(axis=2, out=out[s:s + step])
         return out
 
     def dists(self, rows: np.ndarray) -> np.ndarray:

@@ -185,6 +185,19 @@ def classical_pbvi_backup(trans, obs, reward, alpha, vectors, beliefs):
 
 
 # --------------------------------------------------------------------------
+# duplicate merging of backed-up functions, one (row, kept row) pair at a time
+# --------------------------------------------------------------------------
+
+def merge_duplicate_rows_greedy(rows, tol):
+    """Drop rows within ``tol`` (sup norm) of an earlier kept row."""
+    keep: list[int] = []
+    for i, row in enumerate(rows):
+        if all(np.abs(row - rows[j]).max() >= tol for j in keep):
+            keep.append(i)
+    return rows[keep]
+
+
+# --------------------------------------------------------------------------
 # per-belief Bellman operator on tabulated values
 # --------------------------------------------------------------------------
 
@@ -215,6 +228,14 @@ def table_lip_estimate_dense(values, pair_d):
     if not mask.any():
         return 0.0
     return float((gaps[mask] / pair_d[mask]).max())
+
+
+def l1_broadcast(q, emb):
+    """L1 block from embedded query rows by 64-row broadcast chunks."""
+    out = np.empty((len(q), len(emb)))
+    for s in range(0, len(q), 64):
+        out[s:s + 64] = np.abs(q[s:s + 64, None, :] - emb[None, :, :]).sum(axis=2)
+    return out
 
 
 def knn_bruteforce(geom, rows, k):

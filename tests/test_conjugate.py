@@ -4,11 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import bellman_backup_point, classical_pbvi_backup
+from oracles import bellman_backup_point, classical_pbvi_backup, merge_duplicate_rows_greedy
 from wpomdp.conjugate import (
+    _DUP_TOL,
     AlphaSet,
+    _merge_duplicate_rows,
     conjugate_rho,
     eval_sup,
     eval_sup_table,
@@ -29,6 +33,7 @@ from wpomdp.sampling import reachability_tree, user_sample
 from wpomdp.synthetic import (
     absorbing_unit_reward_toy,
     pbvi_toy,
+    random_finite_model,
     revealing_toy,
     uniform_belief,
 )
@@ -323,6 +328,64 @@ class TestQSetBackup:
             res = q_set_backup(dom, cur, samp)
             assert set(res.chosen_action) == {0}
             cur = res.new_sets
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMergeDuplicateRows:
+    """``_merge_duplicate_rows`` against the greedy pairwise loop."""
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # pool row; row 0 is all zeros
+                st.booleans(),  # negate the pool row: 0.0 becomes -0.0
+                st.sampled_from((0.0, 0.4, 0.6, 1.5)),  # perturbation / tol
+                st.integers(0, 5),  # perturbed column
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_equals_the_greedy_loop(self, n, specs):
+        pool = np.random.default_rng(n).uniform(-1.0, 1.0, (4, n))
+        pool[0] = 0.0
+        rows = np.empty((len(specs), n))
+        for row, (p, neg, step, col) in zip(rows, specs):
+            row[:] = -pool[p] if neg else pool[p]
+            if step:
+                row[col % n] += step * _DUP_TOL
+        assert_same_bits(_merge_duplicate_rows(rows), merge_duplicate_rows_greedy(rows, _DUP_TOL))
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_equal_rows_keep_the_first(self, m):
+        rows = np.tile([0.5, -0.0, 2.0], (m, 1))
+        assert_same_bits(_merge_duplicate_rows(rows), rows[:1])
+
+    def test_chain_keeps_rows_near_a_dropped_row(self):
+        # row 2 is within tol of the dropped row 1, but not of the kept row 0
+        a = np.array([0.25, -1.0, 3.0])
+        rows = np.stack([a, a + 0.6 * _DUP_TOL, a + 1.2 * _DUP_TOL])
+        assert_same_bits(_merge_duplicate_rows(rows), rows[[0, 2]])
+
+    @pytest.mark.parametrize("make", [pbvi_toy, lambda: random_finite_model(3, n_states=4)])
+    def test_set_backup_merges_like_the_greedy_loop(self, make):
+        m = make()
+        if m.n_states == 2:
+            samp = toy_sample(m)
+        else:
+            samp = reachability_tree(m, uniform_belief(m), depth=2)
+        cur = zero_alpha_set(m)
+        for _ in range(4):
+            res = set_backup(m, cur, samp)
+            want = merge_duplicate_rows_greedy(res.backed_matrix, _DUP_TOL)
+            assert_same_bits(res.new_set.matrix(), want)
+            cur = res.new_set
 
 
 class TestPrune:

@@ -1,15 +1,18 @@
 """Belief-sample construction: user sets and reachability trees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_bruteforce
+from oracles import knn_bruteforce, l1_broadcast
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update
 from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
 from wpomdp.sampling import (
+    _L1_BLOCK_BYTES,
     DEDUP_W1_TOL,
     BeliefDistances,
     BeliefSample,
@@ -165,7 +168,7 @@ class TestBeliefDistances:
         rng = np.random.default_rng(seed)
         g = random_grid(kind, int(rng.integers(2, 6)), rng)
         kept = random_rows(g, int(rng.integers(1, 5)), rng)
-        # past one _DIST_CHUNK of queries, except on the slow LP path
+        # many queries, except on the slow LP path
         queries = random_rows(g, int(rng.integers(1, 5 if kind == "table" else 150)), rng)
         block = BeliefDistances(g, kept).dists(queries)
         want = [
@@ -197,6 +200,37 @@ class TestBeliefDistances:
         a, b = random_rows(g, 2, rng)
         pol = NearestAnchorPolicy(g, np.stack([b, a, a, b]), [3, 2, 0, 1])
         np.testing.assert_array_equal(pol.act_batch(np.stack([a, b, a])), [2, 3, 2])
+
+
+class TestL1Block:
+    """``BeliefDistances.l1`` in steps bounded by ``_L1_BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("kind", ["line", "discrete"])
+    @pytest.mark.parametrize("kept, queries", [(300, 70), (4000, 3)])
+    def test_equals_the_broadcast_formula(self, kind, kept, queries):
+        rng = np.random.default_rng(kept)
+        g = random_grid(kind, 161, rng)
+        geom = BeliefDistances(g, random_rows(g, kept, rng))
+        q = BeliefDistances(g, random_rows(g, queries, rng)).emb
+        row_bytes = 8 * kept * geom.emb.shape[1]
+        if kept == 300:  # several steps, the last one short
+            assert 1 < _L1_BLOCK_BYTES // row_bytes < queries
+        else:  # one query row is over the budget: one row per step
+            assert row_bytes > _L1_BLOCK_BYTES
+        want = l1_broadcast(q, geom.emb)
+        np.testing.assert_array_equal(geom.l1(q).view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_stays_within_the_budget(self):
+        rng = np.random.default_rng(2)
+        g = random_grid("line", 161, rng)
+        geom = BeliefDistances(g, random_rows(g, 2000, rng))
+        tracemalloc.start()
+        try:
+            d = geom.pairwise()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - d.nbytes < 2 * _L1_BLOCK_BYTES
 
 
 class TestKnn:
