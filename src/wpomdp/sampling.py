@@ -12,12 +12,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySample
+from .errors import DimensionMismatch, EmptySample, SolverFailure
 from .filtering import bayes_update, obs_marginal
 from .measures import DISCRETE, EUCLIDEAN_1D, DiscreteMeasure, make_measure, w1_lp
 from .model import PomdpModel
 
-__all__ = ["BeliefSample", "BeliefDistances", "user_sample", "reachability_tree", "DEDUP_W1_TOL"]
+__all__ = [
+    "BeliefSample",
+    "BeliefDistances",
+    "user_sample",
+    "reachability_tree",
+    "check_lp_budget",
+    "DEDUP_W1_TOL",
+    "MAX_TABLE_LP_SOLVES",
+]
 
 # beliefs closer than this in W1 are treated as the same sample point
 DEDUP_W1_TOL = 1e-6
@@ -31,6 +39,13 @@ _L1_BLOCK_BYTES = 4 << 20
 # the (rows x kept) bound block; larger blocks ran slower on 300 anchors
 _KNN_BLOCKS = 4
 _KNN_CHUNK = 256
+
+# Explicit-table metrics solve one pure-Python transportation LP per
+# (belief, kept belief) pair, at a measured median of about 2.3 ms each:
+# 100k solves is about four minutes, so past this the tree and the VI
+# precompute fail up front instead of running for hours.
+MAX_TABLE_LP_SOLVES = 100_000
+_LP_SOLVE_S = 2.3e-3
 
 
 @dataclass(eq=False)
@@ -227,6 +242,16 @@ class BeliefDistances:
         )
 
 
+def check_lp_budget(solves: int) -> None:
+    """Refuse explicit-table work that would take ``solves`` transport solves."""
+    if solves > MAX_TABLE_LP_SOLVES:
+        raise SolverFailure(
+            f"the explicit-table metric needs {solves:,} transport solves "
+            f"(about {solves * _LP_SOLVE_S / 60:,.0f} min at {_LP_SOLVE_S * 1e3:.1f} ms "
+            f"each); the limit is {MAX_TABLE_LP_SOLVES:,}: use a smaller sample"
+        )
+
+
 def _first_k(m: int, k: int, rows, dist, idx) -> tuple[np.ndarray, np.ndarray]:
     """The first k (distance, index)-ordered triples of each of m rows.
 
@@ -255,7 +280,10 @@ def reachability_tree(
     existing sample point are dropped.  After the tree (or the cap) is
     exhausted, up to ``mixtures`` random pairwise mixtures of collected
     beliefs are appended, drawn from a generator seeded with ``seed`` —
-    the whole construction is deterministic.
+    the whole construction is deterministic.  On an explicit-table metric
+    every dedup check solves one LP per kept belief; the tree raises
+    :class:`~wpomdp.errors.SolverFailure` before its count of them would
+    pass ``MAX_TABLE_LP_SOLVES``.
     """
     model.check_belief(mu0)
     if depth < 0:
@@ -264,6 +292,14 @@ def reachability_tree(
     kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
     edges: list[tuple[int, int, int, int]] = []
     truncated = False
+    solves = 0
+
+    def nearest(row: np.ndarray) -> float:
+        nonlocal solves
+        if kept.emb is None:
+            solves += len(kept)
+            check_lp_budget(solves)
+        return kept.dists(row[None, :]).min()
 
     frontier = [0]
     for _ in range(depth):
@@ -277,7 +313,7 @@ def reachability_tree(
                 probs = obs_marginal(model, beliefs[parent], a).node_probs
                 for j in np.flatnonzero(probs > 0):
                     post = bayes_update(model, beliefs[parent], a, int(j))
-                    if kept.dists(post.weights[None, :]).min() < dedup_tol:
+                    if nearest(post.weights) < dedup_tol:
                         continue
                     if len(beliefs) >= cap:
                         truncated = True
@@ -301,7 +337,7 @@ def reachability_tree(
             model.state_grid,
             kappa * beliefs[i].weights + (1.0 - kappa) * beliefs[j].weights,
         )
-        if kept.dists(mix.weights[None, :]).min() < dedup_tol:
+        if nearest(mix.weights) < dedup_tol:
             continue
         if len(beliefs) >= cap:
             truncated = True

@@ -13,12 +13,13 @@ generalizer; two are provided:
 
 ``solve_vi`` precomputes all posterior geometry once, takes the exact
 lookup exactly when the sample turns out closed, and runs a sweep as a few
-fused array operations.  The per-belief reference form of the same
+contiguous element-wise passes per neighbour rank.  The per-belief reference form of the same
 operator lives with the test oracles.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .errors import (
 from .filtering import bayes_step
 from .measures import DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify
-from .sampling import BeliefDistances, BeliefSample
+from .sampling import BeliefDistances, BeliefSample, check_lp_budget
 
 __all__ = [
     "TabulatedValue",
@@ -47,8 +48,9 @@ __all__ = [
 # distances below this are "the same belief" for exact-sample lookup
 _EXACT_MATCH_TOL = 1e-9
 
-# fixed k-NN work-unit size; results are assembled by index, so outputs
-# are identical for any worker count
+# fixed k-NN work-unit size, in posteriors; each chunk builds its own
+# posterior rows and writes its results by index, so outputs are identical
+# for any worker count
 _CHUNK = 256
 
 # sample points the McShane extension maximises over, per posterior
@@ -56,13 +58,6 @@ _K_NEIGHBORS = 16
 
 # simulated paths per seeded generator in rollouts
 _PATH_CHUNK = 4096
-
-# Explicit-table metrics solve one pure-Python transportation LP per
-# (posterior or sample point, sample point) pair, at a measured median of
-# about 2.3 ms each: 100k solves is about four minutes, so past this a
-# solve fails up front instead of running for hours.
-_MAX_TABLE_LP_SOLVES = 100_000
-_LP_SOLVE_S = 2.3e-3
 
 
 @dataclass(eq=False)
@@ -135,69 +130,106 @@ def _table_lip_estimate(values: np.ndarray, pairs) -> float:
 
 
 def _nearest_in_sample(
-    geom: BeliefDistances, rows: np.ndarray, which: np.ndarray, k: int, parallel: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest sample points of ``rows[which]`` by (distance, index): (m, k).
+    geom: BeliefDistances,
+    pred: np.ndarray,
+    dens: np.ndarray,
+    lam: np.ndarray,
+    b: np.ndarray,
+    j: np.ndarray,
+    idx_out: np.ndarray,
+    dist_out: np.ndarray,
+    parallel: int,
+) -> None:
+    """k nearest sample points of each (b, j) posterior of one action.
 
-    Work is split into fixed chunks that gather their own rows; each chunk
-    is row-independent, so the result is byte-identical for every worker
-    count.  Equal distances are ordered by index (an unordered partition
-    would leave them in any order); the solve reads nothing that depends
-    on that order: McShane takes the max over all k, and the exact lookup
-    reads only the nearest point, whose distance is at most
-    ``_EXACT_MATCH_TOL`` and so cannot tie with a second point under the
-    sample's dedup tolerance.
+    The posterior of (b, j) is ``pred[b] * dens.T[j] / lam[b, j]``, built
+    one chunk of ``_CHUNK`` posteriors at a time inside the chunk's worker,
+    so no (B * J, n) block of every posterior is ever held.  The first k
+    by (distance, index) go to ``idx_out[:, b, j]`` and
+    ``dist_out[:, b, j]``, K-major, with k = ``len(idx_out)``.  Each chunk
+    is row-independent and writes its own entries, so the result is
+    byte-identical for every worker count.  Equal distances are ordered by
+    index (an unordered partition would leave them in any order); the
+    solve reads nothing that depends on that order: McShane takes the max
+    over all k, and the exact lookup reads only the nearest point, whose
+    distance is at most ``_EXACT_MATCH_TOL`` and so cannot tie with a
+    second point under the sample's dedup tolerance.
     """
-    m, big = len(which), len(geom)
-    k = min(k, big)
-    idx = np.empty((m, k), dtype=np.int32)
-    dst = np.empty((m, k))
-    spans = [(s, min(s + _CHUNK, m)) for s in range(0, m, _CHUNK)]
+    dens_t = np.ascontiguousarray(dens.T)
+    spans = range(0, len(b), _CHUNK)
 
-    def work(span):
-        s, e = span
-        idx[s:e], dst[s:e] = geom.knn(rows[which[s:e]], k)
+    def work(s):
+        bs, js = b[s:s + _CHUNK], j[s:s + _CHUNK]
+        rows = pred[bs] * dens_t[js]
+        rows /= lam[bs, js][:, None]
+        idx, dist = geom.knn(rows, len(idx_out))
+        idx_out[:, bs, js] = idx.T
+        dist_out[:, bs, js] = dist.T
 
     if parallel > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             list(pool.map(work, spans))
     else:
-        for span in spans:
-            work(span)
-    return idx, dst
+        for s in spans:
+            work(s)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _precompute_bytes(B: int, A: int, J: int, K: int) -> int:
+    """Leading terms of the bytes :class:`_Precomputed` holds at its peak.
+
+    The K-major neighbour arrays (intp and float64), then the (B, B)
+    pairwise block while :func:`_separated_pairs` holds its masked copy,
+    the two triangle index arrays, both gathered triangles and their
+    minimum.
+    """
+    tri = B * (B - 1) // 2
+    return 16 * K * B * A * J + 16 * B * B + 40 * tri
 
 
 class _Precomputed:
     """Everything a sweep needs, gathered in one pass over (belief, action).
 
     Shapes: B sampled beliefs, A actions, J nodes, K kept neighbours.
-    ``nn_idx``/``nn_dist`` give, for each (b, a, j) posterior, its nearest
-    sample points; nodes of zero likelihood have no posterior, so they are
-    never queried, carry zeros and are masked by ``node_probs`` anyway.
-    ``pairs`` lists the separated sample pairs for the McShane slope
-    estimate.
+    ``nn_idx`` (intp) and ``nn_dist`` are K-major, (K, B, A, J): slice k
+    holds every (b, a, j) posterior's k-th nearest sample point and its
+    distance, so a sweep reads one contiguous (B, A, J) slice per k.
+    Nodes of zero likelihood have no posterior, so they are never queried,
+    carry zeros and are masked by ``node_probs`` anyway.  ``pairs`` lists
+    the separated sample pairs for the McShane slope estimate.
+
+    A sample whose arrays would not fit in physical memory, or whose
+    explicit-table metric would need more than ``MAX_TABLE_LP_SOLVES``
+    transport solves, raises :class:`~wpomdp.errors.SolverFailure` before
+    any distance is computed.
     """
 
     def __init__(self, model: PomdpModel, sample: BeliefSample, parallel: int):
-        B, A = sample.n, model.n_actions
-        J, n = model.n_obs, model.n_states
+        B, A, J = sample.n, model.n_actions, model.n_obs
         K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
         if geom.emb is None:
-            solves = (B * A * J + B) * B
-            if solves > _MAX_TABLE_LP_SOLVES:
-                raise SolverFailure(
-                    f"the explicit-table metric needs {solves:,} transport solves "
-                    f"(about {solves * _LP_SOLVE_S / 60:,.0f} min at {_LP_SOLVE_S * 1e3:.1f} ms "
-                    f"each); the limit is {_MAX_TABLE_LP_SOLVES:,}: use a smaller sample"
-                )
+            check_lp_budget((B * A * J + B) * B)
+        need, have = _precompute_bytes(B, A, J, K), _physical_memory()
+        if have is not None and need > have:
+            raise SolverFailure(
+                f"the VI precompute needs about {need / 2**20:,.1f} MB for {B:,} beliefs; "
+                f"physical memory is {have / 2**20:,.1f} MB: use a smaller sample"
+            )
 
         self.tilde_w = W @ model.weight.values_on(model.state_grid)
         self.reward = W @ model.reward.T  # (B, A)
         self.node_probs = np.empty((B, A, J))
-        self.nn_idx = np.zeros((B, A, J, K), dtype=np.int32)
-        self.nn_dist = np.zeros((B, A, J, K))
+        self.nn_idx = np.zeros((K, B, A, J), dtype=np.intp)
+        self.nn_dist = np.zeros((K, B, A, J))
         self.pairs = _separated_pairs(geom.pairwise())
 
         phi = model.obs_quadrature.weights
@@ -205,19 +237,42 @@ class _Precomputed:
             pred = W @ model.trans[a]  # (B, n)
             lam = pred @ model.obs_density[a]  # (B, J)
             self.node_probs[:, a, :] = phi[None, :] * lam
-            # posterior rows for all (b, j) of this action at once
-            post = pred[:, None, :] * model.obs_density[a].T[None, :, :]
-            valid = lam > 0.0
-            post /= np.where(valid, lam, 1.0)[:, :, None]
-            flat = np.flatnonzero(valid)
-            b, j = np.divmod(flat, J)
-            self.nn_idx[b, a, j], self.nn_dist[b, a, j] = _nearest_in_sample(
-                geom, post.reshape(B * J, n), flat, K, parallel
+            b, j = np.nonzero(lam > 0.0)
+            _nearest_in_sample(
+                geom, pred, model.obs_density[a], lam, b, j,
+                self.nn_idx[:, :, a], self.nn_dist[:, :, a], parallel,
             )
 
         self.closed = bool(
-            (np.where(self.node_probs > 0, self.nn_dist[..., 0], 0.0) <= _EXACT_MATCH_TOL).all()
+            (np.where(self.node_probs > 0, self.nn_dist[0], 0.0) <= _EXACT_MATCH_TOL).all()
         )
+
+
+def _mcshane(
+    v: np.ndarray,
+    lip: float,
+    nn_idx: np.ndarray,
+    nn_dist: np.ndarray,
+    out: np.ndarray,
+    tmp: np.ndarray,
+    scaled: np.ndarray,
+) -> None:
+    """``out`` = max over k of v[nn_idx[k]] - lip * nn_dist[k], K-major.
+
+    ``out``, ``tmp`` and ``scaled`` are float buffers of one slice's shape;
+    each step is a contiguous element-wise pass.  Every candidate has the
+    bits of the broadcast ``(v[idx] - lip * dist).max(axis=-1)`` over a
+    trailing K axis, and so does the max, up to the sign of a zero max:
+    where +0.0 and -0.0 tie, the later k's is kept.  The indices come from
+    the k-NN and are in range, so ``take`` clips (never raises) and writes
+    straight into its buffer.
+    """
+    v.take(nn_idx[0], out=out, mode="clip")
+    np.subtract(out, np.multiply(lip, nn_dist[0], out=scaled), out=out)
+    for k in range(1, len(nn_idx)):
+        v.take(nn_idx[k], out=tmp, mode="clip")
+        np.subtract(tmp, np.multiply(lip, nn_dist[k], out=scaled), out=tmp)
+        np.maximum(out, tmp, out=out)
 
 
 def solve_vi(
@@ -251,12 +306,13 @@ def solve_vi(
     lip_hat = 0.0
     sup_diffs = []
     q = pre.reward  # the zero-sweep greedy actions, if we never iterate
+    post_vals, tmp, scaled = np.empty((3,) + pre.node_probs.shape)
     t = 0
     while t < min(t_star, max_iters):
         if pre.closed:
-            post_vals = v[pre.nn_idx[..., 0]]
+            v.take(pre.nn_idx[0], out=post_vals, mode="clip")
         else:
-            post_vals = (v[pre.nn_idx] - lip_hat * pre.nn_dist).max(axis=-1)
+            _mcshane(v, lip_hat, pre.nn_idx, pre.nn_dist, post_vals, tmp, scaled)
         q = pre.reward + model.discount * (pre.node_probs * post_vals).sum(axis=-1)
         v_new = q.max(axis=1)
         sup_diffs.append(float((np.abs(v_new - v) / pre.tilde_w).max()))

@@ -11,6 +11,7 @@ import csv
 import numpy as np
 import pytest
 
+from wpomdp import value_iteration
 from wpomdp.cli import main
 from wpomdp.serialize import load_model, save_model
 from wpomdp.synthetic import pbvi_toy, revealing_toy
@@ -134,6 +135,17 @@ class TestSolveVi:
         bounds = [float(r[2]) for r in crows]
         assert bounds == sorted(bounds, reverse=True)
         assert bounds[-1] <= 0.05
+
+    def test_sample_too_large_for_memory_is_a_one_line_error(
+        self, toy_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(value_iteration, "_physical_memory", lambda: 4096)
+        rc = main(["solve-vi", "--model", str(toy_file), "--out-dir", str(tmp_path), "--depth", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SolverFailure: the VI precompute needs about")
+        assert err.count("\n") == 1 and "MB" in err
+        assert not (tmp_path / "values.csv").exists()
 
     def test_out_dir_env_fallback(self, toy_file, tmp_path, monkeypatch):
         monkeypatch.setenv("WPOMDP_OUT_DIR", str(tmp_path / "artifacts"))

@@ -1,6 +1,8 @@
 """Bellman backups, the certified fixed-point solver, and rollouts."""
 
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from oracles import (
     exact_sample_evaluator,
     finite_horizon_value_bruteforce,
     greedy_selector,
+    mcshane_broadcast,
     mcshane_evaluator,
+    posterior_knn_bruteforce,
+    solve_vi_broadcast,
     table_lip_estimate_dense,
 )
-from wpomdp import sampling
+from wpomdp import sampling, value_iteration
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
 from wpomdp.filtering import POSTERIOR_PRUNE_TOL, bayes_update, expected_reward
+from wpomdp.kalman import KalmanSpec, build_model, reference_spec
 from wpomdp.measures import (
     DISCRETE,
     EXPLICIT_TABLE,
@@ -44,6 +50,10 @@ from wpomdp.value_iteration import (
     NearestAnchorPolicy,
     Selector,
     TabulatedValue,
+    _K_NEIGHBORS,
+    _mcshane,
+    _precompute_bytes,
+    _Precomputed,
     _separated_pairs,
     _table_lip_estimate,
     rollout_estimate,
@@ -353,9 +363,13 @@ class TestExplicitTableSolve:
         assert_allclose(got.value.values, want.value.values, rtol=0, atol=1e-9)
         assert got.selector.actions == want.selector.actions
 
-    def test_zero_likelihood_node_on_a_table_grid(self):
-        # node 1 is only ever emitted from state 0, which action 1 never
-        # reaches: that node has no posterior and must not be queried
+    @staticmethod
+    def zero_node_models():
+        """A model with a zero-likelihood node, discrete and as a table.
+
+        Node 1 is only ever emitted from state 0, which action 1 never
+        reaches: that node has no posterior and must not be queried.
+        """
         trans = np.array([[[0.5, 0.5, 0.0]] * 3, [[0.0, 1.0, 0.0]] * 3])
         obs = np.array([[[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]] * 2)
         disc = PomdpModel(
@@ -372,10 +386,13 @@ class TestExplicitTableSolve:
             disc, state_grid=StateGrid(np.arange(3.0), EXPLICIT_TABLE, 1.0 - np.eye(3))
         )
         tree = reachability_tree(disc, uniform_belief(disc), depth=2)
+        tab_tree = user_sample([make_measure(tab.state_grid, w) for w in tree.weight_matrix()])
+        return (disc, tree), (tab, tab_tree)
+
+    def test_zero_likelihood_node_on_a_table_grid(self):
+        (disc, tree), (tab, tab_tree) = self.zero_node_models()
         want = solve_vi(disc, tree, epsilon=1e-2)
-        got = solve_vi(tab, user_sample(
-            [make_measure(tab.state_grid, w) for w in tree.weight_matrix()]
-        ), epsilon=1e-2)
+        got = solve_vi(tab, tab_tree, epsilon=1e-2)
         assert_allclose(got.value.values, want.value.values, rtol=0, atol=1e-9)
         assert got.selector.actions == want.selector.actions
 
@@ -389,6 +406,179 @@ class TestExplicitTableSolve:
         monkeypatch.setattr(sampling, "w1_lp", no_lp)
         with pytest.raises(SolverFailure, match="280,000 transport solves"):
             solve_vi(tab, s, epsilon=1e-2)
+
+    def test_tree_stops_at_the_lp_budget(self, monkeypatch):
+        _, tab = self.models()
+        mu0 = uniform_belief(tab)
+        calls = []
+        lp = sampling.w1_lp
+
+        def counted(mu, nu):
+            calls.append(1)
+            return lp(mu, nu)
+
+        monkeypatch.setattr(sampling, "w1_lp", counted)
+        full = reachability_tree(tab, mu0, depth=2)
+        need = len(calls)
+        monkeypatch.setattr(sampling, "MAX_TABLE_LP_SOLVES", need)
+        at_budget = reachability_tree(tab, mu0, depth=2)
+        assert at_budget.weight_matrix().tobytes() == full.weight_matrix().tobytes()
+        assert len(calls) == 2 * need  # counting never changes what is solved
+
+        calls.clear()
+        monkeypatch.setattr(sampling, "MAX_TABLE_LP_SOLVES", need - 1)
+        with pytest.raises(SolverFailure, match=f"needs {need:,} transport solves"):
+            reachability_tree(tab, mu0, depth=2)
+        assert len(calls) <= need - 1  # refused before the budget is passed
+
+
+def drift_tree(cap=60):
+    """A small tree on the drift instance (81 states), whose sample is open."""
+    m = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
+    pts = m.state_grid.points
+    mu0 = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+    return m, reachability_tree(m, mu0, depth=2, cap=cap)
+
+
+def k_major(a):
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+class TestSweepKernel:
+    """The K-major McShane kernel against the broadcast formula."""
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([(1, 1, 1), (2, 3, 4), (3, 1, 5), (7, 3, 33)]),
+        st.sampled_from([1, 2, 5, 16, 17]),
+        st.sampled_from([0.0, 0.5, 1.0, 3.25]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_broadcast_formula(self, n, shape, k, lip, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct entries: repeated indices, equal and zero distances,
+        # negative values, and +0.0 next to -0.0
+        v = rng.choice([0.0, -0.0, -1.5, 2.0, 0.25, -0.25], size=n)
+        idx = rng.integers(0, n, size=shape + (k,))
+        dist = rng.choice([0.0, 0.5, 1.0, 2.0], size=shape + (k,))
+        want = mcshane_broadcast(v, lip, idx, dist, closed=False)
+        out, tmp, scaled = np.empty((3,) + shape)
+        _mcshane(v, lip, k_major(idx), k_major(dist), out, tmp, scaled)
+        # Equal floats other than zero have equal bits.  Where +0.0 and
+        # -0.0 tie for the max, numpy's vectorised reduction over the
+        # trailing axis picks one in an order set by the CPU's vector
+        # width, so only the zero's sign may differ.
+        assert (out == want).all()
+
+    @pytest.mark.parametrize("case", ["pbvi_open", "revealing_closed", "drift_open"])
+    def test_solve_has_the_bits_of_the_broadcast_loop(self, case):
+        if case == "drift_open":
+            m, s = drift_tree()
+        else:
+            m = pbvi_toy() if case == "pbvi_open" else revealing_toy()
+            s = reachability_tree(m, uniform_belief(m), depth=2)
+        res = solve_vi(m, s, epsilon=1e-3)
+        values, sup_diffs, lip = solve_vi_broadcast(m, s, 1e-3, _K_NEIGHBORS)
+        assert res.value.values.tobytes() == values.tobytes()
+        assert np.array(res.sup_diffs).tobytes() == np.array(sup_diffs).tobytes()
+        assert np.float64(res.lip_estimate).tobytes() == np.float64(lip).tobytes()
+        assert (lip > 0.0) == (case != "revealing_closed")
+
+
+class TestPrecompute:
+    @staticmethod
+    def case(name):
+        if name == "line":  # 17 states, 33 nodes: six chunks per action
+            m = build_model(reference_spec(1.0))
+            pts = m.state_grid.points
+            mu0 = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+            return m, reachability_tree(m, mu0, depth=2, cap=40)
+        if name == "discrete":  # 400 posteriors per action: two chunks
+            m = random_finite_model(2, n_states=5, n_actions=2, n_obs=4)
+            rng = np.random.default_rng(3)
+            return m, user_sample(
+                [make_measure(m.state_grid, w) for w in rng.dirichlet(np.ones(5), 100)]
+            )
+        if name == "table":
+            _, tab = TestExplicitTableSolve.models()
+            return tab, TestExplicitTableSolve.sample(tab, 6)
+        return TestExplicitTableSolve.zero_node_models()[1]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("name", ["line", "discrete", "table", "table_zero_node"])
+    def test_neighbours_equal_the_full_block_bruteforce(self, name, parallel):
+        m, s = self.case(name)
+        pre = _Precomputed(m, s, parallel)
+        idx, dist = posterior_knn_bruteforce(m, s, _K_NEIGHBORS)
+        assert pre.nn_idx.dtype == np.intp
+        assert pre.nn_idx.shape == (min(_K_NEIGHBORS, s.n), s.n, m.n_actions, m.n_obs)
+        np.testing.assert_array_equal(pre.nn_idx, k_major(idx))
+        assert pre.nn_dist.tobytes() == k_major(dist).tobytes()
+        if name == "table_zero_node":
+            assert (pre.node_probs == 0.0).any()
+
+    def test_more_workers_than_cores_lose_no_write(self):
+        # the workers write disjoint entries of the shared neighbour arrays
+        m, s = self.case("line")
+        want = _Precomputed(m, s, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _Precomputed(m, s, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.nn_idx.tobytes() == want.nn_idx.tobytes()
+        assert got.nn_dist.tobytes() == want.nn_dist.tobytes()
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_transient_memory_stays_below_one_posterior_block(self, parallel):
+        # 16 beliefs x 4,096 nodes x 40 states: one action's (B * J, n)
+        # posterior block is 21 MB, several times what the chunks hold (a
+        # 256-posterior chunk's rows and k-NN gather take about 1.4 MB;
+        # the whole transient peak measured 4.6 MB, and 56 MB when every
+        # posterior is built before the k-NN)
+        m = random_finite_model(5, n_states=40, n_actions=1, n_obs=4096)
+        rng = np.random.default_rng(0)
+        s = user_sample([make_measure(m.state_grid, w) for w in rng.dirichlet(np.ones(40), 16)])
+        s.weight_matrix()
+        block = s.n * m.n_obs * m.n_states * 8
+        tracemalloc.start()
+        try:
+            pre = _Precomputed(m, s, parallel)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pre.nn_dist.nbytes < block
+        assert peak - held < block
+
+
+class TestMemoryCheck:
+    def test_oversized_precompute_fails_before_any_distance(self, monkeypatch):
+        m = pbvi_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=2)
+
+        def no_distances(*args):
+            raise AssertionError("a distance block was computed")
+
+        monkeypatch.setattr(value_iteration, "_physical_memory", lambda: 4096)
+        monkeypatch.setattr(BeliefDistances, "pairwise", no_distances)
+        monkeypatch.setattr(BeliefDistances, "knn", no_distances)
+        with pytest.raises(SolverFailure, match=r"needs about [\d.,]+ MB for [\d,]+ beliefs"):
+            solve_vi(m, s, epsilon=1e-2)
+
+    def test_unknown_memory_is_not_checked(self, monkeypatch):
+        m = pbvi_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=2)
+        monkeypatch.setattr(value_iteration, "_physical_memory", lambda: None)
+        assert solve_vi(m, s, epsilon=1e-2).converged
+
+    def test_estimate_covers_the_arrays_kept(self):
+        m, s = drift_tree()
+        pre = _Precomputed(m, s, 1)
+        B, A, J = pre.node_probs.shape
+        kept = pre.nn_idx.nbytes + pre.nn_dist.nbytes + sum(p.nbytes for p in pre.pairs)
+        assert _precompute_bytes(B, A, J, len(pre.nn_idx)) >= kept + 8 * B * B
 
 
 class TestSolveVi:
