@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations for the test suite.
 
 Nothing in here imports solver internals beyond plain data containers and
-the per-belief building blocks (filter steps, pairwise W1); each oracle
+the per-belief building blocks (filter steps, pairwise W1, including the
+``BeliefDistances.dists`` block); each oracle
 recomputes its target quantity by the most literal method available
 (vertex enumeration, exhaustive recursion, dense matrix algebra, one W1 per
 pair) so that agreement with the package is evidence, not tautology.

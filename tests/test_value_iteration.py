@@ -432,12 +432,17 @@ class TestExplicitTableSolve:
         assert len(calls) <= need - 1  # refused before the budget is passed
 
 
-def drift_tree(cap=60):
+def centred_tree(model, cap):
+    """Depth-2 tree from an N(0, 2^2) belief on a line grid."""
+    pts = model.state_grid.points
+    mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+    return reachability_tree(model, mu0, depth=2, cap=cap)
+
+
+def drift_tree():
     """A small tree on the drift instance (81 states), whose sample is open."""
     m = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
-    pts = m.state_grid.points
-    mu0 = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-    return m, reachability_tree(m, mu0, depth=2, cap=cap)
+    return m, centred_tree(m, 60)
 
 
 def k_major(a):
@@ -491,9 +496,7 @@ class TestPrecompute:
     def case(name):
         if name == "line":  # 17 states, 33 nodes: six chunks per action
             m = build_model(reference_spec(1.0))
-            pts = m.state_grid.points
-            mu0 = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-            return m, reachability_tree(m, mu0, depth=2, cap=40)
+            return m, centred_tree(m, 40)
         if name == "discrete":  # 400 posteriors per action: two chunks
             m = random_finite_model(2, n_states=5, n_actions=2, n_obs=4)
             rng = np.random.default_rng(3)
