@@ -2,9 +2,9 @@
 
 For each toy model: print the certificate, measure the per-sweep
 contraction ratio of value iteration against the certified gamma, and
-track how the function count of the set iteration grows with and
-without pruning.  Useful when changing the backup internals -- the
-ratios should hug gamma and pruning should keep the sets small.
+track how the (pruned) function count of the set iteration grows.
+Useful when changing the backup internals -- the ratios should hug
+gamma and the sets should stay small.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ def study(name, make, *, epsilon, depth):
     print(f"   vi: {vi.iterations} sweeps, bound {vi.error_bound:.3g}, "
           f"ratio max {ratios.max():.4f} mean {ratios.mean():.4f}")
 
-    for prune_sets in (True, False):
-        st = solve_sets(model, sample, epsilon=epsilon, prune_sets=prune_sets)
-        sizes = st.set_sizes
-        label = "pruned" if prune_sets else "unpruned"
-        print(f"   sets ({label}): sizes {sizes[:4]}... final {st.final_set_size}")
+    st = solve_sets(model, sample, epsilon=epsilon)
+    print(f"   sets: sizes {st.set_sizes[:4]}... final {st.final_set_size}")
 
     # on a non-closed sample the two routes generalise differently, so
     # the gap can exceed the iteration bounds; that excess is the

@@ -104,14 +104,13 @@ def cmd_solve_sets(args) -> int:
         algorithm=args.algorithm,
     )
     out = _out_dir(args)
-    sets = res.sets if isinstance(res.sets, tuple) else (res.sets,)
-    serialize.write_alphas_csv(out / "alphas.csv", sets)
+    serialize.write_alphas_csv(out / "alphas.csv", res.sets)
     serialize.write_convergence_csv(
         out / "convergence.csv", res.sup_diffs, _bounds_column(res.constants, res.iterations)
     )
     # winner ids index the flattened union in emitted (alphas.csv) order
     scores = np.hstack(
-        [sample.weight_matrix() @ aset.matrix().T for aset in sets]
+        [sample.weight_matrix() @ aset.values.T for aset in res.sets]
     )  # (B, total_fns)
     winners = scores.argmax(axis=1)
     serialize.write_argmax_trace_csv(out / "argmax_trace.csv", winners, res.chosen_action)

@@ -2,12 +2,15 @@
 
 A convex lower-semicontinuous value function over beliefs is represented
 as the upper envelope of belief integrals of a finite function set,
-``value(mu) = max_f integral f dmu``.  This module provides
+``value(mu) = max_f integral f dmu``.  A set is one (n_fns, n_states)
+matrix on a state grid, so every envelope read is a matrix product.  This
+module provides
 
 * envelope evaluation and pruning,
-* the empirical Fenchel conjugate ``rho`` with its translation /
-  monotonicity structure and the second conjugate (both over finite
-  belief samples, hence lower bounds of the measure-space suprema),
+* the empirical Fenchel conjugate ``rho`` of each row of a function
+  matrix, with its translation / monotonicity structure, and the second
+  conjugate (both over finite belief samples, hence lower bounds of the
+  measure-space suprema),
 * the set-iteration backup: per quadrature node, pick the best member
   function against the unnormalised posterior functional and assemble a
   backed-up alpha-function per (belief, action),
@@ -18,12 +21,12 @@ as the upper envelope of belief integrals of a finite function set,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, SolverFailure
-from .measures import EUCLIDEAN_1D, DiscreteMeasure, LipschitzFn, integrate, lipschitz_constants
+from .errors import DimensionMismatch, EmptySample, SolverFailure
+from .measures import EUCLIDEAN_1D, DiscreteMeasure, StateGrid, lipschitz_constants
 from .model import CertifiedConstants, PomdpModel, certify
 from .sampling import BeliefSample
 from .value_iteration import TabulatedValue
@@ -50,95 +53,98 @@ __all__ = [
 _DUP_TOL = 1e-10
 
 
-@dataclass(eq=False)
 class AlphaSet:
-    """Finite set of Lipschitz functions evaluated as an upper envelope."""
+    """Finite function set on one grid, evaluated as an upper envelope.
 
-    fns: tuple[LipschitzFn, ...]
-    tag: str = "plain"
-    _matrix: np.ndarray | None = field(default=None, repr=False)
+    ``values`` is a read-only, finite (n_fns, n_states) matrix holding
+    one member function per row; the set owns a copy of it.
+    """
 
-    def __post_init__(self):
-        self.fns = tuple(self.fns)
-        if len(self.fns) == 0:
+    __slots__ = ("grid", "values")
+
+    def __init__(self, grid: StateGrid, values):
+        v = np.array(values, dtype=float)
+        if v.ndim != 2 or v.shape[1] != grid.n:
+            raise DimensionMismatch(f"{v.shape} function matrix on a {grid.n}-point grid")
+        if len(v) == 0:
             raise EmptySample("an alpha set needs at least one function")
-        g = self.fns[0].grid
-        for f in self.fns[1:]:
-            if not f.grid.same_points(g):
-                raise EmptySample("alpha-set functions live on different grids")
+        if not np.isfinite(v).all():
+            raise DimensionMismatch("function values must be finite")
+        v.flags.writeable = False
+        self.grid = grid
+        self.values = v
 
     @property
     def n_fns(self) -> int:
-        return len(self.fns)
+        return len(self.values)
 
-    @property
-    def grid(self):
-        return self.fns[0].grid
+    def lip_consts(self) -> np.ndarray:
+        """Grid Lipschitz constant of every member function, one per row."""
+        return lipschitz_constants(self.grid, self.values)
 
     @property
     def max_lip(self) -> float:
-        return max(f.lip_const for f in self.fns)
-
-    def matrix(self) -> np.ndarray:
-        """(n_fns, n_states) stack of the function values (cached)."""
-        if self._matrix is None:
-            self._matrix = np.stack([f.values for f in self.fns])
-        return self._matrix
+        return float(self.lip_consts().max())
 
 
-def zero_alpha_set(model: PomdpModel, tag: str = "plain") -> AlphaSet:
-    return AlphaSet((LipschitzFn(model.state_grid, np.zeros(model.n_states)),), tag)
+def zero_alpha_set(model: PomdpModel) -> AlphaSet:
+    return AlphaSet(model.state_grid, np.zeros((1, model.n_states)))
 
 
 def eval_sup(alpha_set: AlphaSet, mu: DiscreteMeasure) -> tuple[float, int]:
     """Envelope value and winning index at one belief (ties -> lowest)."""
-    vals = alpha_set.matrix() @ mu.weights if alpha_set.grid.same_points(mu.grid) else (
-        np.array([integrate(f, mu) for f in alpha_set.fns])
-    )
+    if not alpha_set.grid.same_points(mu.grid):
+        raise DimensionMismatch("the belief lives on another grid than the alpha set")
+    vals = alpha_set.values @ mu.weights
     i = int(vals.argmax())
     return float(vals[i]), i
 
 
 def eval_sup_table(alpha_set: AlphaSet, sample: BeliefSample) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised envelope over a sample: (values, argmax indices)."""
-    scores = sample.weight_matrix() @ alpha_set.matrix().T  # (B, nf)
+    scores = sample.weight_matrix() @ alpha_set.values.T  # (B, nf)
     return scores.max(axis=1), scores.argmax(axis=1)
 
 
-def conjugate_rho(f: LipschitzFn, value_eval, sample: BeliefSample) -> float:
-    """Empirical conjugate: max over sampled mu of int f dmu - value(mu).
+def conjugate_rho(fns: np.ndarray, values: np.ndarray, sample: BeliefSample) -> np.ndarray:
+    """Empirical conjugate of each row f of ``fns``: the max over sampled
+    mu of int f dmu - value(mu), with ``values`` the value at each
+    sampled belief.
 
     A lower bound of the measure-space supremum; exact whenever the
     supremum is attained inside the sample (e.g. envelopes evaluated on
     their own defining sample).
     """
-    best = -np.inf
-    for mu in sample.beliefs:
-        best = max(best, integrate(f, mu) - value_eval(mu))
-    return float(best)
+    fns, values = np.asarray(fns, dtype=float), np.asarray(values, dtype=float)
+    if fns.ndim != 2 or fns.shape[1] != sample.grid.n or values.shape != (sample.n,):
+        raise DimensionMismatch(
+            f"{fns.shape} function matrix and {values.shape} values against "
+            f"{sample.n} beliefs on {sample.grid.n} states"
+        )
+    return (sample.weight_matrix() @ fns.T - values[:, None]).max(axis=0)
 
 
 def second_conjugate(
     mu: DiscreteMeasure,
-    candidate_fns,
-    value_eval,
+    fns: np.ndarray,
+    values: np.ndarray,
     sample: BeliefSample,
 ) -> float:
-    """max over candidates of int f dmu - rho(f), the biconjugate at mu."""
-    candidate_fns = tuple(candidate_fns)
-    if len(candidate_fns) == 0:
+    """max over the rows f of ``fns`` of int f dmu - rho(f), the
+    biconjugate at mu."""
+    if len(fns) == 0:
         raise EmptySample("second conjugate needs candidate functions")
-    return max(
-        integrate(f, mu) - conjugate_rho(f, value_eval, sample) for f in candidate_fns
-    )
+    rho = conjugate_rho(fns, values, sample)
+    return float((np.asarray(fns, dtype=float) @ mu.weights - rho).max())
 
 
-def normalize_null_level(f: LipschitzFn, value_eval, sample: BeliefSample) -> LipschitzFn:
-    """Shift ``f`` down by its conjugate so the shifted conjugate is zero."""
-    rho = conjugate_rho(f, value_eval, sample)
-    if not np.isfinite(rho):
+def normalize_null_level(fns: np.ndarray, values: np.ndarray, sample: BeliefSample) -> np.ndarray:
+    """Shift each row of ``fns`` down by its conjugate, so its shifted
+    conjugate is zero."""
+    rho = conjugate_rho(fns, values, sample)
+    if not np.isfinite(rho).all():
         raise SolverFailure("conjugate is not finite over the sample")
-    return LipschitzFn(f.grid, f.values - rho)
+    return np.asarray(fns, dtype=float) - rho[:, None]
 
 
 # --------------------------------------------------------------------------
@@ -151,15 +157,12 @@ class SetBackupResult:
 
     ``backed`` holds g_{mu,a} for every sampled belief and action;
     ``backed_matrix`` the per-belief row for the winning action (aligned
-    with the sample, before duplicate merging); ``node_winners[a, b, j]``
-    the member-function index chosen at each quadrature node.
+    with the sample, before duplicate merging).
     """
 
     new_set: AlphaSet
     table: TabulatedValue
-    action_values: np.ndarray  # (B, A)
     chosen_action: np.ndarray  # (B,)
-    node_winners: np.ndarray  # (A, B, J)
     backed: np.ndarray  # (A, B, n)
 
     @property
@@ -171,9 +174,7 @@ class SetBackupResult:
 class QSetBackupResult:
     new_sets: tuple[AlphaSet, ...]
     table: TabulatedValue
-    action_values: np.ndarray
     chosen_action: np.ndarray
-    node_winners: np.ndarray  # indices into the concatenated union
     backed: np.ndarray
 
 
@@ -196,14 +197,10 @@ def _merge_duplicate_rows(rows: np.ndarray) -> np.ndarray:
     return cand[keep]
 
 
-def _rows_to_set(grid, rows: np.ndarray, tag: str) -> AlphaSet:
-    return AlphaSet(tuple(LipschitzFn(grid, row) for row in rows), tag)
-
-
 def _backup_against(model: PomdpModel, fn_matrix: np.ndarray, sample: BeliefSample):
     """Core backup of every (belief, action) against a fixed function stack.
 
-    Returns (action_values (B,A), node_winners (A,B,J), backed (A,B,n)).
+    Returns (action_values (B,A), backed (A,B,n)).
     The per-node argmax uses the unnormalised posterior functional
     sum_x' f(x') pred(x') q(y_j|x',a): positive scalars commute with sup,
     so normalising by the node likelihood is unnecessary, and nodes with
@@ -216,24 +213,20 @@ def _backup_against(model: PomdpModel, fn_matrix: np.ndarray, sample: BeliefSamp
     phi = model.obs_quadrature.weights
 
     action_values = np.empty((B, A))
-    node_winners = np.empty((A, B, J), dtype=np.int32)
     backed = np.empty((A, B, n))
     for a in range(A):
         pred = W @ model.trans[a]  # (B, n)
         q = model.obs_density[a]  # (n, J)
-        win = np.empty((B, J), dtype=np.int64)
         contrib = np.zeros((B, n))
         for j in range(J):
             scores = (pred * q[:, j][None, :]) @ fn_matrix.T  # (B, nf)
-            win[:, j] = scores.argmax(axis=1)
             # C[f, x] = sum_x' f(x') p(x'|x,a) phi_j q(y_j|x',a)
             c = fn_matrix @ (model.trans[a] * (phi[j] * q[:, j])[None, :]).T
-            contrib += c[win[:, j]]
+            contrib += c[scores.argmax(axis=1)]
         g = model.reward[a][None, :] + model.discount * contrib  # (B, n)
-        node_winners[a] = win
         backed[a] = g
         action_values[:, a] = (g * W).sum(axis=1)
-    return action_values, node_winners, backed
+    return action_values, backed
 
 
 def set_backup(model: PomdpModel, alpha_set: AlphaSet, sample: BeliefSample) -> SetBackupResult:
@@ -243,18 +236,13 @@ def set_backup(model: PomdpModel, alpha_set: AlphaSet, sample: BeliefSample) -> 
     against mu = max_a of the one-action backup of the envelope.
     """
     certify(model)
-    action_values, node_winners, backed = _backup_against(
-        model, alpha_set.matrix(), sample
-    )
+    action_values, backed = _backup_against(model, alpha_set.values, sample)
     chosen = action_values.argmax(axis=1)
     rows = backed[chosen, np.arange(sample.n)]
-    new_set = _rows_to_set(model.state_grid, _merge_duplicate_rows(rows), "plain")
     return SetBackupResult(
-        new_set=new_set,
+        new_set=AlphaSet(model.state_grid, _merge_duplicate_rows(rows)),
         table=TabulatedValue(sample, action_values.max(axis=1)),
-        action_values=action_values,
         chosen_action=chosen,
-        node_winners=node_winners,
         backed=backed,
     )
 
@@ -270,20 +258,16 @@ def q_set_backup(model: PomdpModel, qsets, sample: BeliefSample) -> QSetBackupRe
     qsets = tuple(qsets)
     if len(qsets) != model.n_actions:
         raise SolverFailure("need one alpha set per action")
-    union = np.vstack([s.matrix() for s in qsets])
-    action_values, node_winners, backed = _backup_against(model, union, sample)
+    union = np.vstack([s.values for s in qsets])
+    action_values, backed = _backup_against(model, union, sample)
     new_sets = tuple(
-        _rows_to_set(
-            model.state_grid, _merge_duplicate_rows(backed[a]), f"action:{a}"
-        )
+        AlphaSet(model.state_grid, _merge_duplicate_rows(backed[a]))
         for a in range(model.n_actions)
     )
     return QSetBackupResult(
         new_sets=new_sets,
         table=TabulatedValue(sample, action_values.max(axis=1)),
-        action_values=action_values,
         chosen_action=action_values.argmax(axis=1),
-        node_winners=node_winners,
         backed=backed,
     )
 
@@ -296,7 +280,7 @@ def prune(alpha_set: AlphaSet, sample: BeliefSample) -> AlphaSet:
     """
     _, winners = eval_sup_table(alpha_set, sample)
     keep = np.unique(winners)
-    return AlphaSet(tuple(alpha_set.fns[int(i)] for i in keep), alpha_set.tag)
+    return AlphaSet(alpha_set.grid, alpha_set.values[keep])
 
 
 # --------------------------------------------------------------------------
@@ -356,9 +340,12 @@ def lip_growth_constants(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class SetSolveResult:
-    """Set iteration (plain or per-action), converged unless cut short."""
+    """Set iteration (plain or per-action), converged unless cut short.
 
-    sets: AlphaSet | tuple[AlphaSet, ...]
+    ``sets`` holds one set for ``alg1`` and one per action for ``alg2``.
+    """
+
+    sets: tuple[AlphaSet, ...]
     table: TabulatedValue
     iterations: int
     error_bound: float
@@ -372,8 +359,7 @@ class SetSolveResult:
 
     @property
     def final_set_size(self) -> int:
-        s = self.sets
-        return s.n_fns if isinstance(s, AlphaSet) else sum(x.n_fns for x in s)
+        return sum(s.n_fns for s in self.sets)
 
 
 def solve_sets(
@@ -383,7 +369,6 @@ def solve_sets(
     max_iters: int = 1000,
     algorithm: str = "alg1",
     *,
-    prune_sets: bool = True,
     track_lip_growth: bool = False,
 ) -> SetSolveResult:
     """Iterate the set backup until the a-priori bound certifies epsilon.
@@ -412,10 +397,7 @@ def solve_sets(
     set_sizes: list[int] = []
     lip_growth: list[tuple[float, float]] = []
 
-    if algorithm == "alg1":
-        sets = (zero_alpha_set(model),)
-    else:
-        sets = tuple(zero_alpha_set(model, f"action:{a}") for a in range(model.n_actions))
+    sets = (zero_alpha_set(model),) * (1 if algorithm == "alg1" else model.n_actions)
     for _ in range(t):
         if algorithm == "alg1":
             result = set_backup(model, sets[0], sample)
@@ -424,15 +406,15 @@ def solve_sets(
             result = q_set_backup(model, sets, sample)
             new_sets = result.new_sets
         if track_lip_growth:
-            union = AlphaSet(tuple(f for s in sets for f in s.fns), "plain")
+            union = np.vstack([s.values for s in sets])
             lip_growth.append(_measure_growth(model, union, result, growth_consts))
-        sets = tuple(prune(s, sample) if prune_sets else s for s in new_sets)
+        sets = tuple(prune(s, sample) for s in new_sets)
         sup_diffs.append(float((np.abs(result.table.values - table.values) / tilde_w).max()))
         table, chosen = result.table, result.chosen_action
         set_sizes.append(sum(s.n_fns for s in sets))
 
     return SetSolveResult(
-        sets=sets[0] if algorithm == "alg1" else sets,
+        sets=sets,
         table=table,
         iterations=t,
         error_bound=constants.apriori_bound(t),
@@ -446,10 +428,9 @@ def solve_sets(
     )
 
 
-def _measure_growth(model, current_set, result, growth_consts):
+def _measure_growth(model, fmat, result, growth_consts):
     """(measured max lip of backed fns, certified growth bound)."""
     c1, c0 = growth_consts
-    fmat = current_set.matrix()
     anchor = _anchor_index(model)
     spread = float(fmat[:, anchor].max() - fmat[:, anchor].min())
     l_set = float(lipschitz_constants(model.state_grid, fmat).max())

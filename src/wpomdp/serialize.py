@@ -129,9 +129,9 @@ def write_alphas_csv(path, alpha_sets) -> None:
     rows = []
     fid = 0
     for aset in alpha_sets:
-        for f in aset.fns:
-            for x, v in zip(f.grid.points, f.values):
-                rows.append((fid, _fmt(x), _fmt(v), _fmt(f.lip_const)))
+        for values, lip in zip(aset.values, aset.lip_consts()):
+            for x, v in zip(aset.grid.points, values):
+                rows.append((fid, _fmt(x), _fmt(v), _fmt(lip)))
             fid += 1
     _write_rows(path, ("fn_id", "grid_point", "value", "lip_const"), rows)
 

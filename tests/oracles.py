@@ -14,9 +14,9 @@ import itertools
 
 import numpy as np
 
-from wpomdp.errors import NonFiniteValue, SolverFailure
+from wpomdp.errors import EmptySample, NonFiniteValue, SolverFailure
 from wpomdp.filtering import bayes_update, expected_reward, obs_marginal
-from wpomdp.measures import w1
+from wpomdp.measures import LipschitzFn, integrate, w1
 from wpomdp.model import certify
 from wpomdp.sampling import BeliefDistances
 from wpomdp.value_iteration import Selector, TabulatedValue
@@ -391,3 +391,33 @@ def greedy_selector(model, value, value_eval):
         for mu in value.sample.beliefs
     ]
     return Selector(value.sample, tuple(acts))
+
+
+# --------------------------------------------------------------------------
+# per-belief Fenchel conjugates of single functions
+# --------------------------------------------------------------------------
+
+def conjugate_rho_loop(f, value_eval, sample):
+    """Empirical conjugate: max over sampled mu of int f dmu - value(mu)."""
+    best = -np.inf
+    for mu in sample.beliefs:
+        best = max(best, integrate(f, mu) - value_eval(mu))
+    return float(best)
+
+
+def second_conjugate_loop(mu, candidate_fns, value_eval, sample):
+    """max over candidates of int f dmu - rho(f), the biconjugate at mu."""
+    candidate_fns = tuple(candidate_fns)
+    if len(candidate_fns) == 0:
+        raise EmptySample("second conjugate needs candidate functions")
+    return max(
+        integrate(f, mu) - conjugate_rho_loop(f, value_eval, sample) for f in candidate_fns
+    )
+
+
+def normalize_null_level_loop(f, value_eval, sample):
+    """Shift ``f`` down by its conjugate so the shifted conjugate is zero."""
+    rho = conjugate_rho_loop(f, value_eval, sample)
+    if not np.isfinite(rho):
+        raise SolverFailure("conjugate is not finite over the sample")
+    return LipschitzFn(f.grid, f.values - rho)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import bellman_backup_point, classical_pbvi_backup, merge_duplicate_rows_greedy
+from oracles import (
+    bellman_backup_point,
+    classical_pbvi_backup,
+    conjugate_rho_loop,
+    merge_duplicate_rows_greedy,
+    normalize_null_level_loop,
+    second_conjugate_loop,
+)
 from wpomdp.conjugate import (
     _DUP_TOL,
     AlphaSet,
@@ -25,9 +32,17 @@ from wpomdp.conjugate import (
     solve_sets,
     zero_alpha_set,
 )
-from wpomdp.errors import EmptySample
+from wpomdp.errors import DimensionMismatch, EmptySample, SolverFailure
 from wpomdp.filtering import expected_reward
-from wpomdp.measures import LipschitzFn, make_measure, w1
+from wpomdp.measures import (
+    DISCRETE,
+    EUCLIDEAN_1D,
+    EXPLICIT_TABLE,
+    LipschitzFn,
+    StateGrid,
+    make_measure,
+    w1,
+)
 from wpomdp.model import certify
 from wpomdp.sampling import reachability_tree, user_sample
 from wpomdp.synthetic import (
@@ -48,59 +63,111 @@ def toy_sample(model, ps=(1.0, 0.75, 0.5, 0.25, 0.0)):
     return user_sample([belief(model, p) for p in ps])
 
 
-def fn(model, values):
-    return LipschitzFn(model.state_grid, values)
+def fns(model, *rows):
+    return np.array(rows, dtype=float).reshape(-1, model.n_states)
+
+
+def aset(model, *rows):
+    return AlphaSet(model.state_grid, fns(model, *rows))
 
 
 def random_envelope(model, n_fns, seed):
     rng = np.random.default_rng(seed)
-    return AlphaSet(tuple(fn(model, rng.uniform(-2, 2, model.n_states)) for _ in range(n_fns)))
+    return AlphaSet(model.state_grid, rng.uniform(-2, 2, (n_fns, model.n_states)))
+
+
+def envelope_values(env, samp):
+    return eval_sup_table(env, samp)[0]
+
+
+@st.composite
+def grids(draw):
+    """A 1-D, discrete or explicit-table grid of 1 to 6 points."""
+    kind = draw(st.sampled_from((EUCLIDEAN_1D, DISCRETE, EXPLICIT_TABLE)))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == EUCLIDEAN_1D:
+        return StateGrid(np.cumsum(rng.uniform(0.1, 2.0, n)))
+    if kind == DISCRETE:
+        return StateGrid(np.arange(float(n)), metric_kind=DISCRETE)
+    # Euclidean distances between distinct planar points form a metric
+    xy = rng.uniform(-1.0, 1.0, (n, 2))
+    table = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+    return StateGrid(np.arange(float(n)), metric_kind=EXPLICIT_TABLE, distance_table=table)
 
 
 class TestAlphaSet:
     def test_needs_at_least_one_fn(self):
+        m = pbvi_toy()
         with pytest.raises(EmptySample):
-            AlphaSet(())
+            AlphaSet(m.state_grid, np.empty((0, 2)))
+
+    @pytest.mark.parametrize("values", [[[0.0, 1.0, 2.0]], [0.0, 1.0], [[[0.0, 1.0]]]])
+    def test_rejects_a_wrong_shape(self, values):
+        with pytest.raises(DimensionMismatch):
+            AlphaSet(pbvi_toy().state_grid, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DimensionMismatch):
+            AlphaSet(pbvi_toy().state_grid, [[0.0, 1.0], [bad, 0.0]])
+
+    def test_values_are_a_read_only_copy(self):
+        m = pbvi_toy()
+        rows = np.array([[0.0, 1.0], [2.0, -1.0]])
+        s = AlphaSet(m.state_grid, rows)
+        rows[0, 0] = 5.0
+        np.testing.assert_array_equal(s.values, [[0, 1], [2, -1]])
+        with pytest.raises(ValueError):
+            s.values[0, 0] = 5.0
 
     def test_matrix_and_max_lip(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [0.0, 1.0]), fn(m, [2.0, -1.0])))
-        np.testing.assert_array_equal(s.matrix(), [[0, 1], [2, -1]])
+        s = aset(m, [0.0, 1.0], [2.0, -1.0])
+        np.testing.assert_array_equal(s.values, [[0, 1], [2, -1]])
+        assert s.n_fns == 2
         assert s.max_lip == 3.0  # discrete metric: max - min
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(grids(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_lip_consts_have_the_bits_of_lipschitz_fn(self, grid, n_fns, seed):
+        rows = np.random.default_rng(seed).uniform(-3.0, 3.0, (n_fns, grid.n))
+        got = AlphaSet(grid, rows).lip_consts()
+        want = np.array([LipschitzFn(grid, row).lip_const for row in rows])
+        assert_same_bits(got, want)
 
     def test_zero_set(self):
         m = pbvi_toy()
-        z = zero_alpha_set(m, tag="per_action(0)")
+        z = zero_alpha_set(m)
         assert z.n_fns == 1
-        assert z.tag == "per_action(0)"
-        np.testing.assert_array_equal(z.matrix(), [[0.0, 0.0]])
+        np.testing.assert_array_equal(z.values, [[0.0, 0.0]])
 
 
 class TestEvalSup:
     def test_singleton_is_plain_integral(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [1.0, -1.0]),))
+        s = aset(m, [1.0, -1.0])
         v, i = eval_sup(s, belief(m, 0.25))
         assert_allclose(v, 0.25 - 0.75, atol=1e-15)
         assert i == 0
 
     def test_translation_always_wins(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [1.0, -1.0]), fn(m, [2.0, 0.0])))
+        s = aset(m, [1.0, -1.0], [2.0, 0.0])
         for p in (0.0, 0.3, 1.0):
             v, i = eval_sup(s, belief(m, p))
             assert i == 1
 
     def test_ties_go_to_lowest_index(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [0.5, 0.5]), fn(m, [0.5, 0.5])))
+        s = aset(m, [0.5, 0.5], [0.5, 0.5])
         assert eval_sup(s, belief(m, 0.4))[1] == 0
 
     def test_crossing_linear_envelope(self):
         # int f1 dmu = p and int f2 dmu = 2(1-p) cross at p = 2/3: the
         # envelope is the piecewise-linear max with a kink right there
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [1.0, 0.0]), fn(m, [0.0, 2.0])))
+        s = aset(m, [1.0, 0.0], [0.0, 2.0])
         for p in (0.9, 0.75):
             v, i = eval_sup(s, belief(m, p))
             assert i == 0 and np.isclose(v, p)
@@ -109,6 +176,12 @@ class TestEvalSup:
             assert i == 1 and np.isclose(v, 2 * (1 - p))
         v, _ = eval_sup(s, belief(m, 2.0 / 3.0))
         assert_allclose(v, 2.0 / 3.0, atol=1e-12)
+
+    def test_belief_on_another_grid_rejected(self):
+        m = pbvi_toy()
+        other = StateGrid(np.arange(2.0) + 1.0, metric_kind=DISCRETE)
+        with pytest.raises(DimensionMismatch):
+            eval_sup(aset(m, [1.0, 0.0]), make_measure(other, [0.5, 0.5]))
 
     def test_table_form_matches_loop(self):
         m = pbvi_toy()
@@ -125,74 +198,76 @@ class TestConjugateRho:
     def test_zero_fn_against_nonnegative_value(self):
         m = pbvi_toy()
         samp = toy_sample(m)
-        vals = {1.0: 0.3, 0.75: 0.1, 0.5: 0.0, 0.25: 0.2, 0.0: 0.5}
-        ev = lambda mu: vals[round(float(mu.weights[0]), 2)]
-        assert conjugate_rho(fn(m, [0.0, 0.0]), ev, samp) == 0.0
+        vals = [0.3, 0.1, 0.0, 0.2, 0.5]  # at p = 1, 0.75, 0.5, 0.25, 0
+        np.testing.assert_array_equal(conjugate_rho(fns(m, [0.0, 0.0]), vals, samp), [0.0])
 
     def test_translation_shifts_exactly(self):
         m = pbvi_toy()
         samp = toy_sample(m)
-        env = random_envelope(m, 3, seed=1)
-        ev = lambda mu: eval_sup(env, mu)[0]
-        f = fn(m, [0.4, -0.7])
-        base = conjugate_rho(f, ev, samp)
+        vals = envelope_values(random_envelope(m, 3, seed=1), samp)
+        f = fns(m, [0.4, -0.7])
+        base = conjugate_rho(f, vals, samp)
         for c in (-2.0, 0.5, 3.25):
-            shifted = conjugate_rho(fn(m, f.values + c), ev, samp)
+            shifted = conjugate_rho(f + c, vals, samp)
             assert_allclose(shifted, base + c, atol=1e-12)
 
     def test_envelope_member_never_positive(self):
         m = pbvi_toy()
         samp = toy_sample(m)
         env = random_envelope(m, 4, seed=2)
-        ev = lambda mu: eval_sup(env, mu)[0]
-        for f in env.fns:
-            assert conjugate_rho(f, ev, samp) <= 1e-12
+        assert (conjugate_rho(env.values, envelope_values(env, samp), samp) <= 1e-12).all()
 
     def test_monotone_in_the_function(self):
         m = pbvi_toy()
         samp = toy_sample(m)
-        env = random_envelope(m, 3, seed=3)
-        ev = lambda mu: eval_sup(env, mu)[0]
+        vals = envelope_values(random_envelope(m, 3, seed=3), samp)
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            f = rng.uniform(-2, 2, 2)
-            g = f + rng.uniform(0, 1, 2)
-            assert conjugate_rho(fn(m, f), ev, samp) <= conjugate_rho(fn(m, g), ev, samp) + 1e-12
+        f = rng.uniform(-2, 2, (25, 2))
+        g = f + rng.uniform(0, 1, (25, 2))
+        assert (conjugate_rho(f, vals, samp) <= conjugate_rho(g, vals, samp) + 1e-12).all()
+
+    @pytest.mark.parametrize(
+        "shape_f, shape_v", [((2,), (5,)), ((1, 3), (5,)), ((1, 2), (1,)), ((1, 2), (5, 1))]
+    )
+    def test_shapes_checked(self, shape_f, shape_v):
+        m = pbvi_toy()
+        with pytest.raises(DimensionMismatch):
+            conjugate_rho(np.zeros(shape_f), np.zeros(shape_v), toy_sample(m))
 
 
 class TestSecondConjugate:
     def test_linear_self_duality(self):
         m = pbvi_toy()
         samp = toy_sample(m)
-        f = fn(m, [0.8, -0.4])
-        ev = lambda mu: float(np.dot(f.values, mu.weights))
+        f = fns(m, [0.8, -0.4])
+        vals = samp.weight_matrix() @ f[0]
         for p in (1.0, 0.5, 0.0):
-            got = second_conjugate(belief(m, p), (f,), ev, samp)
-            assert_allclose(got, ev(belief(m, p)), atol=1e-12)
+            got = second_conjugate(belief(m, p), f, vals, samp)
+            assert_allclose(got, f[0] @ belief(m, p).weights, atol=1e-12)
 
     def test_weak_duality_on_sample(self):
         m = pbvi_toy()
         samp = toy_sample(m)
         env = random_envelope(m, 5, seed=5)
-        ev = lambda mu: eval_sup(env, mu)[0]
-        cands = random_envelope(m, 7, seed=6).fns
-        for mu in samp.beliefs:
-            assert second_conjugate(mu, cands, ev, samp) <= ev(mu) + 1e-9
+        vals = envelope_values(env, samp)
+        cands = random_envelope(m, 7, seed=6).values
+        for b, mu in enumerate(samp.beliefs):
+            assert second_conjugate(mu, cands, vals, samp) <= vals[b] + 1e-9
 
     def test_envelope_self_duality(self):
         m = pbvi_toy()
         samp = toy_sample(m)
         env = random_envelope(m, 3, seed=7)
-        ev = lambda mu: eval_sup(env, mu)[0]
-        for mu in samp.beliefs:
-            got = second_conjugate(mu, env.fns, ev, samp)
-            assert_allclose(got, ev(mu), atol=1e-9)
+        vals = envelope_values(env, samp)
+        for b, mu in enumerate(samp.beliefs):
+            got = second_conjugate(mu, env.values, vals, samp)
+            assert_allclose(got, vals[b], atol=1e-9)
 
     def test_empty_candidates_rejected(self):
         m = pbvi_toy()
         samp = toy_sample(m)
         with pytest.raises(EmptySample):
-            second_conjugate(belief(m, 0.5), (), lambda mu: 0.0, samp)
+            second_conjugate(belief(m, 0.5), np.empty((0, 2)), np.zeros(5), samp)
 
 
 class TestNormalizeNullLevel:
@@ -200,37 +275,65 @@ class TestNormalizeNullLevel:
         m = pbvi_toy()
         samp = toy_sample(m)
         env = random_envelope(m, 3, seed=8)
-        ev = lambda mu: eval_sup(env, mu)[0]
-        f = env.fns[0]
-        rho = conjugate_rho(f, ev, samp)
-        g = normalize_null_level(f, ev, samp)
-        np.testing.assert_allclose(g.values, f.values - rho, atol=1e-15)
-        h = normalize_null_level(g, ev, samp)
-        np.testing.assert_array_equal(h.values, g.values)
+        vals = envelope_values(env, samp)
+        f = env.values[:1]
+        rho = conjugate_rho(f, vals, samp)
+        g = normalize_null_level(f, vals, samp)
+        np.testing.assert_allclose(g, f - rho[:, None], atol=1e-15)
+        h = normalize_null_level(g, vals, samp)
+        np.testing.assert_array_equal(h, g)
 
     def test_translation_comes_back(self):
         m = pbvi_toy()
         samp = toy_sample(m)
         env = random_envelope(m, 3, seed=9)
-        ev = lambda mu: eval_sup(env, mu)[0]
-        base = normalize_null_level(env.fns[1], ev, samp)
-        lifted = fn(m, base.values + 5.0)
-        back = normalize_null_level(lifted, ev, samp)
-        assert_allclose(back.values, base.values, atol=1e-12)
+        vals = envelope_values(env, samp)
+        base = normalize_null_level(env.values[1:2], vals, samp)
+        back = normalize_null_level(base + 5.0, vals, samp)
+        assert_allclose(back, base, atol=1e-12)
 
     def test_shifted_fn_touches_envelope_from_below(self):
         m = pbvi_toy()
         samp = toy_sample(m)
-        env = random_envelope(m, 4, seed=10)
-        ev = lambda mu: eval_sup(env, mu)[0]
+        vals = envelope_values(random_envelope(m, 4, seed=10), samp)
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            f = fn(m, rng.uniform(-3, 3, 2))
-            g = normalize_null_level(f, ev, samp)
-            assert abs(conjugate_rho(g, ev, samp)) <= 1e-12
-            gaps = [ev(mu) - float(np.dot(g.values, mu.weights)) for mu in samp.beliefs]
-            assert min(gaps) >= -1e-12  # below everywhere on the sample
-            assert min(gaps) <= 1e-12  # and touching at the argmax
+        g = normalize_null_level(rng.uniform(-3, 3, (10, 2)), vals, samp)
+        assert (np.abs(conjugate_rho(g, vals, samp)) <= 1e-12).all()
+        gaps = vals[:, None] - samp.weight_matrix() @ g.T  # (B, 10)
+        assert (gaps.min(axis=0) >= -1e-12).all()  # below everywhere on the sample
+        assert (gaps.min(axis=0) <= 1e-12).all()  # and touching at the argmax
+
+    def test_non_finite_value_rejected(self):
+        m = pbvi_toy()
+        with pytest.raises(SolverFailure):
+            normalize_null_level(fns(m, [0.0, 0.0]), np.full(5, -np.inf), toy_sample(m))
+
+
+class TestConjugatesEqualThePerBeliefLoops:
+    """The matrix conjugates against the per-belief loops of ``oracles``."""
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(grids(), st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_equal_within_roundoff(self, grid, n_fns, n_beliefs, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.uniform(-3.0, 3.0, (n_fns, grid.n))
+        weights = rng.dirichlet(np.ones(grid.n), size=n_beliefs)
+        weights *= rng.uniform(size=weights.shape) < 0.7  # sparse supports too
+        weights[:, 0] += 1e-3
+        samp = user_sample([make_measure(grid, w) for w in weights])
+        vals = rng.uniform(-3.0, 3.0, samp.n)
+        by_belief = {id(mu): v for mu, v in zip(samp.beliefs, vals)}
+        value_eval = lambda mu: by_belief[id(mu)]
+        loop_fns = [LipschitzFn(grid, row) for row in F]
+
+        want = [conjugate_rho_loop(f, value_eval, samp) for f in loop_fns]
+        assert_allclose(conjugate_rho(F, vals, samp), want, rtol=0, atol=1e-12)
+        for mu in samp.beliefs:
+            got = second_conjugate(mu, F, vals, samp)
+            want = second_conjugate_loop(mu, loop_fns, value_eval, samp)
+            assert abs(got - want) <= 1e-12
+        want = np.array([normalize_null_level_loop(f, value_eval, samp).values for f in loop_fns])
+        assert_allclose(normalize_null_level(F, vals, samp), want, rtol=0, atol=1e-12)
 
 
 class TestSetBackup:
@@ -295,17 +398,15 @@ class TestQSetBackup:
         )
         samp = toy_sample(one)
         plain = set_backup(one, zero_alpha_set(one), samp)
-        per = q_set_backup(one, (zero_alpha_set(one, tag="per_action(0)"),), samp)
+        per = q_set_backup(one, (zero_alpha_set(one),), samp)
         np.testing.assert_array_equal(plain.table.values, per.table.values)
-        np.testing.assert_array_equal(plain.new_set.matrix(), per.new_sets[0].matrix())
+        np.testing.assert_array_equal(plain.new_set.values, per.new_sets[0].values)
 
     def test_agrees_with_plain_backup_for_three_sweeps(self):
         m = pbvi_toy()
         samp = toy_sample(m)
         cur1 = zero_alpha_set(m)
-        cur2 = tuple(
-            zero_alpha_set(m, tag=f"per_action({a})") for a in range(m.n_actions)
-        )
+        cur2 = (zero_alpha_set(m),) * m.n_actions
         for _ in range(3):
             r1 = set_backup(m, cur1, samp)
             r2 = q_set_backup(m, cur2, samp)
@@ -323,7 +424,7 @@ class TestQSetBackup:
             reward=worse,
         )
         samp = toy_sample(dom)
-        cur = tuple(zero_alpha_set(dom, tag=f"per_action({a})") for a in range(2))
+        cur = (zero_alpha_set(dom),) * 2
         for _ in range(3):
             res = q_set_backup(dom, cur, samp)
             assert set(res.chosen_action) == {0}
@@ -384,21 +485,21 @@ class TestMergeDuplicateRows:
         for _ in range(4):
             res = set_backup(m, cur, samp)
             want = merge_duplicate_rows_greedy(res.backed_matrix, _DUP_TOL)
-            assert_same_bits(res.new_set.matrix(), want)
+            assert_same_bits(res.new_set.values, want)
             cur = res.new_set
 
 
 class TestPrune:
     def test_translated_copy_dropped(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [1.0, 1.0]), fn(m, [0.0, 0.0])))
+        s = aset(m, [1.0, 1.0], [0.0, 0.0])
         kept = prune(s, toy_sample(m))
         assert kept.n_fns == 1
-        np.testing.assert_array_equal(kept.matrix(), [[1.0, 1.0]])
+        np.testing.assert_array_equal(kept.values, [[1.0, 1.0]])
 
     def test_everything_useful_is_kept(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [1.0, 0.0]), fn(m, [0.0, 2.0])))
+        s = aset(m, [1.0, 0.0], [0.0, 2.0])
         kept = prune(s, toy_sample(m))
         assert kept.n_fns == 2
 
@@ -416,7 +517,7 @@ class TestPrune:
 
     def test_never_empties(self):
         m = pbvi_toy()
-        s = AlphaSet((fn(m, [0.0, 0.0]),))
+        s = aset(m, [0.0, 0.0])
         assert prune(s, toy_sample(m)).n_fns == 1
 
 
@@ -426,7 +527,8 @@ class TestSolveSets:
         res = solve_sets(m, toy_sample(m), epsilon=1e-3)
         assert res.iterations == 1
         assert res.final_set_size == 1
-        np.testing.assert_array_equal(res.sets.matrix(), [[0.0, 0.0]])
+        assert len(res.sets) == 1
+        np.testing.assert_array_equal(res.sets[0].values, [[0.0, 0.0]])
         np.testing.assert_array_equal(res.table.values, np.zeros(5))
 
     def test_termination_iteration_formula(self):
@@ -526,11 +628,10 @@ class TestEnvelopeProperties:
         s = reachability_tree(m, uniform_belief(m), depth=1)
         vi = solve_vi(m, s, epsilon=1e-3)
         st = solve_sets(m, s, epsilon=1e-3)
-        sets = st.sets if isinstance(st.sets, tuple) else (st.sets,)
-        for aset in sets:
-            for f in aset.fns:
+        for fn_set in st.sets:
+            for f in fn_set.values:
                 for b, mu in enumerate(s.beliefs):
-                    lhs = float(np.dot(f.values, mu.weights)) - st.error_bound
+                    lhs = float(np.dot(f, mu.weights)) - st.error_bound
                     assert lhs <= vi.value.values[b] + vi.error_bound + 1e-12
 
 

@@ -10,7 +10,6 @@ from wpomdp.errors import ModelValidationError
 from wpomdp.kalman import KalmanSpec, build_model
 from wpomdp.measures import (
     EXPLICIT_TABLE,
-    LipschitzFn,
     StateGrid,
     WeightFunction,
     make_measure,
@@ -134,8 +133,8 @@ class TestCsvWriters:
 
     def test_alphas_flatten_sets_in_order(self, tmp_path):
         m = pbvi_toy()
-        s1 = AlphaSet((LipschitzFn(m.state_grid, [1.0, 0.0]),))
-        s2 = AlphaSet((LipschitzFn(m.state_grid, [0.0, 2.0]), LipschitzFn(m.state_grid, [3.0, 3.0])))
+        s1 = AlphaSet(m.state_grid, [[1.0, 0.0]])
+        s2 = AlphaSet(m.state_grid, [[0.0, 2.0], [3.0, 3.0]])
         p = tmp_path / "a.csv"
         write_alphas_csv(p, [s1, s2])
         rows = read_csv(p)
