@@ -34,11 +34,14 @@ DEDUP_W1_TOL = 1e-6
 # query rows per step are as many as fit, and at least one
 _L1_BLOCK_BYTES = 4 << 20
 
-# contiguous column blocks of the k-NN lower bound (fewer when the
-# embedding has fewer columns), and query rows per pruned search: bounds
-# the (rows x kept) bound block; larger blocks ran slower on 300 anchors
+# query rows per k-NN search step (bounds the discrete search's rows x
+# kept bound block), and contiguous column blocks of that bound (fewer when
+# there are fewer columns)
+_KNN_CHUNK = 1024
 _KNN_BLOCKS = 4
-_KNN_CHUNK = 256
+
+# bytes of the two gather buffers of one exact-distance step
+_GATHER_BYTES = 1 << 20
 
 # Explicit-table metrics solve one pure-Python transportation LP per
 # (belief, kept belief) pair, at a measured median of about 2.3 ms each:
@@ -112,12 +115,14 @@ class BeliefDistances:
     belief is embedded once, on construction or by :meth:`add`, and a
     distance block is an L1 reduction over steps of as many query rows as
     keep the difference block within ``_L1_BLOCK_BYTES`` (one row at
-    least), and :meth:`knn` prunes with a block lower bound before
-    computing any exact distance.  Explicit tables have no embedding
-    (``emb`` is None) and fall back to one transportation solve per pair:
-    exact, but only meant for desk-size models.  ``beliefs`` supplies the
-    kept measures for that fallback; by default they are rebuilt from
-    ``rows``.
+    least).  On the 1-D metric the kept beliefs are also held sorted by
+    the row sum of their embedding (x_max - mean), whose gap between two
+    beliefs never exceeds their W1; :meth:`add` inserts into that order,
+    and :meth:`knn` computes exact distances only inside a short window of
+    sums.  Explicit tables have no embedding (``emb`` is None) and fall
+    back to one transportation solve per pair: exact, but only meant for
+    desk-size models.  ``beliefs`` supplies the kept measures for that
+    fallback; by default they are rebuilt from ``rows``.
     """
 
     def __init__(self, grid, rows: np.ndarray, beliefs=None):
@@ -129,7 +134,16 @@ class BeliefDistances:
             self.beliefs = list(beliefs) if beliefs is not None else [
                 make_measure(grid, r) for r in rows
             ]
-        self._buf = self.emb  # spare rows for add(); emb is its live prefix
+            return
+        self._norm = np.abs(self.emb).sum(axis=1).max(initial=0.0)  # largest |e|_1
+        # spare rows for add(); emb, _keys and _order are their live prefixes
+        self._buf = self.emb
+        self._keys = self._order = None
+        if grid.metric_kind == EUCLIDEAN_1D:
+            keys = self.emb.sum(axis=1)
+            self._order = np.argsort(keys, kind="stable")  # kept index by key rank
+            self._keys = keys[self._order]
+            self._kbuf, self._obuf = self._keys, self._order
 
     def __len__(self) -> int:
         return len(self.beliefs) if self.emb is None else len(self.emb)
@@ -140,10 +154,24 @@ class BeliefDistances:
             self.beliefs.append(make_measure(self.grid, row))
             return
         k = len(self.emb)
+        sorted_keys = self._keys is not None
         if k == len(self._buf):  # full: double the capacity
-            self._buf = np.concatenate([self.emb, np.empty((max(k, 1), self.emb.shape[1]))])
-        self._buf[k] = _embed_rows(self.grid, row[None, :])[0]
+            grow = max(k, 1)
+            self._buf = np.concatenate([self.emb, np.empty((grow, self.emb.shape[1]))])
+            if sorted_keys:
+                self._kbuf = np.concatenate([self._keys, np.empty(grow)])
+                self._obuf = np.concatenate([self._order, np.empty(grow, dtype=np.intp)])
+        e = self._buf[k]
+        e[:] = _embed_rows(self.grid, row[None, :])[0]
         self.emb = self._buf[:k + 1]
+        self._norm = max(self._norm, np.abs(e).sum())
+        if sorted_keys:  # O(kept) shift; numpy copies overlapping slices safely
+            key = e.sum()
+            p = np.searchsorted(self._keys, key, side="right")
+            self._kbuf[p + 1:k + 1] = self._keys[p:k]
+            self._obuf[p + 1:k + 1] = self._order[p:k]
+            self._kbuf[p], self._obuf[p] = key, k
+            self._keys, self._order = self._kbuf[:k + 1], self._obuf[:k + 1]
 
     def l1(self, q: np.ndarray) -> np.ndarray:
         """(len(q), len(self)) L1 block from embedded query rows."""
@@ -179,25 +207,76 @@ class BeliefDistances:
 
         Exact: each row lists the first k kept beliefs in (distance, index)
         order, so ties go to the lowest index, and every distance has the
-        bits of the matching :meth:`dists` entry.  Where the metric embeds,
-        a block lower bound skips the beliefs that cannot be among the k
-        nearest; explicit tables solve every pair by LP.
+        bits of the matching :meth:`dists` entry.  On the 1-D metric a
+        sorted search computes exact distances to the k kept beliefs
+        nearest in embedding row sum, whose largest is tau, then only to
+        those whose sum is within tau of the query's.  On the discrete
+        metric, where every row sum is the same, a dense block lower bound
+        filters instead; explicit tables solve every pair by LP.
         """
         m, k = len(rows), min(k, len(self))
         if self.emb is None:
             d = self.dists(rows)
             r, j = np.indices(d.shape)
             return _first_k(m, k, r.ravel(), d.ravel(), j.ravel())
+        search = self._sorted_knn if self._keys is not None else self._block_knn
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
-            idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = self._pruned_knn(
+            idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = search(
                 _embed_rows(self.grid, rows[s:s + _KNN_CHUNK]), k
             )
         return idx, dist
 
-    def _pruned_knn(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`knn` for embedded query rows ``q``, 1 <= k <= len(self)."""
+    def _sorted_knn(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`knn` for 1-D embedded query rows ``q``, 1 <= k <= len(self)."""
+        m, n, keys = len(q), len(self), self._keys
+        kq = q.sum(axis=1)
+        # the k key-nearest kept beliefs are the key ranks [lo, lo + k): a
+        # binary search over the start, moving right while the key below
+        # the window is further from the query's key than the key above it
+        p = np.searchsorted(keys, kq)
+        lo, hi = np.maximum(p - k, 0), np.minimum(p, n - k)
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            right = kq - keys[mid] > keys[np.minimum(mid + k, n - 1)] - kq
+            lo = np.where(live & right, mid + 1, lo)
+            hi = np.where(live & ~right, mid, hi)
+        r = np.repeat(np.arange(m), k)
+        j = self._order[(lo[:, None] + np.arange(k)).ravel()]
+        d = self._exact(q, r, j)
+
+        # Rounding slack.  With S >= |q|_1 + |e|_1 for every pair, a
+        # computed row sum is within cols*eps*|x|_1 of the exact one, a
+        # computed distance within (cols + 1)*eps*S of the exact L1, and the
+        # exact sums differ by at most the exact L1.  A kept belief whose
+        # computed distance is at most tau thus has a computed key gap of at
+        # most tau + (2*cols + 1)*eps*S, and the window ends kq -/+ (tau +
+        # slack) round by at most 2*eps*S each.  4*(cols + 2)*eps*S covers
+        # the sum with room for second-order terms; it only lets a few more
+        # beliefs reach the exact step.
+        tau = d.reshape(m, k).max(axis=1)  # at least the k-th nearest distance
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + self._norm
+        reach = tau + 4 * (q.shape[1] + 2) * np.finfo(float).eps * scale
+        w_lo = np.searchsorted(keys, kq - reach, side="left")
+        count = np.maximum(np.searchsorted(keys, kq + reach, side="right") - w_lo, 0)
+        r2 = np.repeat(np.arange(m), count)
+        rank = np.arange(len(r2)) + np.repeat(w_lo - (np.cumsum(count) - count), count)
+        new = (rank < lo[r2]) | (rank >= lo[r2] + k)  # not already exact
+        r2, j2 = r2[new], self._order[rank[new]]
+        return _first_k(
+            m, k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
+            np.concatenate([j, j2]),
+        )
+
+    def _block_knn(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`knn` for discrete embedded query rows ``q``, 1 <= k <= len(self).
+
+        Every discrete row sums to 1/2, so a key would have to be another
+        projection; on samples of 2 to 40 states and about 300 beliefs this
+        bound left as many exact distances per query as a ramp projection
+        key, or up to 145 times fewer.
+        """
         m, e = len(q), self.emb
         cols = e.shape[1]
         # Summing the embedding over contiguous column blocks maps L1 to
@@ -205,7 +284,7 @@ class BeliefDistances:
         # exceeds the exact one.  Edges must be distinct: reduceat returns
         # a whole column at a repeated edge, which would count it twice.
         edges = np.unique(np.arange(_KNN_BLOCKS) * cols // _KNN_BLOCKS)
-        qb, eb = (np.add.reduceat(x, edges, axis=1) if cols else x for x in (q, e))
+        qb, eb = (np.add.reduceat(x, edges, axis=1) for x in (q, e))
         lb = np.zeros((m, len(e)))
         tmp = np.empty_like(lb)
         for qc, ec in zip(qb.T, np.ascontiguousarray(eb.T)):
@@ -214,14 +293,14 @@ class BeliefDistances:
 
         # exact distances to the k lowest bounds; their largest, tau, is at
         # least the k-th nearest distance (argmin: a partition costs ~30x
-        # more for the anchor policy's k = 1)
+        # more for k = 1)
         if k == 1:
             cand = lb.argmin(axis=1)[:, None]
         else:
             cand = np.argpartition(lb, k - 1, axis=1)[:, :k]
-        g = e[cand]
-        d = np.abs(np.subtract(q[:, None, :], g, out=g), out=g).sum(axis=2)
-        tau = d.max(axis=1)
+        r, j = np.repeat(np.arange(m), k), cand.ravel()
+        d = self._exact(q, r, j)
+        tau = d.reshape(m, k).max(axis=1)
         # Rounding slack.  With S >= |q|_1 + |e|_1 for every pair, each
         # computed distance is within cols*eps*S of the exact L1, and each
         # computed bound within (cols + blocks)*eps*S of its exact value
@@ -229,17 +308,38 @@ class BeliefDistances:
         # <= tau thus has a computed bound <= tau + (2*cols + blocks + 1)
         # *eps*S; the slack below covers that with room for second-order
         # terms.  It only lets a few more pairs reach the exact step.
-        scale = np.abs(q).sum(axis=1).max(initial=0.0) + np.abs(e).sum(axis=1).max(initial=0.0)
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + self._norm
         slack = 4 * (cols + len(edges)) * np.finfo(float).eps * scale
         keep = lb <= (tau + slack)[:, None]
-        r = np.repeat(np.arange(m), k)
-        keep[r, cand.ravel()] = False  # already exact
+        keep[r, j] = False  # already exact
         r2, j2 = np.nonzero(keep)
-        d2 = np.abs(q[r2] - e[j2]).sum(axis=1)
         return _first_k(
-            m, k, np.concatenate([r, r2]), np.concatenate([d.ravel(), d2]),
-            np.concatenate([cand.ravel(), j2]),
+            m, k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
+            np.concatenate([j, j2]),
         )
+
+    def _exact(self, q: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """L1 from embedded query row ``q[r[i]]`` to kept belief ``j[i]``.
+
+        Every exact distance of :meth:`knn` on an embedding comes from
+        here.  Rows are gathered into two buffers of ``_GATHER_BYTES`` in
+        all, and each distance has the bits of the matching :meth:`l1`
+        entry: the same differences, reduced along one contiguous row.
+        """
+        cols = self.emb.shape[1]
+        out = np.empty(len(j))
+        step = max(1, _GATHER_BYTES // max(1, 16 * cols))
+        g = np.empty((min(step, len(j)), cols))
+        h = np.empty_like(g)
+        for s in range(0, len(j), step):
+            js = j[s:s + step]
+            gs, hs = g[:len(js)], h[:len(js)]
+            # indices are in range: "clip" writes straight into the buffer
+            np.take(self.emb, js, axis=0, out=gs, mode="clip")
+            np.take(q, r[s:s + step], axis=0, out=hs, mode="clip")
+            np.subtract(hs, gs, out=gs)
+            np.abs(gs, out=gs).sum(axis=1, out=out[s:s + step])
+        return out
 
 
 def check_lp_budget(solves: int) -> None:
@@ -280,8 +380,11 @@ def reachability_tree(
     existing sample point are dropped.  After the tree (or the cap) is
     exhausted, up to ``mixtures`` random pairwise mixtures of collected
     beliefs are appended, drawn from a generator seeded with ``seed`` —
-    the whole construction is deterministic.  On an explicit-table metric
-    every dedup check solves one LP per kept belief; the tree raises
+    the whole construction is deterministic.  Each dedup check is one
+    :meth:`BeliefDistances.knn` query for the nearest kept belief, whose
+    sorted index :meth:`BeliefDistances.add` keeps up to date as the tree
+    grows.  On an explicit-table metric that query solves one LP per kept
+    belief; the tree raises
     :class:`~wpomdp.errors.SolverFailure` before its count of them would
     pass ``MAX_TABLE_LP_SOLVES``.
     """
@@ -299,7 +402,7 @@ def reachability_tree(
         if kept.emb is None:
             solves += len(kept)
             check_lp_budget(solves)
-        return kept.dists(row[None, :]).min()
+        return kept.knn(row[None, :], 1)[1][0, 0]
 
     frontier = [0]
     for _ in range(depth):

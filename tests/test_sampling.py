@@ -1,5 +1,6 @@
 """Belief-sample construction: user sets and reachability trees."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_bruteforce, l1_broadcast
+from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update
+from wpomdp.kalman import KalmanSpec, build_model
 from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
 from wpomdp.sampling import (
     _L1_BLOCK_BYTES,
@@ -19,8 +22,14 @@ from wpomdp.sampling import (
     reachability_tree,
     user_sample,
 )
-from wpomdp.synthetic import pbvi_toy, revealing_toy, uniform_belief
-from wpomdp.value_iteration import NearestAnchorPolicy
+from wpomdp.synthetic import pbvi_toy, random_finite_model, revealing_toy, uniform_belief
+from wpomdp.value_iteration import (
+    _K_NEIGHBORS,
+    NearestAnchorPolicy,
+    rollout_estimate,
+    selector_policy,
+    solve_vi,
+)
 
 
 class TestUserSample:
@@ -283,3 +292,145 @@ class TestKnn:
         idx, dist = geom.knn(a[None, :], 3)
         np.testing.assert_array_equal(idx, [[1, 3, 0]])
         assert dist[0, 0] == dist[0, 1] == 0.0 < dist[0, 2]
+
+
+def centred_belief(model):
+    """The N(0, 2^2) belief on the model's line grid."""
+    pts = model.state_grid.points
+    return make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+
+
+def tree_case(kind):
+    """(model, mu0, depth, cap) for a tree on a line, discrete or table grid."""
+    if kind == "line":  # the drift instance on a coarse grid, truncated
+        model = build_model(KalmanSpec(drift=1.0, grid_step=1.0))
+        return model, centred_belief(model), 2, 40
+    disc = random_finite_model(4, n_states=3, n_actions=2, n_obs=3)
+    if kind == "discrete":
+        return disc, uniform_belief(disc), 3, 5000
+    grid = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=1 - np.eye(3))
+    table = dataclasses.replace(disc, state_grid=grid)
+    return table, uniform_belief(table), 2, 5000
+
+
+class TestSortedKnn:
+    """The 1-D sorted-key search where the row-sum keys tie or mislead.
+
+    The key is x_max - mean, so beliefs with equal means tie in it however
+    far apart they are in W1.
+    """
+
+    @staticmethod
+    def mean_zero(grid, rows):
+        """Each row mixed with the end point opposite its mean: mean 0."""
+        pts = grid.points
+        out = []
+        for r in rows:
+            mu = r @ pts
+            x = pts[0] if mu > 0 else pts[-1]
+            lam = x / (x - mu)
+            w = lam * r
+            w[0 if mu > 0 else -1] += 1.0 - lam
+            out.append(make_measure(grid, w).weights)
+        return np.stack(out)
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        st.sampled_from(["mirror", "outside", "equal"]),
+        st.integers(3, 12),  # states
+        st.integers(1, 12),  # k: often at least the kept count
+        st.integers(0, 2**32 - 1),
+    )
+    def test_grown_index_equals_brute_force(self, case, n, k, seed):
+        rng = np.random.default_rng(seed)
+        g = StateGrid(np.linspace(-1.0, 1.0, n))  # symmetric: a mirror image keeps mean 0
+        base = random_rows(g, int(rng.integers(1, 10)), rng)
+        if case == "mirror":  # pairs of mirror images, every mean 0
+            zero = self.mean_zero(g, base)
+            kept = np.concatenate([zero, zero[:, ::-1]])
+            queries = np.concatenate([zero[:, ::-1], self.mean_zero(g, random_rows(g, 3, rng))])
+        elif case == "outside":  # queries keyed below and above every kept belief
+            inner = base.copy()
+            inner[:, [0, -1]] = 0.0
+            inner[:, 1] += 1e-3
+            kept = np.stack([make_measure(g, r).weights for r in inner])
+            queries = np.concatenate([np.eye(n)[[0, -1]], np.zeros((1, n)), base])
+        else:  # one belief kept over and over
+            kept = np.repeat(base[:1], int(rng.integers(1, 8)), axis=0)
+            queries = np.concatenate([base, kept[:1]])
+
+        grown = BeliefDistances(g, kept[:1])
+        for i in range(1, len(kept) + 1):
+            if i > 1:
+                grown.add(kept[i - 1])
+            stacked = BeliefDistances(g, kept[:i])
+            want_idx, want_dist = knn_bruteforce(stacked, queries, k)
+            for geom in (grown, stacked):
+                idx, dist = geom.knn(queries, k)
+                np.testing.assert_array_equal(idx, want_idx)
+                np.testing.assert_array_equal(dist.view(np.int64), want_dist.view(np.int64))
+
+
+class TestTreeDedup:
+    """The tree's nearest-belief dedup through ``knn`` against brute force."""
+
+    @pytest.mark.parametrize("kind", ["line", "discrete", "table"])
+    def test_same_tree_as_the_oracle(self, kind, monkeypatch):
+        model, mu0, depth, cap = tree_case(kind)
+        calls = []
+        lp = sampling.w1_lp
+
+        def counted(mu, nu):
+            calls.append(1)
+            return lp(mu, nu)
+
+        def build():
+            calls.clear()
+            tree = reachability_tree(model, mu0, depth=depth, cap=cap, mixtures=3, seed=1)
+            return tree, len(calls)
+
+        monkeypatch.setattr(sampling, "w1_lp", counted)
+        got, got_lps = build()
+        monkeypatch.setattr(BeliefDistances, "knn", knn_bruteforce)
+        want, want_lps = build()
+        assert got.weight_matrix().tobytes() == want.weight_matrix().tobytes()
+        assert got.edges == want.edges
+        assert got.truncated == want.truncated
+        assert got_lps == want_lps
+        assert (got_lps > 0) == (kind == "table")
+        assert got.truncated == (kind == "line")
+
+
+class TestKnnWork:
+    """Exact distances per query on the drift instance, counted, not timed.
+
+    Every exact distance of the search goes through
+    ``BeliefDistances._exact``, so a search that decays towards brute force
+    (300 per query here) fails this test rather than only the benchmark.
+    """
+
+    def test_mean_exact_distances_per_query(self, monkeypatch):
+        model = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
+        mu0 = centred_belief(model)
+        sample = reachability_tree(model, mu0, depth=2, cap=300)
+        work = {"queries": 0, "exact": 0}
+        knn, exact = BeliefDistances.knn, BeliefDistances._exact
+
+        def counted_knn(self, rows, k):
+            work["queries"] += len(rows)
+            return knn(self, rows, k)
+
+        def counted_exact(self, q, r, j):
+            work["exact"] += len(j)
+            return exact(self, q, r, j)
+
+        monkeypatch.setattr(BeliefDistances, "knn", counted_knn)
+        monkeypatch.setattr(BeliefDistances, "_exact", counted_exact)
+        vi = solve_vi(model, sample, epsilon=1e-2)  # k = _K_NEIGHBORS per posterior
+        assert sample.n == 300 and _K_NEIGHBORS == 16
+        per_posterior = work["exact"] / work["queries"]
+        work.update(queries=0, exact=0)
+        rollout_estimate(model, selector_policy(vi), mu0, 60, 200, seed=0)  # k = 1
+        per_belief = work["exact"] / work["queries"]
+        assert 16 <= per_posterior <= 21
+        assert 1 <= per_belief <= 4
