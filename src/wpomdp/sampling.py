@@ -34,11 +34,12 @@ DEDUP_W1_TOL = 1e-6
 # query rows per step are as many as fit, and at least one
 _L1_BLOCK_BYTES = 4 << 20
 
-# query rows per k-NN search step (bounds the discrete search's rows x
-# kept bound block), and contiguous column blocks of that bound (fewer when
-# there are fewer columns)
-_KNN_CHUNK = 1024
+# contiguous column blocks of the discrete k-NN lower bound (fewer when
+# the embedding has fewer columns), and query rows per k-NN search step:
+# bounds the discrete search's (rows x kept) bound block; larger blocks
+# ran slower on 300 anchors
 _KNN_BLOCKS = 4
+_KNN_CHUNK = 256
 
 # bytes of the two gather buffers of one exact-distance step
 _GATHER_BYTES = 1 << 20
@@ -115,14 +116,15 @@ class BeliefDistances:
     belief is embedded once, on construction or by :meth:`add`, and a
     distance block is an L1 reduction over steps of as many query rows as
     keep the difference block within ``_L1_BLOCK_BYTES`` (one row at
-    least).  On the 1-D metric the kept beliefs are also held sorted by
-    the row sum of their embedding (x_max - mean), whose gap between two
-    beliefs never exceeds their W1; :meth:`add` inserts into that order,
-    and :meth:`knn` computes exact distances only inside a short window of
-    sums.  Explicit tables have no embedding (``emb`` is None) and fall
-    back to one transportation solve per pair: exact, but only meant for
-    desk-size models.  ``beliefs`` supplies the kept measures for that
-    fallback; by default they are rebuilt from ``rows``.
+    least).  On the 1-D metric :meth:`knn` sorts the kept beliefs by the
+    row sum of their embedding (x_max - mean), whose gap between two
+    beliefs never exceeds their W1, and computes exact distances only
+    inside a short window of sums; the first 1-D :meth:`knn` after
+    construction or :meth:`add` builds that order.  Explicit tables have
+    no embedding (``emb`` is None) and fall back to one transportation
+    solve per pair: exact, but only meant for desk-size models.
+    ``beliefs`` supplies the kept measures for that fallback; by default
+    they are rebuilt from ``rows``.
     """
 
     def __init__(self, grid, rows: np.ndarray, beliefs=None):
@@ -135,15 +137,8 @@ class BeliefDistances:
                 make_measure(grid, r) for r in rows
             ]
             return
-        self._norm = np.abs(self.emb).sum(axis=1).max(initial=0.0)  # largest |e|_1
-        # spare rows for add(); emb, _keys and _order are their live prefixes
-        self._buf = self.emb
-        self._keys = self._order = None
-        if grid.metric_kind == EUCLIDEAN_1D:
-            keys = self.emb.sum(axis=1)
-            self._order = np.argsort(keys, kind="stable")  # kept index by key rank
-            self._keys = keys[self._order]
-            self._kbuf, self._obuf = self._keys, self._order
+        self._buf = self.emb  # spare rows for add(); emb is its live prefix
+        self._index = None  # built by knn
 
     def __len__(self) -> int:
         return len(self.beliefs) if self.emb is None else len(self.emb)
@@ -154,24 +149,11 @@ class BeliefDistances:
             self.beliefs.append(make_measure(self.grid, row))
             return
         k = len(self.emb)
-        sorted_keys = self._keys is not None
         if k == len(self._buf):  # full: double the capacity
-            grow = max(k, 1)
-            self._buf = np.concatenate([self.emb, np.empty((grow, self.emb.shape[1]))])
-            if sorted_keys:
-                self._kbuf = np.concatenate([self._keys, np.empty(grow)])
-                self._obuf = np.concatenate([self._order, np.empty(grow, dtype=np.intp)])
-        e = self._buf[k]
-        e[:] = _embed_rows(self.grid, row[None, :])[0]
+            self._buf = np.concatenate([self.emb, np.empty((max(k, 1), self.emb.shape[1]))])
+        self._buf[k] = _embed_rows(self.grid, row[None, :])[0]
         self.emb = self._buf[:k + 1]
-        self._norm = max(self._norm, np.abs(e).sum())
-        if sorted_keys:  # O(kept) shift; numpy copies overlapping slices safely
-            key = e.sum()
-            p = np.searchsorted(self._keys, key, side="right")
-            self._kbuf[p + 1:k + 1] = self._keys[p:k]
-            self._obuf[p + 1:k + 1] = self._order[p:k]
-            self._kbuf[p], self._obuf[p] = key, k
-            self._keys, self._order = self._kbuf[:k + 1], self._obuf[:k + 1]
+        self._index = None
 
     def l1(self, q: np.ndarray) -> np.ndarray:
         """(len(q), len(self)) L1 block from embedded query rows."""
@@ -219,18 +201,31 @@ class BeliefDistances:
             d = self.dists(rows)
             r, j = np.indices(d.shape)
             return _first_k(m, k, r.ravel(), d.ravel(), j.ravel())
-        search = self._sorted_knn if self._keys is not None else self._block_knn
+        one_d = self.grid.metric_kind == EUCLIDEAN_1D
+        index = self._index
+        if index is None:  # first search since construction or add()
+            # (largest |e|_1, sorted 1-D keys, kept index of each key rank),
+            # stored in one assignment: the VI precompute searches from
+            # several threads, and none may see half an index
+            keys = order = None
+            if one_d:
+                keys = self.emb.sum(axis=1)
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+            index = self._index = (np.abs(self.emb).sum(axis=1).max(initial=0.0), keys, order)
+        search = self._sorted_knn if one_d else self._block_knn
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
             idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = search(
-                _embed_rows(self.grid, rows[s:s + _KNN_CHUNK]), k
+                _embed_rows(self.grid, rows[s:s + _KNN_CHUNK]), k, index
             )
         return idx, dist
 
-    def _sorted_knn(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_knn(self, q: np.ndarray, k: int, index) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`knn` for 1-D embedded query rows ``q``, 1 <= k <= len(self)."""
-        m, n, keys = len(q), len(self), self._keys
+        norm, keys, order = index
+        m, n = len(q), len(self)
         kq = q.sum(axis=1)
         # the k key-nearest kept beliefs are the key ranks [lo, lo + k): a
         # binary search over the start, moving right while the key below
@@ -243,7 +238,7 @@ class BeliefDistances:
             lo = np.where(live & right, mid + 1, lo)
             hi = np.where(live & ~right, mid, hi)
         r = np.repeat(np.arange(m), k)
-        j = self._order[(lo[:, None] + np.arange(k)).ravel()]
+        j = order[(lo[:, None] + np.arange(k)).ravel()]
         d = self._exact(q, r, j)
 
         # Rounding slack.  With S >= |q|_1 + |e|_1 for every pair, a
@@ -256,20 +251,20 @@ class BeliefDistances:
         # the sum with room for second-order terms; it only lets a few more
         # beliefs reach the exact step.
         tau = d.reshape(m, k).max(axis=1)  # at least the k-th nearest distance
-        scale = np.abs(q).sum(axis=1).max(initial=0.0) + self._norm
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
         reach = tau + 4 * (q.shape[1] + 2) * np.finfo(float).eps * scale
         w_lo = np.searchsorted(keys, kq - reach, side="left")
         count = np.maximum(np.searchsorted(keys, kq + reach, side="right") - w_lo, 0)
         r2 = np.repeat(np.arange(m), count)
         rank = np.arange(len(r2)) + np.repeat(w_lo - (np.cumsum(count) - count), count)
         new = (rank < lo[r2]) | (rank >= lo[r2] + k)  # not already exact
-        r2, j2 = r2[new], self._order[rank[new]]
+        r2, j2 = r2[new], order[rank[new]]
         return _first_k(
             m, k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
             np.concatenate([j, j2]),
         )
 
-    def _block_knn(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _block_knn(self, q: np.ndarray, k: int, index) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`knn` for discrete embedded query rows ``q``, 1 <= k <= len(self).
 
         Every discrete row sums to 1/2, so a key would have to be another
@@ -277,7 +272,7 @@ class BeliefDistances:
         bound left as many exact distances per query as a ramp projection
         key, or up to 145 times fewer.
         """
-        m, e = len(q), self.emb
+        m, e, norm = len(q), self.emb, index[0]
         cols = e.shape[1]
         # Summing the embedding over contiguous column blocks maps L1 to
         # L1 with Lipschitz constant 1, so the block-summed distance never
@@ -308,7 +303,7 @@ class BeliefDistances:
         # <= tau thus has a computed bound <= tau + (2*cols + blocks + 1)
         # *eps*S; the slack below covers that with room for second-order
         # terms.  It only lets a few more pairs reach the exact step.
-        scale = np.abs(q).sum(axis=1).max(initial=0.0) + self._norm
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
         slack = 4 * (cols + len(edges)) * np.finfo(float).eps * scale
         keep = lb <= (tau + slack)[:, None]
         keep[r, j] = False  # already exact
@@ -380,11 +375,8 @@ def reachability_tree(
     existing sample point are dropped.  After the tree (or the cap) is
     exhausted, up to ``mixtures`` random pairwise mixtures of collected
     beliefs are appended, drawn from a generator seeded with ``seed`` —
-    the whole construction is deterministic.  Each dedup check is one
-    :meth:`BeliefDistances.knn` query for the nearest kept belief, whose
-    sorted index :meth:`BeliefDistances.add` keeps up to date as the tree
-    grows.  On an explicit-table metric that query solves one LP per kept
-    belief; the tree raises
+    the whole construction is deterministic.  On an explicit-table metric
+    every dedup check solves one LP per kept belief; the tree raises
     :class:`~wpomdp.errors.SolverFailure` before its count of them would
     pass ``MAX_TABLE_LP_SOLVES``.
     """
@@ -402,7 +394,7 @@ def reachability_tree(
         if kept.emb is None:
             solves += len(kept)
             check_lp_budget(solves)
-        return kept.knn(row[None, :], 1)[1][0, 0]
+        return kept.dists(row[None, :]).min()
 
     frontier = [0]
     for _ in range(depth):

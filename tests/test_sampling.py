@@ -1,7 +1,8 @@
 """Belief-sample construction: user sets and reachability trees."""
 
-import dataclasses
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_bruteforce, l1_broadcast
-from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update
 from wpomdp.kalman import KalmanSpec, build_model
@@ -22,7 +22,7 @@ from wpomdp.sampling import (
     reachability_tree,
     user_sample,
 )
-from wpomdp.synthetic import pbvi_toy, random_finite_model, revealing_toy, uniform_belief
+from wpomdp.synthetic import pbvi_toy, revealing_toy, uniform_belief
 from wpomdp.value_iteration import (
     _K_NEIGHBORS,
     NearestAnchorPolicy,
@@ -293,24 +293,35 @@ class TestKnn:
         np.testing.assert_array_equal(idx, [[1, 3, 0]])
         assert dist[0, 0] == dist[0, 1] == 0.0 < dist[0, 2]
 
+    def test_concurrent_first_searches_see_the_whole_index(self):
+        # the VI precompute's workers share one BeliefDistances, so their
+        # first knn calls race to build its sorted 1-D index; four threads
+        # make an overlap likely within a few repetitions
+        rng = np.random.default_rng(11)
+        g = random_grid("line", 81, rng)
+        rows = random_rows(g, 3000, rng)
+        queries = random_rows(g, 4, rng)
+        want_idx, want_dist = knn_bruteforce(BeliefDistances(g, rows), queries, 4)
+
+        def search(geom, start):
+            start.wait()
+            return geom.knn(queries, 4)
+
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(100):
+                geom, start = BeliefDistances(g, rows), threading.Barrier(4)
+                for f in [pool.submit(search, geom, start) for _ in range(4)]:
+                    idx, dist = f.result()
+                    np.testing.assert_array_equal(idx, want_idx)
+                    np.testing.assert_array_equal(
+                        dist.view(np.int64), want_dist.view(np.int64)
+                    )
+
 
 def centred_belief(model):
     """The N(0, 2^2) belief on the model's line grid."""
     pts = model.state_grid.points
     return make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-
-
-def tree_case(kind):
-    """(model, mu0, depth, cap) for a tree on a line, discrete or table grid."""
-    if kind == "line":  # the drift instance on a coarse grid, truncated
-        model = build_model(KalmanSpec(drift=1.0, grid_step=1.0))
-        return model, centred_belief(model), 2, 40
-    disc = random_finite_model(4, n_states=3, n_actions=2, n_obs=3)
-    if kind == "discrete":
-        return disc, uniform_belief(disc), 3, 5000
-    grid = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=1 - np.eye(3))
-    table = dataclasses.replace(disc, state_grid=grid)
-    return table, uniform_belief(table), 2, 5000
 
 
 class TestSortedKnn:
@@ -369,36 +380,6 @@ class TestSortedKnn:
                 idx, dist = geom.knn(queries, k)
                 np.testing.assert_array_equal(idx, want_idx)
                 np.testing.assert_array_equal(dist.view(np.int64), want_dist.view(np.int64))
-
-
-class TestTreeDedup:
-    """The tree's nearest-belief dedup through ``knn`` against brute force."""
-
-    @pytest.mark.parametrize("kind", ["line", "discrete", "table"])
-    def test_same_tree_as_the_oracle(self, kind, monkeypatch):
-        model, mu0, depth, cap = tree_case(kind)
-        calls = []
-        lp = sampling.w1_lp
-
-        def counted(mu, nu):
-            calls.append(1)
-            return lp(mu, nu)
-
-        def build():
-            calls.clear()
-            tree = reachability_tree(model, mu0, depth=depth, cap=cap, mixtures=3, seed=1)
-            return tree, len(calls)
-
-        monkeypatch.setattr(sampling, "w1_lp", counted)
-        got, got_lps = build()
-        monkeypatch.setattr(BeliefDistances, "knn", knn_bruteforce)
-        want, want_lps = build()
-        assert got.weight_matrix().tobytes() == want.weight_matrix().tobytes()
-        assert got.edges == want.edges
-        assert got.truncated == want.truncated
-        assert got_lps == want_lps
-        assert (got_lps > 0) == (kind == "table")
-        assert got.truncated == (kind == "line")
 
 
 class TestKnnWork:
