@@ -51,6 +51,8 @@ __all__ = [
 
 # backed-up functions closer than this in sup norm are merged
 _DUP_TOL = 1e-10
+# bytes of one block of row differences in the duplicate merge
+_MERGE_BLOCK_BYTES = 1 << 20
 
 
 class AlphaSet:
@@ -185,16 +187,37 @@ def _merge_duplicate_rows(rows: np.ndarray) -> np.ndarray:
     row only.  A later bitwise repeat is always dropped: if its first copy
     was kept, the repeat is at distance 0 from it; if not, the kept row
     that dropped the first copy is within _DUP_TOL of the repeat too.
+    Rows are finite.
     """
     first: dict[bytes, int] = {}
     for i, row in enumerate(rows):
         first.setdefault(row.tobytes(), i)
     cand = rows[list(first.values())]
-    keep: list[int] = []
-    for i, row in enumerate(cand):
-        if (np.abs(cand[keep] - row).max(axis=1) >= _DUP_TOL).all():
-            keep.append(i)
-    return cand[keep]
+    # |a_0 - b_0| <= max_x |a_x - b_x|, so only pairs within _DUP_TOL in
+    # column 0 need the full check.  Rounding is monotone and _DUP_TOL is a
+    # float, so a computed difference below _DUP_TOL is one whose exact
+    # value is below it too; and a bound x -+ _DUP_TOL rounded to nearest
+    # keeps every float y with exact |x - y| <= _DUP_TOL in the window.
+    order = np.argsort(cand[:, 0], kind="stable")
+    key = cand[order, 0]
+    lo = np.searchsorted(key, key - _DUP_TOL, "left")
+    width = np.searchsorted(key, key + _DUP_TOL, "right") - lo
+    p = np.repeat(np.arange(len(key)), width)
+    q = np.arange(len(p)) + np.repeat(lo - (np.cumsum(width) - width), width)
+    i, j = order[p], order[q]
+    i, j = i[j < i], j[j < i]
+    near = np.empty(len(i), dtype=bool)
+    step = max(1, _MERGE_BLOCK_BYTES // (8 * cand.shape[1]))
+    for s in range(0, len(i), step):
+        d = cand[i[s:s + step]] - cand[j[s:s + step]]
+        np.less(np.abs(d, out=d).max(axis=1), _DUP_TOL, out=near[s:s + step])
+    # Greedy pass over the near pairs (later row, earlier row) in row order:
+    # every earlier row's fate is settled before a later row reads it.
+    keep = [True] * len(cand)
+    for a, b in sorted(zip(i[near].tolist(), j[near].tolist())):
+        if keep[b]:
+            keep[a] = False
+    return cand[np.flatnonzero(keep)]
 
 
 def _backup_against(model: PomdpModel, fn_matrix: np.ndarray, sample: BeliefSample):

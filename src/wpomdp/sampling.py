@@ -45,11 +45,16 @@ _KNN_CHUNK = 256
 _GATHER_BYTES = 1 << 20
 
 # Explicit-table metrics solve one pure-Python transportation LP per
-# (belief, kept belief) pair, at a measured median of about 2.3 ms each:
-# 100k solves is about four minutes, so past this the tree and the VI
-# precompute fail up front instead of running for hours.
+# (belief, kept belief) pair.  The 1,355 solves of the benchmark's
+# explicit-table VI (supports of up to 16 states on its 4 x 4 lattice),
+# timed one by one with perf_counter on a shared 2-core x86-64 VM, took a
+# median of 0.26 ms each when the host was quiet and 0.66 ms when it ran
+# everything about 2.5x slower.  The estimate uses the slower figure: 100k
+# solves is about a minute at that size, and larger supports take longer per
+# solve.  Past this the tree and the VI precompute fail up front instead of
+# running for hours on a large sample.
 MAX_TABLE_LP_SOLVES = 100_000
-_LP_SOLVE_S = 2.3e-3
+_LP_SOLVE_S = 0.66e-3
 
 
 @dataclass(eq=False)
@@ -342,7 +347,7 @@ def check_lp_budget(solves: int) -> None:
     if solves > MAX_TABLE_LP_SOLVES:
         raise SolverFailure(
             f"the explicit-table metric needs {solves:,} transport solves "
-            f"(about {solves * _LP_SOLVE_S / 60:,.0f} min at {_LP_SOLVE_S * 1e3:.1f} ms "
+            f"(about {solves * _LP_SOLVE_S / 60:,.1f} min at {_LP_SOLVE_S * 1e3:.2f} ms "
             f"each); the limit is {MAX_TABLE_LP_SOLVES:,}: use a smaller sample"
         )
 

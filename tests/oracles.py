@@ -14,7 +14,13 @@ import itertools
 
 import numpy as np
 
-from wpomdp.errors import EmptySample, NonFiniteValue, SolverFailure
+from wpomdp.errors import (
+    DimensionMismatch,
+    EmptySample,
+    NonFiniteValue,
+    NonPositiveMass,
+    SolverFailure,
+)
 from wpomdp.filtering import bayes_update, expected_reward, obs_marginal
 from wpomdp.measures import LipschitzFn, integrate, w1
 from wpomdp.model import certify
@@ -80,6 +86,162 @@ def transport_cost_by_vertex_enumeration(supply, demand, cost):
         if plan is not None:
             best = min(best, float((plan * cost).sum()))
     return best
+
+
+# --------------------------------------------------------------------------
+# transportation simplex that rebuilds the basis tree every pivot
+# --------------------------------------------------------------------------
+
+_RC_TOL = 1e-12
+
+
+def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
+    """Initial basic feasible plan with exactly m + n - 1 basic cells."""
+    m, n = len(supply), len(demand)
+    plan = np.zeros((m, n))
+    basis: list[tuple[int, int]] = []
+    a = supply.copy()
+    b = demand.copy()
+    i = j = 0
+    while True:
+        take = min(a[i], b[j])
+        plan[i, j] = take
+        basis.append((i, j))
+        a[i] -= take
+        b[j] -= take
+        if i == m - 1 and j == n - 1:
+            break
+        # On simultaneous exhaustion advance only one index so a zero
+        # (degenerate) cell enters the basis and the count stays m + n - 1.
+        # Totals that agree only up to rounding can leave a residue in row i
+        # when the last column is exhausted; the rows still advance.
+        if i < m - 1 and (a[i] <= b[j] or j == n - 1):
+            i += 1
+        else:
+            j += 1
+    return plan, basis
+
+
+def _duals(basis, cost, m, n):
+    """Solve u_i + v_j = c_ij over the spanning basis tree (u_0 = 0)."""
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    adj: dict[int, list[int]] = {}
+    for k, (i, j) in enumerate(basis):
+        adj.setdefault(i, []).append(k)
+        adj.setdefault(m + j, []).append(k)
+    u[0] = 0.0
+    stack = [0]
+    seen = {0}
+    while stack:
+        node = stack.pop()
+        for k in adj.get(node, ()):
+            i, j = basis[k]
+            other = m + j if node == i else i
+            if other in seen:
+                continue
+            if other >= m:
+                v[other - m] = cost[i, j] - u[i]
+            else:
+                u[other] = cost[i, j] - v[j]
+            seen.add(other)
+            stack.append(other)
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise SolverFailure("basis is not a spanning tree")
+    return u, v
+
+
+def _find_cycle(basis, enter, m):
+    """Path through the basis tree closing the cycle created by ``enter``."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for k, (i, j) in enumerate(basis):
+        adj.setdefault(i, []).append((m + j, k))
+        adj.setdefault(m + j, []).append((i, k))
+    start, goal = enter[0], m + enter[1]
+    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for other, k in adj.get(node, ()):
+            if other not in parent:
+                parent[other] = (node, k)
+                stack.append(other)
+    if goal not in parent:
+        raise SolverFailure("entering cell does not close a cycle")
+    path = []
+    node = goal
+    while node != start:
+        prev, k = parent[node]
+        path.append(k)
+        node = prev
+    return path  # basis edge indices from goal back to start
+
+
+def solve_transport_reference(supply, demand, cost, *, max_pivots: int | None = None):
+    """The primal simplex of ``solve_transport`` with no state between pivots.
+
+    Every pivot rebuilds the basis tree's adjacency and walks the whole
+    tree twice: once for the duals, once for the cycle.  The north-west
+    corner is the package's.  ``solve_transport`` must take the same
+    pivots and return the same bits.
+
+    Parameters
+    ----------
+    supply, demand : 1-D arrays of nonnegative masses with equal totals
+        (up to 1e-9 relative; demand is rescaled to match exactly).
+    cost : (m, n) array of transport costs.
+
+    Returns
+    -------
+    plan : (m, n) optimal coupling (a polytope vertex).
+    value : float, the optimal cost.
+    """
+    supply = np.asarray(supply, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape != (len(supply), len(demand)):
+        raise DimensionMismatch(
+            f"cost shape {cost.shape} vs supports {len(supply)}/{len(demand)}"
+        )
+    if (supply < 0).any() or (demand < 0).any():
+        raise NonPositiveMass("negative mass in transport marginals")
+    total = supply.sum()
+    if total <= 0 or demand.sum() <= 0:
+        raise NonPositiveMass("transport marginals must carry positive mass")
+    if abs(total - demand.sum()) > 1e-9 * max(total, demand.sum()):
+        raise DimensionMismatch("supply and demand totals differ")
+    demand = demand * (total / demand.sum())
+
+    m, n = len(supply), len(demand)
+    plan, basis = _northwest_corner(supply, demand)
+    if max_pivots is None:
+        max_pivots = 200 * (m + n) + 1000
+
+    for _ in range(max_pivots):
+        u, v = _duals(basis, cost, m, n)
+        reduced = cost - u[:, None] - v[None, :]
+        for i, j in basis:
+            reduced[i, j] = 0.0
+        enter = np.unravel_index(np.argmin(reduced), reduced.shape)
+        if reduced[enter] >= -_RC_TOL:
+            return plan, float(np.dot(plan.ravel(), cost.ravel()))
+        path = _find_cycle(basis, enter, m)
+        # Walking from the entering cell's column end back to its row end the
+        # basis edges alternate -, +, -, ...; theta is the min flow on minus
+        # edges and the first minimiser leaves the basis.
+        minus = path[0::2]
+        theta_idx = min(minus, key=lambda k: (plan[basis[k]], k))
+        theta = plan[basis[theta_idx]]
+        plan[enter] += theta
+        for k in path[0::2]:
+            plan[basis[k]] -= theta
+        for k in path[1::2]:
+            plan[basis[k]] += theta
+        plan[basis[theta_idx]] = 0.0  # kill rounding residue exactly
+        basis[theta_idx] = (int(enter[0]), int(enter[1]))
+    raise SolverFailure(f"no convergence after {max_pivots} pivots")
 
 
 def tv_distance(weights_a, weights_b):

@@ -463,6 +463,37 @@ class TestMergeDuplicateRows:
                 row[col % n] += step * _DUP_TOL
         assert_same_bits(_merge_duplicate_rows(rows), merge_duplicate_rows_greedy(rows, _DUP_TOL))
 
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        st.integers(1, 5),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # pool row: zeros, ones, 1e7, random
+                st.booleans(),  # negate the pool row: 0.0 becomes -0.0
+                st.integers(-3, 3),  # column-0 shift in units of tol
+                st.integers(-2, 2),  # shift of one more column in tol / 2
+                st.integers(0, 4),  # that column
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_column_zero_window_equals_the_greedy_loop(self, n, specs):
+        # On the zero row the column-0 shifts put rows exactly tol, 2 tol,
+        # ... apart; at 1e7 one ulp (1.9e-9) exceeds tol.
+        pool = np.zeros((4, n))
+        pool[1] = 1.0
+        pool[2] = 1e7
+        pool[3] = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        rows = np.empty((len(specs), n))
+        for row, (p, neg, k0, k1, col) in zip(rows, specs):
+            row[:] = -pool[p] if neg else pool[p]
+            if k0:
+                row[0] += k0 * _DUP_TOL
+            if k1:
+                row[col % n] += k1 * 0.5 * _DUP_TOL
+        assert_same_bits(_merge_duplicate_rows(rows), merge_duplicate_rows_greedy(rows, _DUP_TOL))
+
     @pytest.mark.parametrize("m", [1, 7])
     def test_equal_rows_keep_the_first(self, m):
         rows = np.tile([0.5, -0.0, 2.0], (m, 1))

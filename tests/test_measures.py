@@ -13,6 +13,7 @@ from wpomdp.errors import (
     MetricKindMismatch,
     NonPositiveMass,
     NotOneLipschitz,
+    SolverFailure,
 )
 from wpomdp.measures import (
     DISCRETE,
@@ -257,6 +258,85 @@ class TestTransportSimplex:
             want = oracles.transport_cost_by_vertex_enumeration(a, b, cost)
             _, got = solve_transport(a, b, cost)
             assert_allclose(got, want, atol=1e-9)
+
+    def test_totals_equal_only_up_to_rounding(self):
+        # subtracting the rows one by one from the one column's 1.0 leaves
+        # it exhausted while row 7 still holds a residue of about 3e-17:
+        # the north-west corner must go on down the rows, not past the
+        # last column
+        supply = [0.3, 0.0, 0.1, 0.1, 0.0, 0.2, 0.1, 0.2, 0.0]
+        cost = np.arange(9.0)[:, None]
+        plan, value = solve_transport(supply, [1.0], cost)
+        assert_allclose(plan[:, 0], supply, atol=1e-15)
+        assert_allclose(value, np.dot(supply, cost[:, 0]), atol=1e-15)
+
+    @pytest.mark.parametrize("side", ["supply", "demand"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_rejected(self, side, bad):
+        masses = {"supply": [0.5, 0.5], "demand": [0.5, 0.5]}
+        masses[side][1] = bad
+        with pytest.raises(NonPositiveMass):
+            solve_transport(masses["supply"], masses["demand"], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.array([[0.0, 1.0], [1.0, bad]])
+        with pytest.raises(DimensionMismatch):
+            solve_transport([0.5, 0.5], [0.5, 0.5], cost)
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from(["dirichlet", "tenths"]),
+        st.sampled_from(["uniform", "integer", "lattice"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pivots_and_bits_equal_the_rebuilding_simplex(self, m, n, masses, costs, seed):
+        """Same pivots as the simplex that rebuilds the tree, so the same bits.
+
+        Masses on a 0.1 lattice make the north-west corner exhaust rows and
+        columns together and make flows tie on the cycle; integer and
+        lattice costs make reduced costs tie.
+        """
+        rng = np.random.default_rng(seed)
+        if masses == "dirichlet":
+            supply, demand = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        else:
+            supply = rng.multinomial(10, np.ones(m) / m) / 10
+            demand = rng.multinomial(10, np.ones(n) / n) / 10
+        if costs == "uniform":
+            cost = rng.uniform(0.0, 3.0, (m, n))
+        elif costs == "integer":
+            cost = rng.integers(0, 4, (m, n)).astype(float)
+        else:
+            # the Manhattan metric of the benchmark's 4 x 4 lattice model
+            cells = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+            table = np.abs(cells[:, None, :] - cells[None, :, :]).sum(axis=2)
+            cost = table[np.ix_(rng.permutation(16)[:m], rng.permutation(16)[:n])]
+
+        def solves(solver, max_pivots):
+            try:
+                return solver(supply, demand, cost, max_pivots=max_pivots)
+            except SolverFailure:
+                return None
+
+        # k: the fewest pivot-loop rounds the reference needs (bisection)
+        lo, hi = 0, 200 * (m + n) + 1000
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if solves(oracles.solve_transport_reference, mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        k = hi
+        want_plan, want_value = oracles.solve_transport_reference(
+            supply, demand, cost, max_pivots=k
+        )
+        assert solves(solve_transport, k - 1) is None
+        plan, value = solve_transport(supply, demand, cost, max_pivots=k)
+        assert np.array_equal(plan, want_plan)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
 
 
 # --------------------------------------------------------------------------
