@@ -50,9 +50,12 @@ _GATHER_BYTES = 1 << 20
 # timed one by one with perf_counter on a shared 2-core x86-64 VM, took a
 # median of 0.26 ms each when the host was quiet and 0.66 ms when it ran
 # everything about 2.5x slower.  The estimate uses the slower figure: 100k
-# solves is about a minute at that size, and larger supports take longer per
-# solve.  Past this the tree and the VI precompute fail up front instead of
-# running for hours on a large sample.
+# solves is about a minute at that size.  A solve grows about with the
+# square of the state count: on full supports over 4 x 4, 6 x 6 and 9 x 9
+# Manhattan lattices the medians were 0.44, 2.5 and 14.4 ms (20 solves
+# each, one host state), and 0.66 ms * (n_states / 16)^2 is within 1.5x of
+# all three.  Past this the tree and the VI precompute fail up front
+# instead of running for hours on a large sample.
 MAX_TABLE_LP_SOLVES = 100_000
 _LP_SOLVE_S = 0.66e-3
 
@@ -162,32 +165,25 @@ class BeliefDistances:
 
     def l1(self, q: np.ndarray) -> np.ndarray:
         """(len(q), len(self)) L1 block from embedded query rows."""
-        kept, cols = self.emb.shape
-        out = np.empty((len(q), kept))
-        step = max(1, _L1_BLOCK_BYTES // max(1, 8 * kept * cols))
-        buf = np.empty((min(step, len(q)), kept, cols))
-        for s in range(0, len(q), step):
-            qc = q[s:s + step]
-            t = buf[:len(qc)]
-            np.subtract(qc[:, None, :], self.emb[None, :, :], out=t)
-            np.abs(t, out=t).sum(axis=2, out=out[s:s + step])
-        return out
+        return _l1_block(q, self.emb)
 
     def dists(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), len(self)) W1 block from belief weight rows."""
         if self.emb is not None:
             return self.l1(_embed_rows(self.grid, rows))
-        out = np.empty((len(rows), len(self.beliefs)))
-        for i, r in enumerate(rows):
-            mu = make_measure(self.grid, r)
-            out[i] = [w1_lp(mu, b) for b in self.beliefs]
-        return out
+        return _lp_block(self.grid, rows, self.beliefs)
 
-    def pairwise(self) -> np.ndarray:
-        """W1 between every ordered pair of kept beliefs."""
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """W1 from the kept beliefs ``rows`` to the kept beliefs ``cols``.
+
+        Each entry has the bits of the matching entry of ``dists(W)``, W
+        the stacked weight rows of the kept beliefs: the same L1 reduction
+        on an embedding, and on an explicit table the same
+        ``w1_lp(make_measure(grid, w_i), belief_j)`` solve.
+        """
         if self.emb is not None:
-            return self.l1(self.emb)
-        return self.dists(np.stack([b.weights for b in self.beliefs]))
+            return _l1_block(self.emb[rows], self.emb[cols])
+        return _lp_block(self.grid, [b.weights for b in self.beliefs[rows]], self.beliefs[cols])
 
     def knn(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest kept beliefs of each weight row: (idx, dist), (m, k).
@@ -342,12 +338,43 @@ class BeliefDistances:
         return out
 
 
-def check_lp_budget(solves: int) -> None:
-    """Refuse explicit-table work that would take ``solves`` transport solves."""
+def _l1_block(q: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """(len(q), len(emb)) L1 block between embedded rows.
+
+    Reduced over steps of as many query rows as keep the difference block
+    within ``_L1_BLOCK_BYTES`` (one row at least).
+    """
+    kept, cols = emb.shape
+    out = np.empty((len(q), kept))
+    step = max(1, _L1_BLOCK_BYTES // max(1, 8 * kept * cols))
+    buf = np.empty((min(step, len(q)), kept, cols))
+    for s in range(0, len(q), step):
+        qc = q[s:s + step]
+        t = buf[:len(qc)]
+        np.subtract(qc[:, None, :], emb[None, :, :], out=t)
+        np.abs(t, out=t).sum(axis=2, out=out[s:s + step])
+    return out
+
+
+def _lp_block(grid, rows, kept) -> np.ndarray:
+    """(len(rows), len(kept)) W1 block by one transport solve per pair."""
+    out = np.empty((len(rows), len(kept)))
+    for i, r in enumerate(rows):
+        mu = make_measure(grid, r)
+        out[i] = [w1_lp(mu, b) for b in kept]
+    return out
+
+
+def check_lp_budget(solves: int, n_states: int) -> None:
+    """Refuse explicit-table work that would take ``solves`` transport solves.
+
+    The time estimate scales the per-solve figure by (n_states / 16)^2.
+    """
     if solves > MAX_TABLE_LP_SOLVES:
+        per_solve = _LP_SOLVE_S * (n_states / 16) ** 2
         raise SolverFailure(
             f"the explicit-table metric needs {solves:,} transport solves "
-            f"(about {solves * _LP_SOLVE_S / 60:,.1f} min at {_LP_SOLVE_S * 1e3:.2f} ms "
+            f"(about {solves * per_solve / 60:,.1f} min at {per_solve * 1e3:.2f} ms "
             f"each); the limit is {MAX_TABLE_LP_SOLVES:,}: use a smaller sample"
         )
 
@@ -398,7 +425,7 @@ def reachability_tree(
         nonlocal solves
         if kept.emb is None:
             solves += len(kept)
-            check_lp_budget(solves)
+            check_lp_budget(solves, kept.grid.n)
         return kept.dists(row[None, :]).min()
 
     frontier = [0]

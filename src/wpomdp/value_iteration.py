@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
 from .filtering import bayes_step
 from .measures import DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify
-from .sampling import BeliefDistances, BeliefSample, check_lp_budget
+from .sampling import _L1_BLOCK_BYTES, BeliefDistances, BeliefSample, check_lp_budget
 
 __all__ = [
     "TabulatedValue",
@@ -55,6 +56,11 @@ _CHUNK = 256
 
 # sample points the McShane extension maximises over, per posterior
 _K_NEIGHBORS = 16
+
+# bytes of one row block of the McShane slope's pair distances: a sweep
+# reduces each block while it is in cache (larger blocks, which also divide
+# more of the lower triangle, ran slower at 600 beliefs)
+_SLOPE_BLOCK_BYTES = 1 << 20
 
 # simulated paths per seeded generator in rollouts
 _PATH_CHUNK = 4096
@@ -106,27 +112,59 @@ class VIResult:
 # solver
 # --------------------------------------------------------------------------
 
-def _separated_pairs(pair_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample pairs i < j more than 1e-9 apart: (i, j, distance).
+def _row_blocks(B: int):
+    """Row spans [s, e) of the slope blocks D[s:e, s:] of B sample points.
 
-    Each pair carries the smaller of its two separated ordered entries, so
-    the quotient max in :func:`_table_lip_estimate` equals the max over
-    every separated ordered pair even for a block that is not bitwise
-    symmetric (division is monotone in the denominator).
+    Each block holds as many rows as keep it within ``_SLOPE_BLOCK_BYTES``
+    (one row at least).
     """
-    i, j = np.triu_indices(len(pair_d), 1)
-    d = np.where(pair_d > 1e-9, pair_d, np.inf)
-    d = np.minimum(d[i, j], d[j, i])
-    keep = np.isfinite(d)
-    return i[keep], j[keep], d[keep]
+    s = 0
+    while s < B:
+        e = min(B, s + max(1, _SLOPE_BLOCK_BYTES // (8 * (B - s))))
+        yield s, e
+        s = e
 
 
-def _table_lip_estimate(values: np.ndarray, pairs) -> float:
-    """Largest |dv| / W1 over separated sample pairs (0 when there are none)."""
-    i, j, d = pairs
-    if not len(d):
-        return 0.0
-    return float((np.abs(values[i] - values[j]) / d).max())
+def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
+    """Row blocks (s, D[s:e, s:]) of the separated sample pairs i < j.
+
+    ``block(rows, cols)`` gives the W1 block between the sample points
+    ``rows`` and ``cols`` (slices).  Entry (i, j), i < j, holds the smaller
+    of its two ordered distances that exceed 1e-9, and inf where neither
+    does; the diagonal and below hold inf.  So the quotient max in
+    :func:`_table_lip_estimate` equals the max over every separated
+    ordered pair even for a block that is not bitwise symmetric (division
+    is monotone in the denominator).  Every ordered pair is computed once:
+    in its block's rows D[s:e, s:] or in the strip D[e:, s:e] below them.
+    No (B, B) array is ever held.
+    """
+    out = []
+    for s, e in _row_blocks(B):
+        r = e - s
+        up = block(slice(s, e), slice(s, B))
+        up = np.where(up > 1e-9, up, np.inf)
+        low = block(slice(e, B), slice(s, e))
+        np.minimum(up[:, r:], np.where(low > 1e-9, low, np.inf).T, out=up[:, r:])
+        sq = up[:, :r]
+        np.minimum(sq, sq.T.copy(), out=sq)
+        sq[np.tri(r, dtype=bool)] = np.inf
+        out.append((s, up))
+    return out
+
+
+def _table_lip_estimate(values: np.ndarray, blocks) -> float:
+    """Largest |dv| / W1 over separated sample pairs (0 when there are none).
+
+    ``blocks`` are the row blocks of :func:`_separated_pairs`.  Each
+    separated pair makes the subtraction and division of the pair-by-pair
+    form |v_i - v_j| / d_ij, every other entry gives 0, and the max is
+    exact, so the result has the bits of that form.
+    """
+    best = np.empty(len(blocks))
+    for t, (s, d) in enumerate(blocks):
+        q = np.subtract(values[s:s + len(d), None], values[None, s:])
+        best[t] = np.divide(np.abs(q, out=q), d, out=q).max()
+    return float(best.max())
 
 
 def _nearest_in_sample(
@@ -138,7 +176,7 @@ def _nearest_in_sample(
     j: np.ndarray,
     idx_out: np.ndarray,
     dist_out: np.ndarray,
-    parallel: int,
+    pool: ThreadPoolExecutor | None,
 ) -> None:
     """k nearest sample points of each (b, j) posterior of one action.
 
@@ -148,9 +186,10 @@ def _nearest_in_sample(
     by (distance, index) go to ``idx_out[:, b, j]`` and
     ``dist_out[:, b, j]``, K-major, with k = ``len(idx_out)``.  Each chunk
     is row-independent and writes its own entries, so the result is
-    byte-identical for every worker count.  Equal distances are ordered by
-    index (an unordered partition would leave them in any order); the
-    solve reads nothing that depends on that order: McShane takes the max
+    byte-identical for every worker count; ``pool`` runs the chunks when
+    there are several (None: this thread does).  Equal distances are
+    ordered by index (an unordered partition would leave them in any
+    order); the solve reads nothing that depends on that order: McShane takes the max
     over all k, and the exact lookup reads only the nearest point, whose
     distance is at most ``_EXACT_MATCH_TOL`` and so cannot tie with a
     second point under the sample's dedup tolerance.
@@ -166,9 +205,8 @@ def _nearest_in_sample(
         idx_out[:, bs, js] = idx.T
         dist_out[:, bs, js] = dist.T
 
-    if parallel > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(work, spans))
+    if pool is not None and len(spans) > 1:
+        list(pool.map(work, spans))
     else:
         for s in spans:
             work(s)
@@ -182,16 +220,19 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _precompute_bytes(B: int, A: int, J: int, K: int) -> int:
+def _precompute_bytes(B: int, A: int, J: int, K: int, n: int) -> int:
     """Leading terms of the bytes :class:`_Precomputed` holds at its peak.
 
-    The K-major neighbour arrays (intp and float64), then the (B, B)
-    pairwise block while :func:`_separated_pairs` holds its masked copy,
-    the two triangle index arrays, both gathered triangles and their
-    minimum.
+    The (B, A, J) arrays (K-major neighbour indices and distances, node
+    probabilities), two (B, n) row blocks (the embedding and one action's
+    predictions) and the slope's row blocks (about 4 * B^2), then one
+    slope block's temporaries: its raw and masked copies, the strip below
+    it and one L1 step.
     """
-    tri = B * (B - 1) // 2
-    return 16 * K * B * A * J + 16 * B * B + 40 * tri
+    kept = 8 * B * (A * J * (2 * K + 1) + 2 * n)
+    blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
+    step = 3 * max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_L1_BLOCK_BYTES, 8 * B * n)
+    return kept + blocks + step
 
 
 class _Precomputed:
@@ -202,8 +243,10 @@ class _Precomputed:
     holds every (b, a, j) posterior's k-th nearest sample point and its
     distance, so a sweep reads one contiguous (B, A, J) slice per k.
     Nodes of zero likelihood have no posterior, so they are never queried,
-    carry zeros and are masked by ``node_probs`` anyway.  ``pairs`` lists
-    the separated sample pairs for the McShane slope estimate.
+    carry zeros and are masked by ``node_probs`` anyway.  ``pairs`` holds
+    the separated sample pairs for the McShane slope estimate as row
+    blocks of their upper triangle (:func:`_separated_pairs`), about
+    4 * B^2 bytes, computed block by block so no (B, B) array is held.
 
     A sample whose arrays would not fit in physical memory, or whose
     explicit-table metric would need more than ``MAX_TABLE_LP_SOLVES``
@@ -217,8 +260,8 @@ class _Precomputed:
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
         if geom.emb is None:
-            check_lp_budget((B * A * J + B) * B)
-        need, have = _precompute_bytes(B, A, J, K), _physical_memory()
+            check_lp_budget((B * A * J + B) * B, sample.grid.n)
+        need, have = _precompute_bytes(B, A, J, K, model.n_states), _physical_memory()
         if have is not None and need > have:
             raise SolverFailure(
                 f"the VI precompute needs about {need / 2**20:,.1f} MB for {B:,} beliefs; "
@@ -230,18 +273,23 @@ class _Precomputed:
         self.node_probs = np.empty((B, A, J))
         self.nn_idx = np.zeros((K, B, A, J), dtype=np.intp)
         self.nn_dist = np.zeros((K, B, A, J))
-        self.pairs = _separated_pairs(geom.pairwise())
+        self.pairs = _separated_pairs(geom.block, B)
 
         phi = model.obs_quadrature.weights
-        for a in range(A):
-            pred = W @ model.trans[a]  # (B, n)
-            lam = pred @ model.obs_density[a]  # (B, J)
-            self.node_probs[:, a, :] = phi[None, :] * lam
-            b, j = np.nonzero(lam > 0.0)
-            _nearest_in_sample(
-                geom, pred, model.obs_density[a], lam, b, j,
-                self.nn_idx[:, :, a], self.nn_dist[:, :, a], parallel,
-            )
+        # One pool for every action.  A new pool's threads can start before
+        # the last pool's threads have handed back their malloc arenas, and
+        # then open one more arena, which stays resident: three 2-worker
+        # pools in a row did so in 6 of 40 processes, one pool in none.
+        with (ThreadPoolExecutor(parallel) if parallel > 1 else nullcontext()) as pool:
+            for a in range(A):
+                pred = W @ model.trans[a]  # (B, n)
+                lam = pred @ model.obs_density[a]  # (B, J)
+                self.node_probs[:, a, :] = phi[None, :] * lam
+                b, j = np.nonzero(lam > 0.0)
+                _nearest_in_sample(
+                    geom, pred, model.obs_density[a], lam, b, j,
+                    self.nn_idx[:, :, a], self.nn_dist[:, :, a], pool,
+                )
 
         self.closed = bool(
             (np.where(self.node_probs > 0, self.nn_dist[0], 0.0) <= _EXACT_MATCH_TOL).all()

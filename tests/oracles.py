@@ -452,7 +452,7 @@ def solve_vi_broadcast(model, sample, epsilon, k):
     """
     W = sample.weight_matrix()
     geom = BeliefDistances(sample.grid, W, sample.beliefs)
-    pair_d = geom.pairwise()
+    pair_d = geom.dists(W)
     B, A, J = sample.n, model.n_actions, model.n_obs
     node_probs = np.empty((B, A, J))
     for a in range(A):

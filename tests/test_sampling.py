@@ -200,7 +200,7 @@ class TestBeliefDistances:
         if stacked.emb is not None:
             np.testing.assert_array_equal(grown.emb, stacked.emb)
         np.testing.assert_array_equal(grown.dists(queries), stacked.dists(queries))
-        np.testing.assert_array_equal(grown.pairwise(), stacked.pairwise())
+        np.testing.assert_array_equal(grown.dists(rows), stacked.dists(rows))
 
     @pytest.mark.parametrize("kind", ["line", "discrete"])
     def test_anchor_ties_go_to_the_lowest_index(self, kind):
@@ -235,7 +235,7 @@ class TestL1Block:
         geom = BeliefDistances(g, random_rows(g, 2000, rng))
         tracemalloc.start()
         try:
-            d = geom.pairwise()
+            d = geom.l1(geom.emb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

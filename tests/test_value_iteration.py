@@ -1,8 +1,10 @@
 """Bellman backups, the certified fixed-point solver, and rollouts."""
 
 import dataclasses
+import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,16 +322,42 @@ class TestTableLipEstimate:
         d[rng.uniform(size=(n, n)) < 0.1] = 5e-10  # not separated
         if symmetric:
             d = np.triu(d, 1) + np.triu(d, 1).T
-        got = _table_lip_estimate(values, _separated_pairs(d))
+        got = _table_lip_estimate(values, _separated_pairs(lambda r, c: d[r, c], n))
         assert got == table_lip_estimate_dense(values, d)
 
     def test_equals_the_dense_form_on_a_solved_tree(self):
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=3)
-        d = BeliefDistances(s.grid, s.weight_matrix()).pairwise()
+        geom = BeliefDistances(s.grid, s.weight_matrix())
+        d = geom.dists(s.weight_matrix())
         v = solve_vi(m, s, epsilon=1e-2).value.values
-        got = _table_lip_estimate(v, _separated_pairs(d))
+        got = _table_lip_estimate(v, _separated_pairs(geom.block, s.n))
         assert got == table_lip_estimate_dense(v, d) > 0.0
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.integers(1, 40), st.sampled_from(["one", "few", "all"]), st.integers(0, 2**32 - 1))
+    def test_row_blocks_equal_the_dense_form(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n).round(1)
+        d = rng.uniform(0.0, 2.0, (n, n))  # asymmetric
+        d[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        d[rng.uniform(size=(n, n)) < 0.1] = 5e-10  # not separated
+        d[rng.uniform(size=(n, n)) < 0.1] = 2e-9  # barely separated
+        # 1 row per block, 3 rows in the first block, or one block
+        nbytes = {"one": 1, "few": 8 * 3 * n, "all": 8 * n * n}[rows]
+        with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes):
+            blocks = _separated_pairs(lambda r, c: d[r, c], n)
+        covered = 0
+        for start, block in blocks:  # consecutive rows, each block to the last column
+            assert start == covered and block.shape[1] == n - start
+            covered += len(block)
+        assert covered == n
+        if rows == "one":
+            assert len(blocks) == n
+        if rows == "all":
+            assert len(blocks) == 1
+        got = _table_lip_estimate(values, blocks)
+        assert np.float64(got).tobytes() == np.float64(table_lip_estimate_dense(values, d)).tobytes()
 
 
 class TestExplicitTableSolve:
@@ -406,6 +434,50 @@ class TestExplicitTableSolve:
         monkeypatch.setattr(sampling, "w1_lp", no_lp)
         with pytest.raises(SolverFailure, match="280,000 transport solves"):
             solve_vi(tab, s, epsilon=1e-2)
+
+    def test_slope_blocks_have_the_bits_of_dists(self, monkeypatch):
+        _, tab = self.models()
+        s = self.sample(tab, 7)
+        calls = []
+        lp = sampling.w1_lp
+
+        def counted(mu, nu):
+            calls.append(1)
+            return lp(mu, nu)
+
+        monkeypatch.setattr(sampling, "w1_lp", counted)
+        monkeypatch.setattr(value_iteration, "_SLOPE_BLOCK_BYTES", 8 * 7 * 2)
+        pre = _Precomputed(tab, s, 1)
+        B, A, J = pre.node_probs.shape
+        assert len(calls) == (B * A * J + B) * B  # each ordered pair solved once
+        assert [start for start, _ in pre.pairs] == [0, 2, 4]
+
+        W = s.weight_matrix()
+        geom = BeliefDistances(s.grid, W, s.beliefs)
+        d = geom.dists(W)
+        assert geom.block(slice(2, 4), slice(1, None)).tobytes() == d[2:4, 1:].tobytes()
+        assert geom.block(slice(4, None), slice(0, 3)).tobytes() == d[4:, :3].tobytes()
+        sep = np.where(d > 1e-9, d, np.inf)
+        want = np.minimum(sep, sep.T)
+        want[np.tri(B, dtype=bool)] = np.inf
+        for start, block in pre.pairs:
+            assert block.tobytes() == want[start:start + len(block), start:].tobytes()
+
+    def test_budget_error_prices_solves_by_the_state_count(self, monkeypatch):
+        m = random_finite_model(2, n_states=81, n_actions=1, n_obs=2)
+        grid = StateGrid(np.arange(81.0), EXPLICIT_TABLE, 1.0 - np.eye(81))
+        tab = dataclasses.replace(m, state_grid=grid)
+        rng = np.random.default_rng(3)
+        s = user_sample([make_measure(grid, w) for w in rng.dirichlet(np.ones(81), 200)])
+
+        def no_lp(mu, nu):
+            raise AssertionError("a transport LP was solved")
+
+        monkeypatch.setattr(sampling, "w1_lp", no_lp)
+        with pytest.raises(SolverFailure, match="120,000 transport solves") as err:
+            solve_vi(tab, s, epsilon=1e-2)
+        # one solve on 81 states took a median of 14.4 ms
+        assert float(re.search(r"at ([\d.]+) ms each", str(err.value)).group(1)) >= 10.0
 
     def test_tree_stops_at_the_lp_budget(self, monkeypatch):
         _, tab = self.models()
@@ -565,7 +637,7 @@ class TestMemoryCheck:
             raise AssertionError("a distance block was computed")
 
         monkeypatch.setattr(value_iteration, "_physical_memory", lambda: 4096)
-        monkeypatch.setattr(BeliefDistances, "pairwise", no_distances)
+        monkeypatch.setattr(BeliefDistances, "block", no_distances)
         monkeypatch.setattr(BeliefDistances, "knn", no_distances)
         with pytest.raises(SolverFailure, match=r"needs about [\d.,]+ MB for [\d,]+ beliefs"):
             solve_vi(m, s, epsilon=1e-2)
@@ -578,10 +650,15 @@ class TestMemoryCheck:
 
     def test_estimate_covers_the_arrays_kept(self):
         m, s = drift_tree()
-        pre = _Precomputed(m, s, 1)
+        s.weight_matrix()
+        tracemalloc.start()
+        try:
+            pre = _Precomputed(m, s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         B, A, J = pre.node_probs.shape
-        kept = pre.nn_idx.nbytes + pre.nn_dist.nbytes + sum(p.nbytes for p in pre.pairs)
-        assert _precompute_bytes(B, A, J, len(pre.nn_idx)) >= kept + 8 * B * B
+        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states) >= peak
 
 
 class TestSolveVi:
