@@ -50,7 +50,6 @@ from .value_iteration import (
 from .conjugate import (
     AlphaSet,
     conjugate_rho,
-    eval_sup,
     eval_sup_table,
     normalize_null_level,
     prune,

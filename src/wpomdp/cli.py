@@ -12,6 +12,7 @@ readable ``error:`` line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .conjugate import eval_sup_table, solve_sets
-from .errors import BeliefSpaceError
+from .conjugate import solve_sets
+from .errors import BeliefSpaceError, ModelValidationError
 from .filtering import obs_marginal, sample_transition
 from .kalman import KalmanSpec, build_model
 from .measures import make_measure
@@ -201,9 +202,11 @@ def cmd_example(args) -> int:
     if args.which != "kalman":
         raise BeliefSpaceError(f"unknown example {args.which!r}")
     if args.spec is not None:
-        import json
-
-        spec = KalmanSpec(**json.loads(Path(args.spec).read_text()))
+        try:
+            spec = KalmanSpec(**json.loads(Path(args.spec).read_text()))
+        except (OSError, ValueError, TypeError) as e:
+            # unreadable file, malformed JSON, unknown or mistyped field
+            raise ModelValidationError(f"cannot use spec file {args.spec}: {e}") from e
     else:
         spec = KalmanSpec(
             gains=tuple(float(g) for g in args.gains.split(",")),

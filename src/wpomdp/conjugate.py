@@ -15,8 +15,7 @@ module provides
   function against the unnormalised posterior functional and assemble a
   backed-up alpha-function per (belief, action),
 * plain and per-action solver loops with the same certified stopping
-  rule as value iteration, and
-* a measured Lipschitz-growth diagnostic for the backed-up functions.
+  rule as value iteration.
 """
 
 from __future__ import annotations
@@ -26,17 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySample, SolverFailure
-from .measures import EUCLIDEAN_1D, DiscreteMeasure, StateGrid, lipschitz_constants
+from .measures import DiscreteMeasure, StateGrid, lipschitz_constants
 from .model import CertifiedConstants, PomdpModel, certify
 from .sampling import BeliefSample
 from .value_iteration import TabulatedValue
 
 __all__ = [
     "AlphaSet",
-    "SetBackupResult",
-    "QSetBackupResult",
+    "BackupResult",
     "SetSolveResult",
-    "eval_sup",
     "eval_sup_table",
     "conjugate_rho",
     "second_conjugate",
@@ -46,7 +43,6 @@ __all__ = [
     "prune",
     "solve_sets",
     "zero_alpha_set",
-    "lip_growth_constants",
 ]
 
 # backed-up functions closer than this in sup norm are merged
@@ -91,15 +87,6 @@ class AlphaSet:
 
 def zero_alpha_set(model: PomdpModel) -> AlphaSet:
     return AlphaSet(model.state_grid, np.zeros((1, model.n_states)))
-
-
-def eval_sup(alpha_set: AlphaSet, mu: DiscreteMeasure) -> tuple[float, int]:
-    """Envelope value and winning index at one belief (ties -> lowest)."""
-    if not alpha_set.grid.same_points(mu.grid):
-        raise DimensionMismatch("the belief lives on another grid than the alpha set")
-    vals = alpha_set.values @ mu.weights
-    i = int(vals.argmax())
-    return float(vals[i]), i
 
 
 def eval_sup_table(alpha_set: AlphaSet, sample: BeliefSample) -> tuple[np.ndarray, np.ndarray]:
@@ -154,15 +141,17 @@ def normalize_null_level(fns: np.ndarray, values: np.ndarray, sample: BeliefSamp
 # --------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class SetBackupResult:
-    """One plain backup step.
+class BackupResult:
+    """One backup step, plain or per action.
 
-    ``backed`` holds g_{mu,a} for every sampled belief and action;
-    ``backed_matrix`` the per-belief row for the winning action (aligned
-    with the sample, before duplicate merging).
+    ``new_sets`` holds the merged backed-up set: one for the plain backup,
+    one per action for the per-action backup.  ``backed`` holds g_{mu,a}
+    for every sampled belief and action; ``backed_matrix`` the per-belief
+    row for the winning action (aligned with the sample, before duplicate
+    merging).
     """
 
-    new_set: AlphaSet
+    new_sets: tuple[AlphaSet, ...]
     table: TabulatedValue
     chosen_action: np.ndarray  # (B,)
     backed: np.ndarray  # (A, B, n)
@@ -170,14 +159,6 @@ class SetBackupResult:
     @property
     def backed_matrix(self) -> np.ndarray:
         return self.backed[self.chosen_action, np.arange(len(self.chosen_action))]
-
-
-@dataclass(eq=False)
-class QSetBackupResult:
-    new_sets: tuple[AlphaSet, ...]
-    table: TabulatedValue
-    chosen_action: np.ndarray
-    backed: np.ndarray
 
 
 def _merge_duplicate_rows(rows: np.ndarray) -> np.ndarray:
@@ -220,19 +201,21 @@ def _merge_duplicate_rows(rows: np.ndarray) -> np.ndarray:
     return cand[np.flatnonzero(keep)]
 
 
-def _backup_against(model: PomdpModel, fn_matrix: np.ndarray, sample: BeliefSample):
-    """Core backup of every (belief, action) against a fixed function stack.
+def _backup_against(model: PomdpModel, sets, sample: BeliefSample) -> BackupResult:
+    """Core backup of every (belief, action) against the union of ``sets``.
 
-    Returns (action_values (B,A), backed (A,B,n)).
     The per-node argmax uses the unnormalised posterior functional
     sum_x' f(x') pred(x') q(y_j|x',a): positive scalars commute with sup,
     so normalising by the node likelihood is unnecessary, and nodes with
-    zero likelihood contribute exactly zero either way.
+    zero likelihood contribute exactly zero either way.  From one set the
+    new set keeps each belief's function for its winning action; from one
+    set per action, new set ``a`` keeps every belief's function for action
+    ``a``.  On a one-action model the two coincide.
     """
+    fn_matrix = np.vstack([s.values for s in sets])
     W = sample.weight_matrix()
     B, n = W.shape
     A, J = model.n_actions, model.n_obs
-    nf = len(fn_matrix)
     phi = model.obs_quadrature.weights
 
     action_values = np.empty((B, A))
@@ -249,28 +232,27 @@ def _backup_against(model: PomdpModel, fn_matrix: np.ndarray, sample: BeliefSamp
         g = model.reward[a][None, :] + model.discount * contrib  # (B, n)
         backed[a] = g
         action_values[:, a] = (g * W).sum(axis=1)
-    return action_values, backed
-
-
-def set_backup(model: PomdpModel, alpha_set: AlphaSet, sample: BeliefSample) -> SetBackupResult:
-    """Plain backup: per belief keep the best action's backed-up function.
-
-    The returned table satisfies value(mu) = integral of the kept function
-    against mu = max_a of the one-action backup of the envelope.
-    """
-    certify(model)
-    action_values, backed = _backup_against(model, alpha_set.values, sample)
     chosen = action_values.argmax(axis=1)
-    rows = backed[chosen, np.arange(sample.n)]
-    return SetBackupResult(
-        new_set=AlphaSet(model.state_grid, _merge_duplicate_rows(rows)),
+    rows = backed if len(sets) > 1 else backed[chosen, np.arange(B)][None]
+    return BackupResult(
+        new_sets=tuple(AlphaSet(model.state_grid, _merge_duplicate_rows(r)) for r in rows),
         table=TabulatedValue(sample, action_values.max(axis=1)),
         chosen_action=chosen,
         backed=backed,
     )
 
 
-def q_set_backup(model: PomdpModel, qsets, sample: BeliefSample) -> QSetBackupResult:
+def set_backup(model: PomdpModel, alpha_set: AlphaSet, sample: BeliefSample) -> BackupResult:
+    """Plain backup: per belief keep the best action's backed-up function.
+
+    The returned table satisfies value(mu) = integral of the kept function
+    against mu = max_a of the one-action backup of the envelope.
+    """
+    certify(model)
+    return _backup_against(model, (alpha_set,), sample)
+
+
+def q_set_backup(model: PomdpModel, qsets, sample: BeliefSample) -> BackupResult:
     """Per-action variant: inner sup over the union, no outer max stored.
 
     ``qsets`` is one AlphaSet per action; the backed-up function of action
@@ -281,18 +263,7 @@ def q_set_backup(model: PomdpModel, qsets, sample: BeliefSample) -> QSetBackupRe
     qsets = tuple(qsets)
     if len(qsets) != model.n_actions:
         raise SolverFailure("need one alpha set per action")
-    union = np.vstack([s.values for s in qsets])
-    action_values, backed = _backup_against(model, union, sample)
-    new_sets = tuple(
-        AlphaSet(model.state_grid, _merge_duplicate_rows(backed[a]))
-        for a in range(model.n_actions)
-    )
-    return QSetBackupResult(
-        new_sets=new_sets,
-        table=TabulatedValue(sample, action_values.max(axis=1)),
-        chosen_action=action_values.argmax(axis=1),
-        backed=backed,
-    )
+    return _backup_against(model, qsets, sample)
 
 
 def prune(alpha_set: AlphaSet, sample: BeliefSample) -> AlphaSet:
@@ -304,57 +275,6 @@ def prune(alpha_set: AlphaSet, sample: BeliefSample) -> AlphaSet:
     _, winners = eval_sup_table(alpha_set, sample)
     keep = np.unique(winners)
     return AlphaSet(alpha_set.grid, alpha_set.values[keep])
-
-
-# --------------------------------------------------------------------------
-# Lipschitz-growth diagnostic
-# --------------------------------------------------------------------------
-
-def _anchor_index(model: PomdpModel) -> int:
-    """Grid index of (the point nearest to) the weight anchor."""
-    grid = model.state_grid
-    if grid.metric_kind == EUCLIDEAN_1D:
-        return int(np.abs(grid.points - model.weight.x0).argmin())
-    return grid.index_of(model.weight.x0)
-
-
-def lip_growth_constants(model: PomdpModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-action kernel-variation constants (c1, c0) for the growth bound.
-
-    For state pairs (x, xt) let D(x') = sum_j phi_j |p(x'|x,a)q_j(x') -
-    p(x'|xt,a)q_j(x')| summed as written below; then
-
-        lip(g_a)  <=  lip(r(., a)) + alpha * (L * c1[a] + s * c0[a])
-
-    where L is the set's largest Lipschitz constant, s the spread of the
-    member functions at the anchor grid point, c1 carries a d(x', anchor)
-    factor inside the x'-sum and c0 does not.  The bound follows by
-    splitting each chosen function as (f - f(anchor)) + (f(anchor) - min)
-    + min: the constant part cancels exactly because the
-    quadrature-normalised kernels integrate to one for every x.  Pairs
-    range over adjacent grid points in 1-D and all pairs otherwise — the
-    same pairs that define Lipschitz constants on the grid.
-    """
-    grid = model.state_grid
-    pw = grid.pairwise()
-    n = model.n_states
-    if grid.metric_kind == EUCLIDEAN_1D:
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    d_anchor = pw[_anchor_index(model)]
-    phi = model.obs_quadrature.weights
-    c1 = np.zeros(model.n_actions)
-    c0 = np.zeros(model.n_actions)
-    for a in range(model.n_actions):
-        # per x: K[x, x', j] = p(x'|x,a) q(y_j|x',a) phi_j
-        k = model.trans[a][:, :, None] * (model.obs_density[a] * phi[None, :])[None, :, :]
-        for i, j in pairs:
-            diff = np.abs(k[i] - k[j]).sum(axis=1)  # (n',) after the j-sum
-            dij = pw[i, j]
-            c1[a] = max(c1[a], float((diff * d_anchor).sum() / dij))
-            c0[a] = max(c0[a], float(diff.sum() / dij))
-    return c1, c0
 
 
 # --------------------------------------------------------------------------
@@ -378,7 +298,6 @@ class SetSolveResult:
     algorithm: str
     chosen_action: np.ndarray
     set_sizes: tuple[int, ...]
-    lip_growth: tuple[tuple[float, float], ...]  # (measured, bound) per iter
 
     @property
     def final_set_size(self) -> int:
@@ -391,8 +310,6 @@ def solve_sets(
     epsilon: float = 1e-3,
     max_iters: int = 1000,
     algorithm: str = "alg1",
-    *,
-    track_lip_growth: bool = False,
 ) -> SetSolveResult:
     """Iterate the set backup until the a-priori bound certifies epsilon.
 
@@ -401,8 +318,11 @@ def solve_sets(
     the value bound r_bar * gamma^t / (1 - gamma) applies verbatim and
     fixes the iteration count.  As in :func:`solve_vi`, ``max_iters`` cuts
     the run short with ``converged=False``; ``max_iters=0`` returns the
-    zero start with the greedy actions of the expected reward.
+    zero start with the greedy actions of the expected reward; a negative
+    ``max_iters`` raises :class:`~wpomdp.errors.SolverFailure`.
     """
+    if max_iters < 0:
+        raise SolverFailure(f"max_iters must be >= 0, got {max_iters}")
     constants = certify(model)
     if epsilon <= 0:
         raise SolverFailure("epsilon must be positive")
@@ -411,27 +331,20 @@ def solve_sets(
     t_star = constants.iterations_for(epsilon)
     t = min(t_star, max_iters)
 
-    growth_consts = lip_growth_constants(model) if track_lip_growth else None
     W = sample.weight_matrix()
     tilde_w = W @ model.weight.values_on(model.state_grid)
     table = TabulatedValue.zeros(sample)
     chosen = (W @ model.reward.T).argmax(axis=1)
     sup_diffs: list[float] = []
     set_sizes: list[int] = []
-    lip_growth: list[tuple[float, float]] = []
 
     sets = (zero_alpha_set(model),) * (1 if algorithm == "alg1" else model.n_actions)
     for _ in range(t):
         if algorithm == "alg1":
             result = set_backup(model, sets[0], sample)
-            new_sets = (result.new_set,)
         else:
             result = q_set_backup(model, sets, sample)
-            new_sets = result.new_sets
-        if track_lip_growth:
-            union = np.vstack([s.values for s in sets])
-            lip_growth.append(_measure_growth(model, union, result, growth_consts))
-        sets = tuple(prune(s, sample) for s in new_sets)
+        sets = tuple(prune(s, sample) for s in result.new_sets)
         sup_diffs.append(float((np.abs(result.table.values - table.values) / tilde_w).max()))
         table, chosen = result.table, result.chosen_action
         set_sizes.append(sum(s.n_fns for s in sets))
@@ -447,21 +360,5 @@ def solve_sets(
         algorithm=algorithm,
         chosen_action=np.asarray(chosen),
         set_sizes=tuple(set_sizes),
-        lip_growth=tuple(lip_growth),
     )
 
-
-def _measure_growth(model, fmat, result, growth_consts):
-    """(measured max lip of backed fns, certified growth bound)."""
-    c1, c0 = growth_consts
-    anchor = _anchor_index(model)
-    spread = float(fmat[:, anchor].max() - fmat[:, anchor].min())
-    l_set = float(lipschitz_constants(model.state_grid, fmat).max())
-    lip_r = lipschitz_constants(model.state_grid, model.reward)
-    bound = float(
-        (lip_r + model.discount * (l_set * c1 + spread * c0)).max()
-    )
-    measured = float(
-        lipschitz_constants(model.state_grid, result.backed.reshape(-1, model.n_states)).max()
-    )
-    return measured, bound

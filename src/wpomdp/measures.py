@@ -5,8 +5,9 @@ Three metric modes are supported: points on the real line with d(x,y)=|x-y|,
 the 0/1 discrete metric, and an explicit symmetric distance table.  On top
 of that the module provides
 
-* the order-1 Wasserstein distance -- closed form on the line via the CDF
-  area formula, transportation simplex otherwise,
+* the order-1 Wasserstein distance -- closed form on the line as the L1
+  distance between CDF embeddings (:func:`cdf_embedding`), transportation
+  simplex otherwise,
 * dual gaps ``int f dmu - int f dnu`` for (approximately) 1-Lipschitz test
   functions, giving the sup-side of Kantorovich-Rubinstein duality,
 * affine weight functions w(x) = 1 + k*d(x0, x), their lifts
@@ -42,6 +43,7 @@ __all__ = [
     "lipschitz_constants",
     "make_measure",
     "dirac",
+    "cdf_embedding",
     "w1_1d",
     "w1_lp",
     "w1",
@@ -296,24 +298,26 @@ def _support_atoms(mu: DiscreteMeasure):
     return mu.grid.points[idx], mu.weights[idx], idx
 
 
-def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Closed-form W1 on the line: area between the two CDFs.
+def cdf_embedding(points: np.ndarray, weight_rows: np.ndarray) -> np.ndarray:
+    """Cell-width-scaled CDFs of weight rows (last axis) on increasing 1-D
+    ``points``: the L1 distance of two embedded rows is their W1."""
+    return np.cumsum(weight_rows, axis=-1)[..., :-1] * np.diff(points)
 
-    The grids may differ as long as both are ``euclidean_1d``; the CDFs are
-    compared over the merged support.
+
+def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Closed-form W1 on the line: L1 between the CDF embeddings.
+
+    The grids may differ as long as both are ``euclidean_1d``; both
+    measures are embedded on the union of their grids.
     """
     if mu.grid.metric_kind != EUCLIDEAN_1D or nu.grid.metric_kind != EUCLIDEAN_1D:
         raise MetricKindMismatch("w1_1d needs the 1-D euclidean metric")
-    xs_m, wm, _ = _support_atoms(mu)
-    xs_n, wn, _ = _support_atoms(nu)
-    z = np.union1d(xs_m, xs_n)
-    if len(z) == 1:
-        return 0.0
-    fm = np.cumsum(wm)[np.searchsorted(xs_m, z, side="right") - 1]
-    fm = np.where(np.searchsorted(xs_m, z, side="right") == 0, 0.0, fm)
-    fn = np.cumsum(wn)[np.searchsorted(xs_n, z, side="right") - 1]
-    fn = np.where(np.searchsorted(xs_n, z, side="right") == 0, 0.0, fn)
-    return float(np.dot(np.abs(fm - fn)[:-1], np.diff(z)))
+    z = np.union1d(mu.grid.points, nu.grid.points)
+    rows = np.zeros((2, len(z)))
+    rows[0, np.searchsorted(z, mu.grid.points)] = mu.weights
+    rows[1, np.searchsorted(z, nu.grid.points)] = nu.weights
+    e_mu, e_nu = cdf_embedding(z, rows)
+    return float(np.abs(e_mu - e_nu).sum())
 
 
 def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySample, SolverFailure
 from .filtering import bayes_update, obs_marginal
-from .measures import DISCRETE, EUCLIDEAN_1D, DiscreteMeasure, make_measure, w1_lp
+from .measures import DISCRETE, EUCLIDEAN_1D, DiscreteMeasure, cdf_embedding, make_measure, w1_lp
 from .model import PomdpModel
 
 __all__ = [
@@ -62,16 +62,14 @@ _LP_SOLVE_S = 0.66e-3
 
 @dataclass(eq=False)
 class BeliefSample:
-    """Ordered, deduplicated belief set with its construction record.
+    """Ordered, deduplicated belief set.
 
-    ``edges`` lists (parent index, action, node, child index) for every
-    tree expansion that produced a new sample point; mixture-padded points
-    have no edge.  ``truncated`` marks that the cap cut the expansion off.
+    ``provenance`` names the construction; ``truncated`` marks that the
+    cap cut the expansion off.
     """
 
     beliefs: tuple[DiscreteMeasure, ...]
     provenance: str
-    edges: tuple[tuple[int, int, int, int], ...] = ()
     truncated: bool = False
     _weight_matrix: np.ndarray | None = field(default=None, repr=False)
 
@@ -106,12 +104,13 @@ def user_sample(beliefs) -> BeliefSample:
 def _embed_rows(grid, weight_rows: np.ndarray) -> np.ndarray | None:
     """Rows whose pairwise L1 distance equals W1, if the metric allows it.
 
-    1-D: cell-width-scaled CDFs.  Discrete: half the weights (L1 becomes
-    total variation, which is W1 under the discrete metric).  Explicit
-    tables have no such embedding -> None, callers fall back to the LP.
+    1-D: :func:`~wpomdp.measures.cdf_embedding`.  Discrete: half the
+    weights (L1 becomes total variation, which is W1 under the discrete
+    metric).  Explicit tables have no such embedding -> None, callers fall
+    back to the LP.
     """
     if grid.metric_kind == EUCLIDEAN_1D:
-        return np.cumsum(weight_rows, axis=1)[:, :-1] * np.diff(grid.points)[None, :]
+        return cdf_embedding(grid.points, weight_rows)
     if grid.metric_kind == DISCRETE:
         return 0.5 * weight_rows
     return None
@@ -410,14 +409,16 @@ def reachability_tree(
     the whole construction is deterministic.  On an explicit-table metric
     every dedup check solves one LP per kept belief; the tree raises
     :class:`~wpomdp.errors.SolverFailure` before its count of them would
-    pass ``MAX_TABLE_LP_SOLVES``.
+    pass ``MAX_TABLE_LP_SOLVES``.  A negative ``depth`` or a ``cap``
+    below 1 raises :class:`~wpomdp.errors.DimensionMismatch`.
     """
     model.check_belief(mu0)
     if depth < 0:
         raise DimensionMismatch("depth must be >= 0")
+    if cap < 1:
+        raise DimensionMismatch("cap must be >= 1")
     beliefs = [mu0]
     kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
-    edges: list[tuple[int, int, int, int]] = []
     truncated = False
     solves = 0
 
@@ -445,7 +446,6 @@ def reachability_tree(
                     if len(beliefs) >= cap:
                         truncated = True
                         break
-                    edges.append((parent, a, int(j), len(beliefs)))
                     next_frontier.append(len(beliefs))
                     beliefs.append(post)
                     kept.add(post.weights)
@@ -476,6 +476,5 @@ def reachability_tree(
     return BeliefSample(
         tuple(beliefs),
         provenance=f"reachability_tree(depth={depth}, seed={seed})",
-        edges=tuple(edges),
         truncated=truncated,
     )

@@ -90,6 +90,9 @@ def load_model(path) -> tuple[PomdpModel, np.ndarray | None]:
         )
     except KeyError as e:
         raise ModelValidationError(f"model file {path} is missing field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        # a field, or the whole document, of the wrong JSON type
+        raise ModelValidationError(f"model file {path} has a malformed field: {e}") from e
     init = doc.get("init_belief")
     return model, None if init is None else np.asarray(init, dtype=float)
 

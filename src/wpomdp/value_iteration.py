@@ -338,12 +338,15 @@ def solve_vi(
     empirical sup-difference is reported alongside, and is typically far
     smaller).  If ``max_iters`` cuts the run short the result is returned
     with ``converged=False`` rather than raised; ``max_iters=0`` returns
-    the zero table with the greedy actions of the expected reward.
+    the zero table with the greedy actions of the expected reward; a
+    negative ``max_iters`` raises :class:`~wpomdp.errors.SolverFailure`.
 
     Posteriors read the value of their sample point when every posterior
     lies in the sample (a closed sample), and the McShane extension over
     their ``_K_NEIGHBORS`` nearest sample points otherwise.
     """
+    if max_iters < 0:
+        raise SolverFailure(f"max_iters must be >= 0, got {max_iters}")
     constants = certify(model)
     if epsilon <= 0:
         raise SolverFailure("epsilon must be positive")

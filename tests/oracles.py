@@ -22,7 +22,7 @@ from wpomdp.errors import (
     SolverFailure,
 )
 from wpomdp.filtering import bayes_update, expected_reward, obs_marginal
-from wpomdp.measures import LipschitzFn, integrate, w1
+from wpomdp.measures import EUCLIDEAN_1D, LipschitzFn, integrate, lipschitz_constants, w1
 from wpomdp.model import certify
 from wpomdp.sampling import BeliefDistances
 from wpomdp.value_iteration import Selector, TabulatedValue
@@ -583,3 +583,79 @@ def normalize_null_level_loop(f, value_eval, sample):
     if not np.isfinite(rho):
         raise SolverFailure("conjugate is not finite over the sample")
     return LipschitzFn(f.grid, f.values - rho)
+
+
+# --------------------------------------------------------------------------
+# one-belief envelope and the Lipschitz growth of one set backup
+# --------------------------------------------------------------------------
+
+def eval_sup(alpha_set, mu):
+    """Envelope value and winning index at one belief (ties -> lowest)."""
+    if not alpha_set.grid.same_points(mu.grid):
+        raise DimensionMismatch("the belief lives on another grid than the alpha set")
+    vals = alpha_set.values @ mu.weights
+    i = int(vals.argmax())
+    return float(vals[i]), i
+
+
+def _anchor_index(model):
+    """Grid index of (the point nearest to) the weight anchor."""
+    grid = model.state_grid
+    if grid.metric_kind == EUCLIDEAN_1D:
+        return int(np.abs(grid.points - model.weight.x0).argmin())
+    return grid.index_of(model.weight.x0)
+
+
+def lip_growth_constants(model):
+    """Per-action kernel-variation constants (c1, c0) for the growth bound.
+
+    For state pairs (x, xt) let D(x') = sum_j phi_j |p(x'|x,a)q_j(x') -
+    p(x'|xt,a)q_j(x')| summed as written below; then
+
+        lip(g_a)  <=  lip(r(., a)) + alpha * (L * c1[a] + s * c0[a])
+
+    where L is the set's largest Lipschitz constant, s the spread of the
+    member functions at the anchor grid point, c1 carries a d(x', anchor)
+    factor inside the x'-sum and c0 does not.  The bound follows by
+    splitting each chosen function as (f - f(anchor)) + (f(anchor) - min)
+    + min: the constant part cancels exactly because the
+    quadrature-normalised kernels integrate to one for every x.  Pairs
+    range over adjacent grid points in 1-D and all pairs otherwise -- the
+    same pairs that define Lipschitz constants on the grid.  The per-step
+    bound does not compose into a certified W1 slope of the fixed point.
+    """
+    grid = model.state_grid
+    pw = grid.pairwise()
+    n = model.n_states
+    if grid.metric_kind == EUCLIDEAN_1D:
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    d_anchor = pw[_anchor_index(model)]
+    phi = model.obs_quadrature.weights
+    c1 = np.zeros(model.n_actions)
+    c0 = np.zeros(model.n_actions)
+    for a in range(model.n_actions):
+        # per x: K[x, x', j] = p(x'|x,a) q(y_j|x',a) phi_j
+        k = model.trans[a][:, :, None] * (model.obs_density[a] * phi[None, :])[None, :, :]
+        for i, j in pairs:
+            diff = np.abs(k[i] - k[j]).sum(axis=1)  # (n',) after the j-sum
+            dij = pw[i, j]
+            c1[a] = max(c1[a], float((diff * d_anchor).sum() / dij))
+            c0[a] = max(c0[a], float(diff.sum() / dij))
+    return c1, c0
+
+
+def measured_growth(model, fmat, backed, growth_consts):
+    """(measured max lip of the backed functions, growth bound) of one
+    backup of the function stack ``fmat`` that produced ``backed``."""
+    c1, c0 = growth_consts
+    anchor = _anchor_index(model)
+    spread = float(fmat[:, anchor].max() - fmat[:, anchor].min())
+    l_set = float(lipschitz_constants(model.state_grid, fmat).max())
+    lip_r = lipschitz_constants(model.state_grid, model.reward)
+    bound = float((lip_r + model.discount * (l_set * c1 + spread * c0)).max())
+    measured = float(
+        lipschitz_constants(model.state_grid, backed.reshape(-1, model.n_states)).max()
+    )
+    return measured, bound

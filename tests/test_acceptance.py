@@ -229,7 +229,7 @@ def test_c06_set_backup_matches_classical_pbvi():
         )
         worst = max(worst, float(np.abs(res.backed_matrix - want).max()))
         vectors = want
-        cur = res.new_set
+        cur = res.new_sets[0]
     ok = worst <= 1e-10
     _report(6, ok, f"entry-wise gap to classical backup max {worst:.2e} (<= 1e-10, 5 iters)")
 
@@ -266,7 +266,7 @@ def test_c08_envelope_convexity_and_lipschitz():
     worst_cvx = -np.inf
     worst_lip = -np.inf
     for _ in range(6):
-        cur = set_backup(m, cur, sample).new_set
+        cur = set_backup(m, cur, sample).new_sets[0]
         mat = cur.values
         wa = rng.dirichlet((0.6, 0.6), size=1000)
         wb = rng.dirichlet((0.6, 0.6), size=1000)

@@ -71,6 +71,20 @@ class TestExample:
         model, _ = load_model(out)
         assert model.n_states == 9 and model.n_obs == 21
 
+    @pytest.mark.parametrize(
+        "text", [None, "{not json", '{"gainz": [-0.5, 0.5]}'],
+        ids=["missing", "malformed", "unknown_field"],
+    )
+    def test_bad_spec_file_is_a_one_line_error(self, text, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text)
+        rc = main(["example", "kalman", "--out", str(tmp_path / "m.json"), "--spec", str(spec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelValidationError") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestValidate:
     def test_prints_certificate(self, toy_file, capsys):
@@ -193,6 +207,23 @@ class TestSolveSets:
         assert len(read_csv(tmp_path / "convergence.csv")[1]) == 2
         assert main([cmd, *flags]) == 0
         assert "converged=True" in capsys.readouterr().out
+
+
+class TestRefusedFlags:
+    @pytest.mark.parametrize("cmd", ["solve-vi", "solve-sets", "rollout", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [("--max-iters", "-3", "SolverFailure"), ("--cap", "0", "DimensionMismatch")],
+    )
+    def test_is_a_one_line_error(self, cmd, flag, value, error, toy_file, tmp_path, capsys):
+        rc = main(
+            [cmd, "--model", str(toy_file), "--out-dir", str(tmp_path), "--depth", "1",
+             flag, value]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFilter:

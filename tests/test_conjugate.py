@@ -12,18 +12,20 @@ from oracles import (
     bellman_backup_point,
     classical_pbvi_backup,
     conjugate_rho_loop,
+    eval_sup,
+    lip_growth_constants,
+    measured_growth,
     merge_duplicate_rows_greedy,
     normalize_null_level_loop,
     second_conjugate_loop,
 )
+from wpomdp import conjugate, value_iteration
 from wpomdp.conjugate import (
     _DUP_TOL,
     AlphaSet,
     _merge_duplicate_rows,
     conjugate_rho,
-    eval_sup,
     eval_sup_table,
-    lip_growth_constants,
     normalize_null_level,
     prune,
     q_set_backup,
@@ -349,7 +351,7 @@ class TestSetBackup:
         np.testing.assert_array_equal(res.chosen_action, [0, 0, 1, 1, 1])
         # the backed-up functions are exactly the chosen reward rows
         np.testing.assert_array_equal(res.backed_matrix, m.reward[res.chosen_action])
-        assert res.new_set.n_fns == 2  # five rows merge to the two distinct ones
+        assert res.new_sets[0].n_fns == 2  # five rows merge to the two distinct ones
 
     def test_exchange_identity(self):
         m = pbvi_toy()
@@ -368,7 +370,7 @@ class TestSetBackup:
                     res.backed[res.chosen_action[b], b] @ mu.weights,
                     atol=1e-12,
                 )
-            cur = res.new_set
+            cur = res.new_sets[0]
 
     def test_matches_classical_alpha_vector_backup(self):
         m = pbvi_toy()
@@ -383,7 +385,7 @@ class TestSetBackup:
             )
             assert np.abs(res.backed_matrix - want).max() <= 1e-10
             vectors = want
-            cur = res.new_set
+            cur = res.new_sets[0]
 
 
 class TestQSetBackup:
@@ -400,7 +402,7 @@ class TestQSetBackup:
         plain = set_backup(one, zero_alpha_set(one), samp)
         per = q_set_backup(one, (zero_alpha_set(one),), samp)
         np.testing.assert_array_equal(plain.table.values, per.table.values)
-        np.testing.assert_array_equal(plain.new_set.values, per.new_sets[0].values)
+        np.testing.assert_array_equal(plain.new_sets[0].values, per.new_sets[0].values)
 
     def test_agrees_with_plain_backup_for_three_sweeps(self):
         m = pbvi_toy()
@@ -411,7 +413,7 @@ class TestQSetBackup:
             r1 = set_backup(m, cur1, samp)
             r2 = q_set_backup(m, cur2, samp)
             assert np.abs(r1.table.values - r2.table.values).max() <= 1e-12
-            cur1, cur2 = r1.new_set, r2.new_sets
+            cur1, cur2 = r1.new_sets[0], r2.new_sets
 
     def test_dominated_action_never_supplies_the_max(self):
         m = pbvi_toy()
@@ -516,8 +518,8 @@ class TestMergeDuplicateRows:
         for _ in range(4):
             res = set_backup(m, cur, samp)
             want = merge_duplicate_rows_greedy(res.backed_matrix, _DUP_TOL)
-            assert_same_bits(res.new_set.values, want)
-            cur = res.new_set
+            assert_same_bits(res.new_sets[0].values, want)
+            cur = res.new_sets[0]
 
 
 class TestPrune:
@@ -590,6 +592,22 @@ class TestSolveSets:
         assert res.error_bound == res.constants.apriori_bound(3)
         assert solve_sets(m, s, epsilon=1e-6, algorithm=algorithm).converged
 
+    @pytest.mark.parametrize("solver", ["vi", "alg1", "alg2"])
+    def test_negative_max_iters_rejected_before_any_work(self, solver, monkeypatch):
+        m = revealing_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=1)
+
+        def no_work(model):
+            raise AssertionError("the solver started before checking max_iters")
+
+        monkeypatch.setattr(conjugate, "certify", no_work)
+        monkeypatch.setattr(value_iteration, "certify", no_work)
+        with pytest.raises(SolverFailure, match="max_iters"):
+            if solver == "vi":
+                solve_vi(m, s, max_iters=-3)
+            else:
+                solve_sets(m, s, max_iters=-3, algorithm=solver)
+
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_zero_iterations_return_the_zero_start(self, algorithm):
         m = pbvi_toy()
@@ -652,7 +670,7 @@ class TestEnvelopeProperties:
             res = set_backup(m, cur, samp)
             assert (res.table.values >= prev - 1e-12).all()
             prev = res.table.values
-            cur = res.new_set
+            cur = res.new_sets[0]
 
     def test_returned_fns_certified_below_vi_value(self):
         m = revealing_toy()
@@ -680,9 +698,10 @@ class TestLipschitzGrowth:
         ):
             if samp is None:
                 samp = reachability_tree(model, uniform_belief(model), depth=1)
-            res = solve_sets(
-                model, samp, epsilon=1e-2, max_iters=500, track_lip_growth=True
-            )
-            assert len(res.lip_growth) == res.iterations
-            for measured, bound in res.lip_growth:
+            consts = lip_growth_constants(model)
+            cur = zero_alpha_set(model)
+            for _ in range(certify(model).iterations_for(1e-2)):
+                res = set_backup(model, cur, samp)
+                measured, bound = measured_growth(model, cur.values, res.backed, consts)
                 assert measured <= bound + 1e-9
+                cur = prune(res.new_sets[0], samp)

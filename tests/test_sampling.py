@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import knn_bruteforce, l1_broadcast
 from wpomdp.errors import DimensionMismatch, EmptySample
-from wpomdp.filtering import bayes_update
+from wpomdp.filtering import bayes_update, obs_marginal
 from wpomdp.kalman import KalmanSpec, build_model
 from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
 from wpomdp.sampling import (
@@ -39,7 +39,6 @@ class TestUserSample:
         s = user_sample(bs)
         assert s.n == 2
         assert s.provenance == "user_supplied"
-        assert s.edges == ()
         assert not s.truncated
         np.testing.assert_allclose(s.weight_matrix(), [[0.2, 0.8], [0.9, 0.1]], atol=1e-15)
 
@@ -64,7 +63,6 @@ class TestReachabilityTree:
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=0)
         assert s.n == 1
-        assert s.edges == ()
 
     def test_revealing_model_collapses_to_three_points(self):
         # one step reveals the state, so deeper expansion finds nothing new:
@@ -81,13 +79,24 @@ class TestReachabilityTree:
         np.testing.assert_array_equal(s.beliefs[0].weights, mu0.weights)
 
     def test_edges_replay_the_expansion(self):
+        # every non-root belief is a posterior of an earlier sample point
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=3)
-        assert len(s.edges) == s.n - 1  # no mixtures requested
-        for parent, a, j, child in s.edges:
-            assert parent < child
-            post = bayes_update(m, s.beliefs[parent], a, j)
-            assert w1(post, s.beliefs[child]) < 1e-12
+        assert s.n > 1
+        posteriors = [
+            [
+                bayes_update(m, mu, a, int(j))
+                for a in range(m.n_actions)
+                for j in np.flatnonzero(obs_marginal(m, mu, a).node_probs > 0)
+            ]
+            for mu in s.beliefs
+        ]
+        for child in range(1, s.n):
+            assert any(
+                w1(post, s.beliefs[child]) < 1e-12
+                for parent in range(child)
+                for post in posteriors[parent]
+            )
 
     def test_dedup_drops_near_duplicates(self):
         # a huge tolerance collapses the whole tree onto the root
@@ -110,6 +119,12 @@ class TestReachabilityTree:
         with pytest.raises(DimensionMismatch):
             reachability_tree(m, uniform_belief(m), depth=-1)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        m = pbvi_toy()
+        with pytest.raises(DimensionMismatch, match="cap"):
+            reachability_tree(m, uniform_belief(m), depth=1, cap=cap)
+
     def test_mixtures_are_padded_and_seeded(self):
         m = pbvi_toy()
         a = reachability_tree(m, uniform_belief(m), depth=2, mixtures=5, seed=7)
@@ -119,8 +134,6 @@ class TestReachabilityTree:
         assert a.n == base.n + 5
         np.testing.assert_array_equal(a.weight_matrix(), b.weight_matrix())
         assert not np.array_equal(a.weight_matrix(), c.weight_matrix())
-        # padded points carry no edge record
-        assert len(a.edges) == len(base.edges)
 
     def test_mixtures_live_in_the_convex_hull(self):
         m = pbvi_toy()

@@ -1,6 +1,7 @@
 """Model JSON round-trips and CSV artifact formatting."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ class TestModelRoundTrip:
         garbled.write_text("{not json")
         with pytest.raises(ModelValidationError):
             load_model(garbled)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {**doc, "discount": "abc"},
+            lambda doc: {**doc, "states": [1, 2]},
+            lambda doc: [doc],
+        ],
+        ids=["discount_not_a_number", "states_not_an_object", "top_level_list"],
+    )
+    def test_mistyped_field_reported(self, edit, tmp_path):
+        p = tmp_path / "toy.json"
+        save_model(pbvi_toy(), p)
+        p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+        with pytest.raises(ModelValidationError) as exc:
+            load_model(p)
+        assert str(p) in str(exc.value)
 
 
 class TestCsvWriters:
