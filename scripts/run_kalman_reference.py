@@ -14,6 +14,8 @@ with the intermediate numbers printed along the way.
 from __future__ import annotations
 
 import argparse
+import resource
+import sys
 import time
 from pathlib import Path
 
@@ -43,6 +45,12 @@ def parse_args():
     return ap.parse_args()
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size (ru_maxrss: bytes on macOS, KiB elsewhere)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def main() -> int:
     args = parse_args()
     out = Path(args.out_dir)
@@ -63,8 +71,10 @@ def main() -> int:
 
     pts = model.state_grid.points
     mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+    t0 = time.perf_counter()
     sample = reachability_tree(model, mu0, depth=args.depth, cap=args.beliefs, seed=args.seed)
-    print(f"sample: {sample.n} beliefs ({sample.provenance})")
+    print(f"sample: {sample.n} beliefs ({sample.provenance}), "
+          f"tree {time.perf_counter() - t0:.2f}s")
 
     t0 = time.perf_counter()
     vi = solve_vi(model, sample, epsilon=args.epsilon, parallel=args.parallel)
@@ -96,6 +106,7 @@ def main() -> int:
     serialize.write_rollout_csv(out / "rollout.csv", mean, err, args.n_paths, horizon)
 
     print(f"artifacts in {out}/")
+    print(f"peak RSS: {peak_rss_mb():.1f} MB")
     return 0
 
 

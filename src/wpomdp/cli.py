@@ -25,9 +25,9 @@ from .errors import BeliefSpaceError, ModelValidationError
 from .filtering import obs_marginal, sample_transition
 from .kalman import KalmanSpec, build_model
 from .measures import make_measure
-from .model import certify
+from .model import certify, check_stop_rule
 from .sampling import reachability_tree
-from .value_iteration import rollout_estimate, selector_policy, solve_vi
+from .value_iteration import check_rollout_size, rollout_estimate, selector_policy, solve_vi
 
 __all__ = ["main"]
 
@@ -52,6 +52,8 @@ def _load(args):
 
 
 def _sample(model, mu0, args):
+    # the solvers refuse these too, but only after the tree is built
+    check_stop_rule(args.epsilon, args.max_iters)
     return reachability_tree(
         model,
         mu0,
@@ -143,6 +145,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    # the horizon defaults to one the certificate picks, never negative
+    check_rollout_size(args.horizon or 0, args.n_paths)
     model, mu0 = _load(args)
     sample = _sample(model, mu0, args)
     res = solve_vi(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySample, SolverFailure
 from .measures import DiscreteMeasure, StateGrid, lipschitz_constants
-from .model import CertifiedConstants, PomdpModel, certify
+from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import BeliefSample
 from .value_iteration import TabulatedValue
 
@@ -321,11 +321,8 @@ def solve_sets(
     zero start with the greedy actions of the expected reward; a negative
     ``max_iters`` raises :class:`~wpomdp.errors.SolverFailure`.
     """
-    if max_iters < 0:
-        raise SolverFailure(f"max_iters must be >= 0, got {max_iters}")
+    check_stop_rule(epsilon, max_iters)
     constants = certify(model)
-    if epsilon <= 0:
-        raise SolverFailure("epsilon must be positive")
     if algorithm not in ("alg1", "alg2"):
         raise SolverFailure(f"unknown algorithm {algorithm!r}")
     t_star = constants.iterations_for(epsilon)

@@ -29,6 +29,7 @@ from .errors import (
     DriftViolation,
     ModelValidationError,
     NonFiniteReward,
+    SolverFailure,
 )
 from .measures import DiscreteMeasure, StateGrid, WeightFunction
 
@@ -39,6 +40,7 @@ __all__ = [
     "validate_reward_bound",
     "estimate_drift_beta",
     "certify",
+    "check_stop_rule",
     "probe_q_tv_continuity",
     "TvProbeReport",
 ]
@@ -220,6 +222,19 @@ def estimate_drift_beta(model: PomdpModel) -> float:
             f"drift {beta_hat:.6g} >= 1/alpha = {1.0 / model.discount:.6g}"
         )
     return beta_hat
+
+
+def check_stop_rule(epsilon: float, max_iters: int) -> None:
+    """Refuse a stopping rule no solver runs: ``max_iters`` < 0, or an
+    ``epsilon`` that is not positive.
+
+    Raises :class:`~wpomdp.errors.SolverFailure`.  Both solvers call it
+    before any other work, and the CLI before it builds a sample.
+    """
+    if max_iters < 0:
+        raise SolverFailure(f"max_iters must be >= 0, got {max_iters}")
+    if not epsilon > 0:
+        raise SolverFailure("epsilon must be positive")
 
 
 def certify(model: PomdpModel) -> CertifiedConstants:

@@ -123,15 +123,15 @@ class BeliefDistances:
     belief is embedded once, on construction or by :meth:`add`, and a
     distance block is an L1 reduction over steps of as many query rows as
     keep the difference block within ``_L1_BLOCK_BYTES`` (one row at
-    least).  On the 1-D metric :meth:`knn` sorts the kept beliefs by the
-    row sum of their embedding (x_max - mean), whose gap between two
-    beliefs never exceeds their W1, and computes exact distances only
-    inside a short window of sums; the first 1-D :meth:`knn` after
-    construction or :meth:`add` builds that order.  Explicit tables have
-    no embedding (``emb`` is None) and fall back to one transportation
-    solve per pair: exact, but only meant for desk-size models.
-    ``beliefs`` supplies the kept measures for that fallback; by default
-    they are rebuilt from ``rows``.
+    least).  On the 1-D metric :meth:`knn` and :meth:`within` sort the
+    kept beliefs by the row sum of their embedding (x_max - mean), whose
+    gap between two beliefs never exceeds their W1, and compute exact
+    distances only inside a short window of sums; the first search after
+    construction builds that order, and :meth:`add` keeps it current with
+    one sorted insert.  Explicit tables have no embedding (``emb`` is
+    None) and fall back to one transportation solve per pair: exact, but
+    only meant for desk-size models.  ``beliefs`` supplies the kept
+    measures for that fallback; by default they are rebuilt from ``rows``.
     """
 
     def __init__(self, grid, rows: np.ndarray, beliefs=None):
@@ -158,9 +158,20 @@ class BeliefDistances:
         k = len(self.emb)
         if k == len(self._buf):  # full: double the capacity
             self._buf = np.concatenate([self.emb, np.empty((max(k, 1), self.emb.shape[1]))])
-        self._buf[k] = _embed_rows(self.grid, row[None, :])[0]
+        e = self._buf[k] = _embed_rows(self.grid, row[None, :])[0]
         self.emb = self._buf[:k + 1]
-        self._index = None
+        index = self._index
+        if index is not None:  # keep it current, in one assignment
+            norm, keys, order = index
+            norm = max(norm, np.abs(e).sum())
+            if keys is not None:
+                # after any equal keys: they are kept earlier, as a stable
+                # argsort of every key orders them
+                key = e.sum()
+                p = np.searchsorted(keys, key, side="right")
+                keys = np.concatenate((keys[:p], [key], keys[p:]))
+                order = np.concatenate((order[:p], [k], order[p:]))
+            self._index = (norm, keys, order)
 
     def l1(self, q: np.ndarray) -> np.ndarray:
         """(len(q), len(self)) L1 block from embedded query rows."""
@@ -201,19 +212,8 @@ class BeliefDistances:
             d = self.dists(rows)
             r, j = np.indices(d.shape)
             return _first_k(m, k, r.ravel(), d.ravel(), j.ravel())
-        one_d = self.grid.metric_kind == EUCLIDEAN_1D
-        index = self._index
-        if index is None:  # first search since construction or add()
-            # (largest |e|_1, sorted 1-D keys, kept index of each key rank),
-            # stored in one assignment: the VI precompute searches from
-            # several threads, and none may see half an index
-            keys = order = None
-            if one_d:
-                keys = self.emb.sum(axis=1)
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-            index = self._index = (np.abs(self.emb).sum(axis=1).max(initial=0.0), keys, order)
-        search = self._sorted_knn if one_d else self._block_knn
+        index = self._search_index()
+        search = self._sorted_knn if index[1] is not None else self._block_knn
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
@@ -221,6 +221,45 @@ class BeliefDistances:
                 _embed_rows(self.grid, rows[s:s + _KNN_CHUNK]), k, index
             )
         return idx, dist
+
+    def within(self, row: np.ndarray, tol: float) -> bool:
+        """Whether a kept belief lies closer than ``tol`` in W1 to a weight row.
+
+        Always ``dists(row[None, :]).min() < tol``.  On the 1-D metric
+        only the kept beliefs whose key is within ``tol`` of the query's,
+        plus the rounding slack of :meth:`knn`, get an exact distance, with
+        the bits of the matching :meth:`dists` entry.  The discrete metric
+        reduces the whole row (its keys all tie), and explicit tables solve
+        one LP per pair.
+        """
+        if self.emb is None or self.grid.metric_kind != EUCLIDEAN_1D:
+            return bool(self.dists(row[None, :]).min() < tol)
+        norm, keys, order = self._search_index()
+        q = _embed_rows(self.grid, row[None, :])
+        kq, reach = q.sum(), tol + _key_slack(q, norm)
+        lo = np.searchsorted(keys, kq - reach, side="left")
+        hi = np.searchsorted(keys, kq + reach, side="right")
+        if hi <= lo:
+            return False
+        return bool(self._exact(q, np.zeros(hi - lo, dtype=np.intp), order[lo:hi]).min() < tol)
+
+    def _search_index(self):
+        """(largest |e|_1, sorted 1-D keys, kept index of each key rank).
+
+        Built by the first search and kept current by :meth:`add`; keys
+        and ranks are None off the 1-D metric.  It is stored in one
+        assignment: the VI precompute searches from several threads, and
+        none may see half an index.
+        """
+        index = self._index
+        if index is None:
+            keys = order = None
+            if self.grid.metric_kind == EUCLIDEAN_1D:
+                keys = self.emb.sum(axis=1)
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+            index = self._index = (np.abs(self.emb).sum(axis=1).max(initial=0.0), keys, order)
+        return index
 
     def _sorted_knn(self, q: np.ndarray, k: int, index) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`knn` for 1-D embedded query rows ``q``, 1 <= k <= len(self)."""
@@ -241,18 +280,8 @@ class BeliefDistances:
         j = order[(lo[:, None] + np.arange(k)).ravel()]
         d = self._exact(q, r, j)
 
-        # Rounding slack.  With S >= |q|_1 + |e|_1 for every pair, a
-        # computed row sum is within cols*eps*|x|_1 of the exact one, a
-        # computed distance within (cols + 1)*eps*S of the exact L1, and the
-        # exact sums differ by at most the exact L1.  A kept belief whose
-        # computed distance is at most tau thus has a computed key gap of at
-        # most tau + (2*cols + 1)*eps*S, and the window ends kq -/+ (tau +
-        # slack) round by at most 2*eps*S each.  4*(cols + 2)*eps*S covers
-        # the sum with room for second-order terms; it only lets a few more
-        # beliefs reach the exact step.
         tau = d.reshape(m, k).max(axis=1)  # at least the k-th nearest distance
-        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
-        reach = tau + 4 * (q.shape[1] + 2) * np.finfo(float).eps * scale
+        reach = tau + _key_slack(q, norm)
         w_lo = np.searchsorted(keys, kq - reach, side="left")
         count = np.maximum(np.searchsorted(keys, kq + reach, side="right") - w_lo, 0)
         r2 = np.repeat(np.arange(m), count)
@@ -316,10 +345,11 @@ class BeliefDistances:
     def _exact(self, q: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
         """L1 from embedded query row ``q[r[i]]`` to kept belief ``j[i]``.
 
-        Every exact distance of :meth:`knn` on an embedding comes from
-        here.  Rows are gathered into two buffers of ``_GATHER_BYTES`` in
-        all, and each distance has the bits of the matching :meth:`l1`
-        entry: the same differences, reduced along one contiguous row.
+        Every exact distance of :meth:`knn` and the 1-D :meth:`within`
+        comes from here.  Rows are gathered into two buffers of
+        ``_GATHER_BYTES`` in all, and each distance has the bits of the
+        matching :meth:`l1` entry: the same differences, reduced along one
+        contiguous row.
         """
         cols = self.emb.shape[1]
         out = np.empty(len(j))
@@ -335,6 +365,23 @@ class BeliefDistances:
             np.subtract(hs, gs, out=gs)
             np.abs(gs, out=gs).sum(axis=1, out=out[s:s + step])
         return out
+
+
+def _key_slack(q: np.ndarray, norm: float) -> float:
+    """Rounding slack of a 1-D key window around embedded query rows ``q``.
+
+    With S >= |q|_1 + |e|_1 for every pair (``norm`` the largest kept
+    |e|_1), a computed row sum is within cols*eps*|x|_1 of the exact one, a
+    computed distance within (cols + 1)*eps*S of the exact L1, and the
+    exact sums differ by at most the exact L1.  A kept belief whose
+    computed distance is at most tau thus has a computed key gap of at most
+    tau + (2*cols + 1)*eps*S, and the window ends kq -/+ (tau + slack)
+    round by at most 2*eps*S each.  4*(cols + 2)*eps*S covers the sum with
+    room for second-order terms; it only lets a few more beliefs reach the
+    exact step.
+    """
+    scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
+    return 4 * (q.shape[1] + 2) * np.finfo(float).eps * scale
 
 
 def _l1_block(q: np.ndarray, emb: np.ndarray) -> np.ndarray:
@@ -402,12 +449,13 @@ def reachability_tree(
     """Breadth-first posterior expansion of ``mu0``.
 
     Every action/observation-node pair with positive marginal probability
-    spawns a child posterior; children within ``dedup_tol`` in W1 of an
-    existing sample point are dropped.  After the tree (or the cap) is
-    exhausted, up to ``mixtures`` random pairwise mixtures of collected
-    beliefs are appended, drawn from a generator seeded with ``seed`` —
-    the whole construction is deterministic.  On an explicit-table metric
-    every dedup check solves one LP per kept belief; the tree raises
+    spawns a child posterior; children closer than ``dedup_tol`` in W1 to
+    an existing sample point (:meth:`BeliefDistances.within`) are dropped.
+    After the tree (or the cap) is exhausted, up to ``mixtures`` random
+    pairwise mixtures of collected beliefs are appended, drawn from a
+    generator seeded with ``seed`` — the whole construction is
+    deterministic.  On an explicit-table metric every dedup check solves
+    one LP per kept belief; the tree raises
     :class:`~wpomdp.errors.SolverFailure` before its count of them would
     pass ``MAX_TABLE_LP_SOLVES``.  A negative ``depth`` or a ``cap``
     below 1 raises :class:`~wpomdp.errors.DimensionMismatch`.
@@ -422,12 +470,12 @@ def reachability_tree(
     truncated = False
     solves = 0
 
-    def nearest(row: np.ndarray) -> float:
+    def duplicate(row: np.ndarray) -> bool:
         nonlocal solves
         if kept.emb is None:
             solves += len(kept)
             check_lp_budget(solves, kept.grid.n)
-        return kept.dists(row[None, :]).min()
+        return kept.within(row, dedup_tol)
 
     frontier = [0]
     for _ in range(depth):
@@ -441,7 +489,7 @@ def reachability_tree(
                 probs = obs_marginal(model, beliefs[parent], a).node_probs
                 for j in np.flatnonzero(probs > 0):
                     post = bayes_update(model, beliefs[parent], a, int(j))
-                    if nearest(post.weights) < dedup_tol:
+                    if duplicate(post.weights):
                         continue
                     if len(beliefs) >= cap:
                         truncated = True
@@ -464,7 +512,7 @@ def reachability_tree(
             model.state_grid,
             kappa * beliefs[i].weights + (1.0 - kappa) * beliefs[j].weights,
         )
-        if nearest(mix.weights) < dedup_tol:
+        if duplicate(mix.weights):
             continue
         if len(beliefs) >= cap:
             truncated = True

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .filtering import bayes_step
 from .measures import DiscreteMeasure, make_measure
-from .model import CertifiedConstants, PomdpModel, certify
+from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import _L1_BLOCK_BYTES, BeliefDistances, BeliefSample, check_lp_budget
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "VIResult",
     "solve_vi",
     "rollout_estimate",
+    "check_rollout_size",
     "NearestAnchorPolicy",
     "selector_policy",
 ]
@@ -125,7 +126,7 @@ def _row_blocks(B: int):
         s = e
 
 
-def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
+def _separated_pairs(block, B: int, *, symmetric: bool = False) -> list[tuple[int, np.ndarray]]:
     """Row blocks (s, D[s:e, s:]) of the separated sample pairs i < j.
 
     ``block(rows, cols)`` gives the W1 block between the sample points
@@ -136,18 +137,24 @@ def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
     ordered pair even for a block that is not bitwise symmetric (division
     is monotone in the denominator).  Every ordered pair is computed once:
     in its block's rows D[s:e, s:] or in the strip D[e:, s:e] below them.
-    No (B, B) array is ever held.
+    With ``symmetric`` (``block(c, r)`` is bitwise the transpose of
+    ``block(r, c)``, as on an embedded metric) both orientations are the
+    same number, so each block is D[s:e, s:] alone, masked in place: then
+    ``block`` must return a new array.  No (B, B) array is ever held.
     """
     out = []
     for s, e in _row_blocks(B):
         r = e - s
         up = block(slice(s, e), slice(s, B))
-        up = np.where(up > 1e-9, up, np.inf)
-        low = block(slice(e, B), slice(s, e))
-        np.minimum(up[:, r:], np.where(low > 1e-9, low, np.inf).T, out=up[:, r:])
-        sq = up[:, :r]
-        np.minimum(sq, sq.T.copy(), out=sq)
-        sq[np.tri(r, dtype=bool)] = np.inf
+        if symmetric:
+            np.putmask(up, up <= 1e-9, np.inf)
+        else:
+            up = np.where(up > 1e-9, up, np.inf)
+            low = block(slice(e, B), slice(s, e))
+            np.minimum(up[:, r:], np.where(low > 1e-9, low, np.inf).T, out=up[:, r:])
+            sq = up[:, :r]
+            np.minimum(sq, sq.T.copy(), out=sq)
+        up[:, :r][np.tri(r, dtype=bool)] = np.inf
         out.append((s, up))
     return out
 
@@ -220,18 +227,22 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _precompute_bytes(B: int, A: int, J: int, K: int, n: int) -> int:
+def _precompute_bytes(B: int, A: int, J: int, K: int, n: int, *, embedded: bool = True) -> int:
     """Leading terms of the bytes :class:`_Precomputed` holds at its peak.
 
-    The (B, A, J) arrays (K-major neighbour indices and distances, node
-    probabilities), two (B, n) row blocks (the embedding and one action's
-    predictions) and the slope's row blocks (about 4 * B^2), then one
-    slope block's temporaries: its raw and masked copies, the strip below
-    it and one L1 step.
+    The (B, A, J) arrays (K-major neighbour indices in the narrowest
+    unsigned dtype that holds B - 1, their distances, node probabilities),
+    two (B, n) row blocks (the embedding and one action's predictions) and
+    the slope's row blocks (about 4 * B^2), then one slope block's
+    temporaries and one L1 step.  On an ``embedded`` metric a block is
+    masked in place, so its only temporary is the mask; an explicit table
+    also holds the raw and masked copies and the strip below the block.
     """
-    kept = 8 * B * (A * J * (2 * K + 1) + 2 * n)
+    idx = np.min_scalar_type(B - 1).itemsize
+    kept = B * A * J * (K * (idx + 8) + 8) + 16 * B * n
     blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
-    step = 3 * max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_L1_BLOCK_BYTES, 8 * B * n)
+    slope = max(_SLOPE_BLOCK_BYTES, 8 * B)
+    step = (slope // 8 if embedded else 3 * slope) + max(_L1_BLOCK_BYTES, 8 * B * n)
     return kept + blocks + step
 
 
@@ -239,10 +250,12 @@ class _Precomputed:
     """Everything a sweep needs, gathered in one pass over (belief, action).
 
     Shapes: B sampled beliefs, A actions, J nodes, K kept neighbours.
-    ``nn_idx`` (intp) and ``nn_dist`` are K-major, (K, B, A, J): slice k
+    ``nn_idx`` and ``nn_dist`` are K-major, (K, B, A, J): slice k
     holds every (b, a, j) posterior's k-th nearest sample point and its
     distance, so a sweep reads one contiguous (B, A, J) slice per k.
-    Nodes of zero likelihood have no posterior, so they are never queried,
+    ``nn_idx`` has the narrowest unsigned dtype that holds B - 1 (uint16,
+    a quarter of the bytes of ``intp``, up to 65,536 beliefs).  Nodes of
+    zero likelihood have no posterior, so they are never queried,
     carry zeros and are masked by ``node_probs`` anyway.  ``pairs`` holds
     the separated sample pairs for the McShane slope estimate as row
     blocks of their upper triangle (:func:`_separated_pairs`), about
@@ -259,9 +272,11 @@ class _Precomputed:
         K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
-        if geom.emb is None:
+        embedded = geom.emb is not None
+        if not embedded:
             check_lp_budget((B * A * J + B) * B, sample.grid.n)
-        need, have = _precompute_bytes(B, A, J, K, model.n_states), _physical_memory()
+        need = _precompute_bytes(B, A, J, K, model.n_states, embedded=embedded)
+        have = _physical_memory()
         if have is not None and need > have:
             raise SolverFailure(
                 f"the VI precompute needs about {need / 2**20:,.1f} MB for {B:,} beliefs; "
@@ -271,9 +286,9 @@ class _Precomputed:
         self.tilde_w = W @ model.weight.values_on(model.state_grid)
         self.reward = W @ model.reward.T  # (B, A)
         self.node_probs = np.empty((B, A, J))
-        self.nn_idx = np.zeros((K, B, A, J), dtype=np.intp)
+        self.nn_idx = np.zeros((K, B, A, J), dtype=np.min_scalar_type(B - 1))
         self.nn_dist = np.zeros((K, B, A, J))
-        self.pairs = _separated_pairs(geom.block, B)
+        self.pairs = _separated_pairs(geom.block, B, symmetric=embedded)
 
         phi = model.obs_quadrature.weights
         # One pool for every action.  A new pool's threads can start before
@@ -345,11 +360,8 @@ def solve_vi(
     lies in the sample (a closed sample), and the McShane extension over
     their ``_K_NEIGHBORS`` nearest sample points otherwise.
     """
-    if max_iters < 0:
-        raise SolverFailure(f"max_iters must be >= 0, got {max_iters}")
+    check_stop_rule(epsilon, max_iters)
     constants = certify(model)
-    if epsilon <= 0:
-        raise SolverFailure("epsilon must be positive")
     pre = _Precomputed(model, sample, parallel)
 
     t_star = constants.iterations_for(epsilon)
@@ -420,6 +432,17 @@ def selector_policy(result: VIResult) -> NearestAnchorPolicy:
     return NearestAnchorPolicy(sample.grid, sample.weight_matrix(), result.selector.actions)
 
 
+def check_rollout_size(horizon: int, n_paths: int) -> None:
+    """Refuse a negative ``horizon`` or fewer than one path.
+
+    Raises :class:`~wpomdp.errors.DimensionMismatch`;
+    :func:`rollout_estimate` calls it, and the CLI before it builds a
+    sample.
+    """
+    if horizon < 0 or n_paths <= 0:
+        raise DimensionMismatch("need horizon >= 0 and n_paths > 0")
+
+
 def rollout_estimate(
     model: PomdpModel,
     policy,
@@ -440,8 +463,7 @@ def rollout_estimate(
     Returns (mean, standard error).
     """
     model.check_belief(mu0)
-    if horizon < 0 or n_paths <= 0:
-        raise DimensionMismatch("need horizon >= 0 and n_paths > 0")
+    check_rollout_size(horizon, n_paths)
     batched = hasattr(policy, "act_batch")
     n, A, J = model.n_states, model.n_actions, model.n_obs
     trans_cum = np.cumsum(model.trans, axis=2)  # (A, n, n)

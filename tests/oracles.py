@@ -22,7 +22,14 @@ from wpomdp.errors import (
     SolverFailure,
 )
 from wpomdp.filtering import bayes_update, expected_reward, obs_marginal
-from wpomdp.measures import EUCLIDEAN_1D, LipschitzFn, integrate, lipschitz_constants, w1
+from wpomdp.measures import (
+    EUCLIDEAN_1D,
+    LipschitzFn,
+    integrate,
+    lipschitz_constants,
+    make_measure,
+    w1,
+)
 from wpomdp.model import certify
 from wpomdp.sampling import BeliefDistances
 from wpomdp.value_iteration import Selector, TabulatedValue
@@ -367,6 +374,51 @@ def merge_duplicate_rows_greedy(rows, tol):
 
 # distances below this are "the same belief" for exact-sample lookup
 EXACT_MATCH_TOL = 1e-9
+
+
+def reachability_tree_dense(model, mu0, depth, *, cap, dedup_tol=1e-6, mixtures=0, seed=0):
+    """Weight rows of the breadth-first reachability tree, dense dedup.
+
+    The same expansion, cap and mixture padding as the package tree, but
+    each candidate is compared with every kept belief through one full
+    ``BeliefDistances.dists`` row; returns the (n, n_states) kept rows.
+    """
+    rows = [mu0.weights]
+    kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
+
+    def duplicate(row):
+        return kept.dists(row[None, :]).min() < dedup_tol
+
+    frontier = [mu0]
+    for _ in range(depth):
+        next_frontier = []
+        for mu in frontier:
+            for a in range(model.n_actions):
+                for j in np.flatnonzero(obs_marginal(model, mu, a).node_probs > 0):
+                    post = bayes_update(model, mu, a, int(j))
+                    if duplicate(post.weights):
+                        continue
+                    if len(rows) >= cap:  # truncated: no mixtures either
+                        return np.stack(rows)
+                    next_frontier.append(post)
+                    rows.append(post.weights)
+                    kept.add(post.weights)
+        frontier = next_frontier
+    rng = np.random.default_rng(seed)
+    added = attempts = 0
+    while added < mixtures and attempts < 20 * max(mixtures, 1):
+        attempts += 1
+        i, j = rng.integers(0, len(rows), size=2)
+        kappa = rng.uniform(0.1, 0.9)
+        mix = make_measure(model.state_grid, kappa * rows[i] + (1.0 - kappa) * rows[j])
+        if duplicate(mix.weights):
+            continue
+        if len(rows) >= cap:
+            break
+        rows.append(mix.weights)
+        kept.add(mix.weights)
+        added += 1
+    return np.stack(rows)
 
 
 def sample_distances(sample, mu):

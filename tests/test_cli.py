@@ -11,7 +11,7 @@ import csv
 import numpy as np
 import pytest
 
-from wpomdp import value_iteration
+from wpomdp import cli, value_iteration
 from wpomdp.cli import main
 from wpomdp.serialize import load_model, save_model
 from wpomdp.synthetic import pbvi_toy, revealing_toy
@@ -223,6 +223,34 @@ class TestRefusedFlags:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFlagsRefusedBeforeTheTree:
+    @pytest.fixture(autouse=True)
+    def no_tree(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the reachability tree was built")
+
+        monkeypatch.setattr(cli, "reachability_tree", fail)
+
+    @pytest.mark.parametrize("cmd", ["solve-vi", "solve-sets", "rollout", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-iters", "-3"), ("--epsilon", "0"), ("--epsilon", "-0.5")]
+    )
+    def test_solver_flags(self, cmd, flag, value, toy_file, tmp_path, capsys):
+        rc = main([cmd, "--model", str(toy_file), "--out-dir", str(tmp_path), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SolverFailure: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--n-paths", "0"), ("--horizon", "-1")])
+    def test_rollout_flags(self, flag, value, toy_file, tmp_path, capsys):
+        rc = main(["rollout", "--model", str(toy_file), "--out-dir", str(tmp_path), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 

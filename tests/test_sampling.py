@@ -3,16 +3,18 @@
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_bruteforce, l1_broadcast
+from oracles import knn_bruteforce, l1_broadcast, reachability_tree_dense
+from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update, obs_marginal
-from wpomdp.kalman import KalmanSpec, build_model
+from wpomdp.kalman import KalmanSpec, build_model, reference_spec
 from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
 from wpomdp.sampling import (
     _L1_BLOCK_BYTES,
@@ -155,6 +157,24 @@ class TestReachabilityTree:
         with pytest.raises(DimensionMismatch):
             reachability_tree(m, make_measure(other, [1, 0, 0]), depth=1)
 
+    @pytest.mark.parametrize("cap", [20, 75, 300])
+    @pytest.mark.parametrize("instance", ["reference", "drift"])
+    def test_equals_the_dense_dedup_oracle(self, instance, cap):
+        drift = KalmanSpec(drift=1.0, grid_step=0.2)
+        m = build_model(reference_spec() if instance == "reference" else drift)
+        mu0 = centred_belief(m)
+        got = reachability_tree(m, mu0, depth=3, cap=cap)
+        want = reachability_tree_dense(m, mu0, 3, cap=cap)
+        assert got.weight_matrix().tobytes() == want.tobytes()
+
+    def test_mixtures_equal_the_dense_dedup_oracle(self):
+        m = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
+        mu0 = centred_belief(m)
+        got = reachability_tree(m, mu0, depth=1, cap=300, mixtures=40, seed=4)
+        want = reachability_tree_dense(m, mu0, 1, cap=300, mixtures=40, seed=4)
+        assert got.n > 40
+        assert got.weight_matrix().tobytes() == want.tobytes()
+
 
 class TestSampleValidation:
     def test_direct_construction_checks_grids(self):
@@ -222,6 +242,103 @@ class TestBeliefDistances:
         a, b = random_rows(g, 2, rng)
         pol = NearestAnchorPolicy(g, np.stack([b, a, a, b]), [3, 2, 0, 1])
         np.testing.assert_array_equal(pol.act_batch(np.stack([a, b, a])), [2, 3, 2])
+
+
+class TestEmbeddedBlockSymmetry:
+    """An embedded distance block is bitwise the transpose of its mirror.
+
+    The McShane slope builds each separated-pair block in one orientation
+    on embedded metrics and relies on this.
+    """
+
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(
+        st.sampled_from(["line", "discrete"]),
+        st.sampled_from([1, 2, 7, 40, 161]),  # states
+        st.integers(1, 60),  # kept beliefs
+        st.sampled_from([None, 1, 3000]),  # L1 step budget: default, one row, a few rows
+        st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_the_transpose_of_its_mirror(self, kind, n, kept, budget, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid(kind, n, rng)
+        base = random_rows(g, kept, rng)
+        geom = BeliefDistances(g, base[rng.integers(0, kept, kept)])  # repeats: zero blocks
+        a, b = np.sort(rng.integers(0, kept + 1, 2))
+        c, d = np.sort(rng.integers(0, kept + 1, 2))
+        with mock.patch.object(sampling, "_L1_BLOCK_BYTES", budget or _L1_BLOCK_BYTES):
+            rc = geom.block(slice(a, b), slice(c, d))
+            cr = geom.block(slice(c, d), slice(a, b))
+        assert rc.view(np.int64).tolist() == cr.T.view(np.int64).tolist()
+
+
+class TestWithin:
+    """``BeliefDistances.within`` against the dense row it replaces."""
+
+    @staticmethod
+    def shifted(rows, mass):
+        """Each row with ``mass`` (at most its first atom) moved to the next point."""
+        out = rows.copy()
+        moved = np.minimum(out[:, 0], mass)
+        out[:, 0] -= moved
+        out[:, 1] += moved
+        return out
+
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(
+        st.sampled_from(["line", "mirror", "discrete", "table"]),
+        st.integers(3, 24),  # states
+        st.integers(1, 12),  # distinct kept beliefs
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_dense_row(self, kind, n, kept, seed):
+        rng = np.random.default_rng(seed)
+        table = kind == "table"  # one LP per pair: keep it small
+        if kind == "mirror":  # mean-0 beliefs and their mirror images: every key ties
+            g = StateGrid(np.linspace(-1.0, 1.0, n))
+            zero = TestSortedKnn.mean_zero(g, random_rows(g, kept, rng))
+            base = np.concatenate([zero, zero[:, ::-1]])
+        else:
+            g = random_grid(kind, min(n, 4) if table else n, rng)
+            base = random_rows(g, min(kept, 3) if table else kept, rng)
+        rows = base[rng.integers(0, len(base), len(base) + 3)]  # repeats: equal keys
+        queries = np.concatenate([
+            random_rows(g, 2 if table else 6, rng),
+            rows[:4],
+            self.shifted(rows[:4], DEDUP_W1_TOL),  # about dedup_tol away
+        ])
+        grown = BeliefDistances(g, rows[:1])
+        grown.within(rows[0], DEDUP_W1_TOL)  # build the index before the adds
+        for r in rows[1:]:
+            grown.add(r)
+        stacked = BeliefDistances(g, rows)
+        for q in queries:
+            d = stacked.dists(q[None, :]).min()
+            # the tolerance exactly at the nearest distance, either side of
+            # it, and the tree's default
+            for tol in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf), DEDUP_W1_TOL, 0.0):
+                assert grown.within(q, tol) == stacked.within(q, tol) == (d < tol)
+
+    @pytest.mark.parametrize("kind", ["line", "discrete"])
+    def test_add_keeps_the_index_current(self, kind):
+        rng = np.random.default_rng(8)
+        g = random_grid(kind, 30, rng)
+        base = random_rows(g, 20, rng)
+        rows = base[rng.integers(0, 20, 60)]  # repeats: equal keys in kept order
+        geom = BeliefDistances(g, rows[:1])
+        geom.knn(rows[:1], 1)  # build the index
+        for i in range(1, len(rows)):
+            geom.add(rows[i])
+            norm, keys, order = geom._index
+            emb = geom.emb
+            assert norm == np.abs(emb).sum(axis=1).max()
+            if kind == "discrete":
+                assert keys is None and order is None
+                continue
+            want = emb.sum(axis=1)
+            want_order = np.argsort(want, kind="stable")
+            np.testing.assert_array_equal(order, want_order)
+            assert keys.tobytes() == want[want_order].tobytes()
 
 
 class TestL1Block:

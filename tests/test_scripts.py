@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at toy sizes, in a subprocess each."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,9 @@ def test_run_kalman_reference(tmp_path):
         "--out-dir", out,
     )
     assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^sample: \d+ beliefs \(.*\), tree \d+\.\d\ds$", proc.stdout, re.M)
+    peak = re.search(r"^peak RSS: (\d+\.\d) MB$", proc.stdout, re.M)
+    assert peak and 0.0 < float(peak.group(1)) < 4096.0
     headers = {
         "convergence.csv": "iter,sup_diff,bound",
         "values.csv": "belief_id,value,action",

@@ -334,6 +334,29 @@ class TestTableLipEstimate:
         got = _table_lip_estimate(v, _separated_pairs(geom.block, s.n))
         assert got == table_lip_estimate_dense(v, d) > 0.0
 
+    @pytest.mark.parametrize("rows", ["one", "few", "default"])
+    @pytest.mark.parametrize("name", ["line", "discrete"])
+    def test_one_orientation_blocks_on_a_solved_tree(self, name, rows):
+        # embedded metrics build each block from D[s:e, s:] alone
+        m, s = drift_tree() if name == "line" else TestPrecompute.case("discrete")
+        W = s.weight_matrix()
+        geom = BeliefDistances(s.grid, W)
+        assert geom.emb is not None
+        res = solve_vi(m, s, epsilon=1e-2)
+        nbytes = {"one": 1, "few": 8 * 3 * s.n, "default": value_iteration._SLOPE_BLOCK_BYTES}
+        with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes[rows]):
+            one = _separated_pairs(geom.block, s.n, symmetric=True)
+            both = _separated_pairs(geom.block, s.n)
+        assert [t for t, _ in one] == [t for t, _ in both]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(one, both))
+        v = res.value.values
+        want = table_lip_estimate_dense(v, geom.dists(W))
+        assert want > 0.0
+        assert np.float64(_table_lip_estimate(v, one)).tobytes() == np.float64(want).tobytes()
+        # the solve's slope: the dense estimate's running max over every sweep
+        lip = solve_vi_broadcast(m, s, 1e-2, _K_NEIGHBORS)[2]
+        assert np.float64(res.lip_estimate).tobytes() == np.float64(lip).tobytes()
+
     @settings(deadline=None, max_examples=100, derandomize=True)
     @given(st.integers(1, 40), st.sampled_from(["one", "few", "all"]), st.integers(0, 2**32 - 1))
     def test_row_blocks_equal_the_dense_form(self, n, rows, seed):
@@ -569,11 +592,14 @@ class TestPrecompute:
         if name == "line":  # 17 states, 33 nodes: six chunks per action
             m = build_model(reference_spec(1.0))
             return m, centred_tree(m, 40)
-        if name == "discrete":  # 400 posteriors per action: two chunks
+        if name.startswith("discrete"):
             m = random_finite_model(2, n_states=5, n_actions=2, n_obs=4)
             rng = np.random.default_rng(3)
+            # 100 beliefs: 400 posteriors per action, two chunks; 300: the
+            # indices need two bytes
+            n = 300 if name == "discrete_300" else 100
             return m, user_sample(
-                [make_measure(m.state_grid, w) for w in rng.dirichlet(np.ones(5), 100)]
+                [make_measure(m.state_grid, w) for w in rng.dirichlet(np.ones(5), n)]
             )
         if name == "table":
             _, tab = TestExplicitTableSolve.models()
@@ -581,12 +607,14 @@ class TestPrecompute:
         return TestExplicitTableSolve.zero_node_models()[1]
 
     @pytest.mark.parametrize("parallel", [1, 2])
-    @pytest.mark.parametrize("name", ["line", "discrete", "table", "table_zero_node"])
+    @pytest.mark.parametrize(
+        "name", ["line", "discrete", "table", "table_zero_node", "discrete_300"]
+    )
     def test_neighbours_equal_the_full_block_bruteforce(self, name, parallel):
         m, s = self.case(name)
         pre = _Precomputed(m, s, parallel)
         idx, dist = posterior_knn_bruteforce(m, s, _K_NEIGHBORS)
-        assert pre.nn_idx.dtype == np.intp
+        assert pre.nn_idx.dtype == np.min_scalar_type(s.n - 1)
         assert pre.nn_idx.shape == (min(_K_NEIGHBORS, s.n), s.n, m.n_actions, m.n_obs)
         np.testing.assert_array_equal(pre.nn_idx, k_major(idx))
         assert pre.nn_dist.tobytes() == k_major(dist).tobytes()
