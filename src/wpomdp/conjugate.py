@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySample, SolverFailure
 from .measures import DiscreteMeasure, StateGrid, lipschitz_constants
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
-from .sampling import BeliefSample
+from .sampling import BeliefSample, _window
 from .value_iteration import TabulatedValue
 
 __all__ = [
@@ -181,10 +181,7 @@ def _merge_duplicate_rows(rows: np.ndarray) -> np.ndarray:
     # keeps every float y with exact |x - y| <= _DUP_TOL in the window.
     order = np.argsort(cand[:, 0], kind="stable")
     key = cand[order, 0]
-    lo = np.searchsorted(key, key - _DUP_TOL, "left")
-    width = np.searchsorted(key, key + _DUP_TOL, "right") - lo
-    p = np.repeat(np.arange(len(key)), width)
-    q = np.arange(len(p)) + np.repeat(lo - (np.cumsum(width) - width), width)
+    p, q = _window(key, key - _DUP_TOL, key + _DUP_TOL)
     i, j = order[p], order[q]
     i, j = i[j < i], j[j < i]
     near = np.empty(len(i), dtype=bool)
@@ -329,7 +326,7 @@ def solve_sets(
     t = min(t_star, max_iters)
 
     W = sample.weight_matrix()
-    tilde_w = W @ model.weight.values_on(model.state_grid)
+    tilde_w = W @ model.weight_values
     table = TabulatedValue.zeros(sample)
     chosen = (W @ model.reward.T).argmax(axis=1)
     sup_diffs: list[float] = []

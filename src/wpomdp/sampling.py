@@ -123,12 +123,12 @@ class BeliefDistances:
     belief is embedded once, on construction or by :meth:`add`, and a
     distance block is an L1 reduction over steps of as many query rows as
     keep the difference block within ``_L1_BLOCK_BYTES`` (one row at
-    least).  On the 1-D metric :meth:`knn` and :meth:`within` sort the
-    kept beliefs by the row sum of their embedding (x_max - mean), whose
-    gap between two beliefs never exceeds their W1, and compute exact
-    distances only inside a short window of sums; the first search after
-    construction builds that order, and :meth:`add` keeps it current with
-    one sorted insert.  Explicit tables have no embedding (``emb`` is
+    least).  :meth:`knn` and :meth:`within` compute exact distances only
+    where a lower bound on W1 allows: on the 1-D metric the gap of
+    embedding row sums, inside a window of the kept beliefs sorted by sum
+    (the first search builds that order, and :meth:`add` keeps it current
+    with one sorted insert); on the discrete metric a sum over column
+    blocks.  Explicit tables have no embedding (``emb`` is
     None) and fall back to one transportation solve per pair: exact, but
     only meant for desk-size models.  ``beliefs`` supplies the kept
     measures for that fallback; by default they are rebuilt from ``rows``.
@@ -200,48 +200,51 @@ class BeliefDistances:
 
         Exact: each row lists the first k kept beliefs in (distance, index)
         order, so ties go to the lowest index, and every distance has the
-        bits of the matching :meth:`dists` entry.  On the 1-D metric a
-        sorted search computes exact distances to the k kept beliefs
-        nearest in embedding row sum, whose largest is tau, then only to
-        those whose sum is within tau of the query's.  On the discrete
-        metric, where every row sum is the same, a dense block lower bound
-        filters instead; explicit tables solve every pair by LP.
+        bits of the matching :meth:`dists` entry.  On an embedded metric
+        each step of ``_KNN_CHUNK`` rows computes exact distances to k seed
+        beliefs per row, whose largest, tau, is at least the k-th nearest
+        distance, then to every other kept belief whose lower bound is
+        within tau (:meth:`_bound`).  Explicit tables solve every pair by LP.
         """
         m, k = len(rows), min(k, len(self))
         if self.emb is None:
             d = self.dists(rows)
             r, j = np.indices(d.shape)
             return _first_k(m, k, r.ravel(), d.ravel(), j.ravel())
-        index = self._search_index()
-        search = self._sorted_knn if index[1] is not None else self._block_knn
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
-            idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = search(
-                _embed_rows(self.grid, rows[s:s + _KNN_CHUNK]), k, index
+            q = _embed_rows(self.grid, rows[s:s + _KNN_CHUNK])
+            bound = self._bound(q)
+            r, j = bound.seeds(k)
+            d = self._exact(q, r, j)
+            r2, j2 = bound.near(d.reshape(len(q), k).max(axis=1))
+            idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = _first_k(
+                len(q), k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
+                np.concatenate([j, j2]),
             )
         return idx, dist
 
     def within(self, row: np.ndarray, tol: float) -> bool:
         """Whether a kept belief lies closer than ``tol`` in W1 to a weight row.
 
-        Always ``dists(row[None, :]).min() < tol``.  On the 1-D metric
-        only the kept beliefs whose key is within ``tol`` of the query's,
-        plus the rounding slack of :meth:`knn`, get an exact distance, with
-        the bits of the matching :meth:`dists` entry.  The discrete metric
-        reduces the whole row (its keys all tie), and explicit tables solve
-        one LP per pair.
+        Always ``dists(row[None, :]).min() < tol``.  On an embedded metric
+        only the kept beliefs whose lower bound (:meth:`_bound`) is within
+        ``tol`` get an exact distance, with the bits of the matching
+        :meth:`dists` entry; explicit tables solve one LP per pair.
         """
-        if self.emb is None or self.grid.metric_kind != EUCLIDEAN_1D:
+        if self.emb is None:
             return bool(self.dists(row[None, :]).min() < tol)
-        norm, keys, order = self._search_index()
         q = _embed_rows(self.grid, row[None, :])
-        kq, reach = q.sum(), tol + _key_slack(q, norm)
-        lo = np.searchsorted(keys, kq - reach, side="left")
-        hi = np.searchsorted(keys, kq + reach, side="right")
-        if hi <= lo:
-            return False
-        return bool(self._exact(q, np.zeros(hi - lo, dtype=np.intp), order[lo:hi]).min() < tol)
+        r, j = self._bound(q).near(tol)
+        return bool(len(j) and self._exact(q, r, j).min() < tol)
+
+    def _bound(self, q: np.ndarray):
+        """The search bound of embedded query rows ``q`` on this metric."""
+        index = self._search_index()
+        if index[1] is not None:
+            return _KeyBound(q, index)
+        return _BlockBound(q, self.emb, index[0])
 
     def _search_index(self):
         """(largest |e|_1, sorted 1-D keys, kept index of each key rank).
@@ -261,95 +264,13 @@ class BeliefDistances:
             index = self._index = (np.abs(self.emb).sum(axis=1).max(initial=0.0), keys, order)
         return index
 
-    def _sorted_knn(self, q: np.ndarray, k: int, index) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`knn` for 1-D embedded query rows ``q``, 1 <= k <= len(self)."""
-        norm, keys, order = index
-        m, n = len(q), len(self)
-        kq = q.sum(axis=1)
-        # the k key-nearest kept beliefs are the key ranks [lo, lo + k): a
-        # binary search over the start, moving right while the key below
-        # the window is further from the query's key than the key above it
-        p = np.searchsorted(keys, kq)
-        lo, hi = np.maximum(p - k, 0), np.minimum(p, n - k)
-        while (live := lo < hi).any():
-            mid = (lo + hi) // 2
-            right = kq - keys[mid] > keys[np.minimum(mid + k, n - 1)] - kq
-            lo = np.where(live & right, mid + 1, lo)
-            hi = np.where(live & ~right, mid, hi)
-        r = np.repeat(np.arange(m), k)
-        j = order[(lo[:, None] + np.arange(k)).ravel()]
-        d = self._exact(q, r, j)
-
-        tau = d.reshape(m, k).max(axis=1)  # at least the k-th nearest distance
-        reach = tau + _key_slack(q, norm)
-        w_lo = np.searchsorted(keys, kq - reach, side="left")
-        count = np.maximum(np.searchsorted(keys, kq + reach, side="right") - w_lo, 0)
-        r2 = np.repeat(np.arange(m), count)
-        rank = np.arange(len(r2)) + np.repeat(w_lo - (np.cumsum(count) - count), count)
-        new = (rank < lo[r2]) | (rank >= lo[r2] + k)  # not already exact
-        r2, j2 = r2[new], order[rank[new]]
-        return _first_k(
-            m, k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
-            np.concatenate([j, j2]),
-        )
-
-    def _block_knn(self, q: np.ndarray, k: int, index) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`knn` for discrete embedded query rows ``q``, 1 <= k <= len(self).
-
-        Every discrete row sums to 1/2, so a key would have to be another
-        projection; on samples of 2 to 40 states and about 300 beliefs this
-        bound left as many exact distances per query as a ramp projection
-        key, or up to 145 times fewer.
-        """
-        m, e, norm = len(q), self.emb, index[0]
-        cols = e.shape[1]
-        # Summing the embedding over contiguous column blocks maps L1 to
-        # L1 with Lipschitz constant 1, so the block-summed distance never
-        # exceeds the exact one.  Edges must be distinct: reduceat returns
-        # a whole column at a repeated edge, which would count it twice.
-        edges = np.unique(np.arange(_KNN_BLOCKS) * cols // _KNN_BLOCKS)
-        qb, eb = (np.add.reduceat(x, edges, axis=1) for x in (q, e))
-        lb = np.zeros((m, len(e)))
-        tmp = np.empty_like(lb)
-        for qc, ec in zip(qb.T, np.ascontiguousarray(eb.T)):
-            np.subtract(qc[:, None], ec[None, :], out=tmp)
-            lb += np.abs(tmp, out=tmp)
-
-        # exact distances to the k lowest bounds; their largest, tau, is at
-        # least the k-th nearest distance (argmin: a partition costs ~30x
-        # more for k = 1)
-        if k == 1:
-            cand = lb.argmin(axis=1)[:, None]
-        else:
-            cand = np.argpartition(lb, k - 1, axis=1)[:, :k]
-        r, j = np.repeat(np.arange(m), k), cand.ravel()
-        d = self._exact(q, r, j)
-        tau = d.reshape(m, k).max(axis=1)
-        # Rounding slack.  With S >= |q|_1 + |e|_1 for every pair, each
-        # computed distance is within cols*eps*S of the exact L1, and each
-        # computed bound within (cols + blocks)*eps*S of its exact value
-        # (block sums, then the sum over blocks).  A computed distance
-        # <= tau thus has a computed bound <= tau + (2*cols + blocks + 1)
-        # *eps*S; the slack below covers that with room for second-order
-        # terms.  It only lets a few more pairs reach the exact step.
-        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
-        slack = 4 * (cols + len(edges)) * np.finfo(float).eps * scale
-        keep = lb <= (tau + slack)[:, None]
-        keep[r, j] = False  # already exact
-        r2, j2 = np.nonzero(keep)
-        return _first_k(
-            m, k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
-            np.concatenate([j, j2]),
-        )
-
     def _exact(self, q: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
         """L1 from embedded query row ``q[r[i]]`` to kept belief ``j[i]``.
 
-        Every exact distance of :meth:`knn` and the 1-D :meth:`within`
-        comes from here.  Rows are gathered into two buffers of
-        ``_GATHER_BYTES`` in all, and each distance has the bits of the
-        matching :meth:`l1` entry: the same differences, reduced along one
-        contiguous row.
+        Every exact distance of :meth:`knn` and :meth:`within` comes from
+        here.  Rows are gathered into two buffers of ``_GATHER_BYTES`` in
+        all, and each distance has the bits of the matching :meth:`l1`
+        entry: the same differences, reduced along one contiguous row.
         """
         cols = self.emb.shape[1]
         out = np.empty(len(j))
@@ -367,21 +288,109 @@ class BeliefDistances:
         return out
 
 
-def _key_slack(q: np.ndarray, norm: float) -> float:
-    """Rounding slack of a 1-D key window around embedded query rows ``q``.
+class _KeyBound:
+    """1-D search bound: the gap of embedding row sums (keys, x_max - mean).
 
-    With S >= |q|_1 + |e|_1 for every pair (``norm`` the largest kept
-    |e|_1), a computed row sum is within cols*eps*|x|_1 of the exact one, a
-    computed distance within (cols + 1)*eps*S of the exact L1, and the
-    exact sums differ by at most the exact L1.  A kept belief whose
-    computed distance is at most tau thus has a computed key gap of at most
-    tau + (2*cols + 1)*eps*S, and the window ends kq -/+ (tau + slack)
-    round by at most 2*eps*S each.  4*(cols + 2)*eps*S covers the sum with
-    room for second-order terms; it only lets a few more beliefs reach the
-    exact step.
+    Two beliefs' key gap never exceeds their W1.  Rounding slack: with
+    S >= |q|_1 + |e|_1 for every pair (``norm`` the largest kept |e|_1), a
+    computed sum is within cols*eps*|x|_1 of the exact one and a computed
+    distance within (cols + 1)*eps*S of the exact L1, so a kept belief whose
+    computed distance is at most tau has a computed key gap of at most
+    tau + (2*cols + 1)*eps*S; the window ends kq -/+ (tau + slack) round by
+    at most 2*eps*S each.  4*(cols + 2)*eps*S covers that with room for
+    second-order terms.
     """
-    scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
-    return 4 * (q.shape[1] + 2) * np.finfo(float).eps * scale
+
+    def __init__(self, q: np.ndarray, index):
+        norm, self.keys, self.order = index
+        self.kq = q.sum(axis=1)
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
+        self.slack = 4 * (q.shape[1] + 2) * np.finfo(float).eps * scale
+        self.seed = None  # key ranks [lo, hi) of the seeds
+
+    def seeds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k key-nearest kept beliefs of each query, 1 <= k <= kept."""
+        keys, kq, n = self.keys, self.kq, len(self.keys)
+        # they are the key ranks [lo, lo + k): a binary search over the
+        # start, moving right while the key below the window is further
+        # from the query's key than the key above it
+        p = np.searchsorted(keys, kq)
+        lo, hi = np.maximum(p - k, 0), np.minimum(p, n - k)
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            right = kq - keys[mid] > keys[np.minimum(mid + k, n - 1)] - kq
+            lo = np.where(live & right, mid + 1, lo)
+            hi = np.where(live & ~right, mid, hi)
+        self.seed = (lo, lo + k)
+        return np.repeat(np.arange(len(kq)), k), self.order[(lo[:, None] + np.arange(k)).ravel()]
+
+    def near(self, reach) -> tuple[np.ndarray, np.ndarray]:
+        """(query, kept) of each non-seed key within ``reach`` (array or scalar) + slack."""
+        reach = reach + self.slack
+        i, rank = _window(self.keys, self.kq - reach, self.kq + reach)
+        if self.seed is not None:
+            lo, hi = self.seed
+            new = (rank < lo[i]) | (rank >= hi[i])
+            i, rank = i[new], rank[new]
+        return i, self.order[rank]
+
+
+class _BlockBound:
+    """Discrete search bound: L1 between sums over contiguous column blocks.
+
+    Every discrete row sums to 1/2, so a key would have to be another
+    projection; on 2 to 40 states and about 300 beliefs this bound left as
+    few exact distances per query as a ramp projection key, or up to 145
+    times fewer.  Block sums map L1 to L1 with Lipschitz constant 1.  Edges
+    must be distinct: reduceat returns a whole column at a repeated edge.
+    Rounding slack: with S as in :class:`_KeyBound`, a computed bound is
+    within (cols + blocks)*eps*S of its exact value, so a computed distance
+    <= tau has a computed bound <= tau + (2*cols + blocks + 1)*eps*S, which
+    4*(cols + blocks)*eps*S covers.
+    """
+
+    def __init__(self, q: np.ndarray, emb: np.ndarray, norm: float):
+        cols = emb.shape[1]
+        edges = sorted({b * cols // _KNN_BLOCKS for b in range(_KNN_BLOCKS)})
+        qb, eb = (np.add.reduceat(x, edges, axis=1) for x in (q, emb))
+        self.lb = np.zeros((len(q), len(emb)))
+        tmp = np.empty_like(self.lb)
+        for qc, ec in zip(qb.T, np.ascontiguousarray(eb.T)):
+            np.subtract(qc[:, None], ec[None, :], out=tmp)
+            self.lb += np.abs(tmp, out=tmp)
+        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
+        self.slack = 4 * (cols + len(edges)) * np.finfo(float).eps * scale
+        self.seed = None  # (query, kept) of the seeds
+
+    def seeds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest bounds of each query, 1 <= k <= kept."""
+        # argmin: a partition costs ~30x more for k = 1
+        if k == 1:
+            cand = self.lb.argmin(axis=1)[:, None]
+        else:
+            cand = np.argpartition(self.lb, k - 1, axis=1)[:, :k]
+        self.seed = (np.repeat(np.arange(len(self.lb)), k), cand.ravel())
+        return self.seed
+
+    def near(self, reach) -> tuple[np.ndarray, np.ndarray]:
+        """(query, kept) of each non-seed bound within ``reach`` (array or scalar) + slack."""
+        keep = self.lb <= (reach + self.slack)[..., None]
+        if self.seed is not None:
+            keep[self.seed] = False
+        return np.nonzero(keep)
+
+
+def _window(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank t of sorted ``keys`` with lo[i] <= keys[t] <= hi[i]: (i, t).
+
+    Query-major, ranks ascending within each query; lo[i] <= hi[i].
+    """
+    start = keys.searchsorted(lo, "left")  # methods: the tree calls this per posterior
+    count = keys.searchsorted(hi, "right") - start
+    i = np.arange(len(start)).repeat(count)
+    if not len(i):  # all empty, as for each new posterior of the tree's dedup
+        return i, i
+    return i, np.arange(len(i)) + (start - count.cumsum() + count).repeat(count)
 
 
 def _l1_block(q: np.ndarray, emb: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
 from .filtering import bayes_step
 from .measures import DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
-from .sampling import _L1_BLOCK_BYTES, BeliefDistances, BeliefSample, check_lp_budget
+from .sampling import _GATHER_BYTES, _L1_BLOCK_BYTES, BeliefDistances, BeliefSample, check_lp_budget
 
 __all__ = [
     "TabulatedValue",
@@ -126,35 +126,28 @@ def _row_blocks(B: int):
         s = e
 
 
-def _separated_pairs(block, B: int, *, symmetric: bool = False) -> list[tuple[int, np.ndarray]]:
+def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
     """Row blocks (s, D[s:e, s:]) of the separated sample pairs i < j.
 
-    ``block(rows, cols)`` gives the W1 block between the sample points
-    ``rows`` and ``cols`` (slices).  Entry (i, j), i < j, holds the smaller
-    of its two ordered distances that exceed 1e-9, and inf where neither
-    does; the diagonal and below hold inf.  So the quotient max in
-    :func:`_table_lip_estimate` equals the max over every separated
-    ordered pair even for a block that is not bitwise symmetric (division
-    is monotone in the denominator).  Every ordered pair is computed once:
-    in its block's rows D[s:e, s:] or in the strip D[e:, s:e] below them.
-    With ``symmetric`` (``block(c, r)`` is bitwise the transpose of
-    ``block(r, c)``, as on an embedded metric) both orientations are the
-    same number, so each block is D[s:e, s:] alone, masked in place: then
-    ``block`` must return a new array.  No (B, B) array is ever held.
+    ``block(rows, cols)`` gives a new array of the W1 block between the
+    sample points ``rows`` and ``cols`` (slices).  Entry (i, j), i < j,
+    holds the smaller of its two ordered distances that exceed 1e-9, and
+    inf where neither does; the diagonal and below hold inf, so the quotient
+    max of :func:`_table_lip_estimate` is the max over every separated
+    ordered pair.  Each block is masked in place, and its square
+    D[s:e, s:e] takes the minimum with its transpose.  That changes no bit
+    on an embedded metric, whose blocks are bitwise symmetric, and an
+    explicit table's sample is one block (its LP budget admits fewer
+    beliefs than the first block's rows), whose square is all of D.  No
+    (B, B) array is ever held beyond that.
     """
     out = []
     for s, e in _row_blocks(B):
-        r = e - s
         up = block(slice(s, e), slice(s, B))
-        if symmetric:
-            np.putmask(up, up <= 1e-9, np.inf)
-        else:
-            up = np.where(up > 1e-9, up, np.inf)
-            low = block(slice(e, B), slice(s, e))
-            np.minimum(up[:, r:], np.where(low > 1e-9, low, np.inf).T, out=up[:, r:])
-            sq = up[:, :r]
-            np.minimum(sq, sq.T.copy(), out=sq)
-        up[:, :r][np.tri(r, dtype=bool)] = np.inf
+        np.putmask(up, up <= 1e-9, np.inf)
+        sq = up[:, :e - s]
+        np.minimum(sq, sq.T.copy(), out=sq)
+        sq[np.tri(e - s, dtype=bool)] = np.inf
         out.append((s, up))
     return out
 
@@ -227,23 +220,22 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _precompute_bytes(B: int, A: int, J: int, K: int, n: int, *, embedded: bool = True) -> int:
+def _precompute_bytes(B: int, A: int, J: int, K: int, n: int, workers: int) -> int:
     """Leading terms of the bytes :class:`_Precomputed` holds at its peak.
 
     The (B, A, J) arrays (K-major neighbour indices in the narrowest
     unsigned dtype that holds B - 1, their distances, node probabilities),
-    two (B, n) row blocks (the embedding and one action's predictions) and
-    the slope's row blocks (about 4 * B^2), then one slope block's
-    temporaries and one L1 step.  On an ``embedded`` metric a block is
-    masked in place, so its only temporary is the mask; an explicit table
-    also holds the raw and masked copies and the strip below the block.
+    two (B, n) row blocks (embedding, one action's predictions), one
+    action's likelihoods and (b, j) indices, the slope's row blocks (about
+    4 * B^2), one slope block's mask or square copy, one L1 step, and per
+    k-NN worker three (_CHUNK, n) blocks (rows and their gathers, or rows,
+    embedding and index arrays) and the exact step's gather buffers.
     """
     idx = np.min_scalar_type(B - 1).itemsize
-    kept = B * A * J * (K * (idx + 8) + 8) + 16 * B * n
+    kept = B * A * J * (K * (idx + 8) + 8) + 16 * B * n + 24 * B * J
     blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
-    slope = max(_SLOPE_BLOCK_BYTES, 8 * B)
-    step = (slope // 8 if embedded else 3 * slope) + max(_L1_BLOCK_BYTES, 8 * B * n)
-    return kept + blocks + step
+    step = max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_L1_BLOCK_BYTES, 8 * B * n)
+    return kept + blocks + step + workers * (24 * _CHUNK * n + _GATHER_BYTES)
 
 
 class _Precomputed:
@@ -272,10 +264,9 @@ class _Precomputed:
         K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
-        embedded = geom.emb is not None
-        if not embedded:
+        if geom.emb is None:
             check_lp_budget((B * A * J + B) * B, sample.grid.n)
-        need = _precompute_bytes(B, A, J, K, model.n_states, embedded=embedded)
+        need = _precompute_bytes(B, A, J, K, model.n_states, parallel)
         have = _physical_memory()
         if have is not None and need > have:
             raise SolverFailure(
@@ -283,12 +274,12 @@ class _Precomputed:
                 f"physical memory is {have / 2**20:,.1f} MB: use a smaller sample"
             )
 
-        self.tilde_w = W @ model.weight.values_on(model.state_grid)
+        self.tilde_w = W @ model.weight_values
         self.reward = W @ model.reward.T  # (B, A)
         self.node_probs = np.empty((B, A, J))
         self.nn_idx = np.zeros((K, B, A, J), dtype=np.min_scalar_type(B - 1))
         self.nn_dist = np.zeros((K, B, A, J))
-        self.pairs = _separated_pairs(geom.block, B, symmetric=embedded)
+        self.pairs = _separated_pairs(geom.block, B)
 
         phi = model.obs_quadrature.weights
         # One pool for every action.  A new pool's threads can start before

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_bruteforce, l1_broadcast, reachability_tree_dense
@@ -339,6 +339,30 @@ class TestWithin:
             want_order = np.argsort(want, kind="stable")
             np.testing.assert_array_equal(order, want_order)
             assert keys.tobytes() == want[want_order].tobytes()
+
+
+class TestWindow:
+    """``sampling._window`` against a double loop over queries and keys."""
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        st.lists(st.integers(-4, 4), max_size=12),  # keys, often equal
+        # (lo, width) in halves: empty, zero-width and past either end
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 12)), max_size=6),
+    )
+    @example(keys=[1, 1, 1, 2], windows=[(2, 0), (4, 0), (0, 2), (3, 6), (-4, 1), (5, 0)])
+    @example(keys=[], windows=[(0, 2)])
+    @example(keys=[0, 3], windows=[])
+    def test_equals_a_double_loop(self, keys, windows):
+        keys = np.sort(np.array(keys, dtype=float))
+        lo = np.array([a / 2 for a, _ in windows])
+        hi = np.array([(a + w) / 2 for a, w in windows])
+        i, rank = sampling._window(keys, lo, hi)
+        want = [
+            (q, t) for q in range(len(lo)) for t in range(len(keys)) if lo[q] <= keys[t] <= hi[q]
+        ]
+        assert list(zip(i.tolist(), rank.tolist())) == want
+        assert i.dtype.kind == rank.dtype.kind == "i"
 
 
 class TestL1Block:

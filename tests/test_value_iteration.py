@@ -39,7 +39,7 @@ from wpomdp.measures import (
     weighted_norm,
 )
 from wpomdp.model import PomdpModel, certify
-from wpomdp.sampling import BeliefDistances, reachability_tree, user_sample
+from wpomdp.sampling import BeliefDistances, check_lp_budget, reachability_tree, user_sample
 from wpomdp.synthetic import (
     absorbing_unit_reward_toy,
     finite_obs_quadrature,
@@ -56,6 +56,7 @@ from wpomdp.value_iteration import (
     _mcshane,
     _precompute_bytes,
     _Precomputed,
+    _row_blocks,
     _separated_pairs,
     _table_lip_estimate,
     rollout_estimate,
@@ -322,7 +323,7 @@ class TestTableLipEstimate:
         d[rng.uniform(size=(n, n)) < 0.1] = 5e-10  # not separated
         if symmetric:
             d = np.triu(d, 1) + np.triu(d, 1).T
-        got = _table_lip_estimate(values, _separated_pairs(lambda r, c: d[r, c], n))
+        got = _table_lip_estimate(values, _separated_pairs(lambda r, c: d[r, c].copy(), n))
         assert got == table_lip_estimate_dense(values, d)
 
     def test_equals_the_dense_form_on_a_solved_tree(self):
@@ -345,10 +346,7 @@ class TestTableLipEstimate:
         res = solve_vi(m, s, epsilon=1e-2)
         nbytes = {"one": 1, "few": 8 * 3 * s.n, "default": value_iteration._SLOPE_BLOCK_BYTES}
         with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes[rows]):
-            one = _separated_pairs(geom.block, s.n, symmetric=True)
-            both = _separated_pairs(geom.block, s.n)
-        assert [t for t, _ in one] == [t for t, _ in both]
-        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(one, both))
+            one = _separated_pairs(geom.block, s.n)
         v = res.value.values
         want = table_lip_estimate_dense(v, geom.dists(W))
         assert want > 0.0
@@ -362,14 +360,16 @@ class TestTableLipEstimate:
     def test_row_blocks_equal_the_dense_form(self, n, rows, seed):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=n).round(1)
-        d = rng.uniform(0.0, 2.0, (n, n))  # asymmetric
+        d = rng.uniform(0.0, 2.0, (n, n))
         d[rng.uniform(size=(n, n)) < 0.2] = 0.0
         d[rng.uniform(size=(n, n)) < 0.1] = 5e-10  # not separated
         d[rng.uniform(size=(n, n)) < 0.1] = 2e-9  # barely separated
+        if rows != "all":  # as on the embedded metrics, the only ones that split
+            d = np.triu(d, 1) + np.triu(d, 1).T
         # 1 row per block, 3 rows in the first block, or one block
         nbytes = {"one": 1, "few": 8 * 3 * n, "all": 8 * n * n}[rows]
         with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes):
-            blocks = _separated_pairs(lambda r, c: d[r, c], n)
+            blocks = _separated_pairs(lambda r, c: d[r, c].copy(), n)
         covered = 0
         for start, block in blocks:  # consecutive rows, each block to the last column
             assert start == covered and block.shape[1] == n - start
@@ -381,6 +381,20 @@ class TestTableLipEstimate:
             assert len(blocks) == 1
         got = _table_lip_estimate(values, blocks)
         assert np.float64(got).tobytes() == np.float64(table_lip_estimate_dense(values, d)).tobytes()
+
+    def test_an_explicit_table_sample_is_one_block(self):
+        # only a one-block sample sees both orientations of every pair, and
+        # an explicit table's blocks need not be symmetric: the LP budget
+        # (A = J = 1 admits the most beliefs) must stay below the first split
+        def admitted(B):
+            try:
+                check_lp_budget((B * 1 * 1 + B) * B, 16)
+            except SolverFailure:
+                return False
+            return True
+
+        B = max(b for b in range(1, 2000) if admitted(b))
+        assert list(_row_blocks(B)) == [(0, B)]
 
 
 class TestExplicitTableSolve:
@@ -469,11 +483,10 @@ class TestExplicitTableSolve:
             return lp(mu, nu)
 
         monkeypatch.setattr(sampling, "w1_lp", counted)
-        monkeypatch.setattr(value_iteration, "_SLOPE_BLOCK_BYTES", 8 * 7 * 2)
         pre = _Precomputed(tab, s, 1)
         B, A, J = pre.node_probs.shape
         assert len(calls) == (B * A * J + B) * B  # each ordered pair solved once
-        assert [start for start, _ in pre.pairs] == [0, 2, 4]
+        assert [start for start, _ in pre.pairs] == [0]  # one block: both orientations
 
         W = s.weight_matrix()
         geom = BeliefDistances(s.grid, W, s.beliefs)
@@ -676,17 +689,18 @@ class TestMemoryCheck:
         monkeypatch.setattr(value_iteration, "_physical_memory", lambda: None)
         assert solve_vi(m, s, epsilon=1e-2).converged
 
-    def test_estimate_covers_the_arrays_kept(self):
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_estimate_covers_the_arrays_kept(self, parallel):
         m, s = drift_tree()
         s.weight_matrix()
         tracemalloc.start()
         try:
-            pre = _Precomputed(m, s, 1)
+            pre = _Precomputed(m, s, parallel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         B, A, J = pre.node_probs.shape
-        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states) >= peak
+        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states, parallel) >= peak
 
 
 class TestSolveVi:
