@@ -128,10 +128,12 @@ class BeliefDistances:
     embedding row sums, inside a window of the kept beliefs sorted by sum
     (the first search builds that order, and :meth:`add` keeps it current
     with one sorted insert); on the discrete metric a sum over column
-    blocks.  Explicit tables have no embedding (``emb`` is
-    None) and fall back to one transportation solve per pair: exact, but
-    only meant for desk-size models.  ``beliefs`` supplies the kept
-    measures for that fallback; by default they are rebuilt from ``rows``.
+    blocks, whose kept sums are computed with the embedding and extended
+    by :meth:`add`, so a search reduces only its query rows.  Explicit
+    tables have no embedding (``emb`` is None) and fall back to one
+    transportation solve per pair: exact, but only meant for desk-size
+    models.  ``beliefs`` supplies the kept measures for that fallback; by
+    default they are rebuilt from ``rows``.
     """
 
     def __init__(self, grid, rows: np.ndarray, beliefs=None):
@@ -146,6 +148,8 @@ class BeliefDistances:
             return
         self._buf = self.emb  # spare rows for add(); emb is its live prefix
         self._index = None  # built by knn
+        # discrete: (blocks, kept) column-block sums of emb, one row per block
+        self._sums = _block_sums(self.emb).T.copy() if grid.metric_kind == DISCRETE else None
 
     def __len__(self) -> int:
         return len(self.beliefs) if self.emb is None else len(self.emb)
@@ -160,6 +164,8 @@ class BeliefDistances:
             self._buf = np.concatenate([self.emb, np.empty((max(k, 1), self.emb.shape[1]))])
         e = self._buf[k] = _embed_rows(self.grid, row[None, :])[0]
         self.emb = self._buf[:k + 1]
+        if self._sums is not None:
+            self._sums = np.concatenate((self._sums, _block_sums(e[None, :]).T), axis=1)
         index = self._index
         if index is not None:  # keep it current, in one assignment
             norm, keys, order = index
@@ -244,7 +250,7 @@ class BeliefDistances:
         index = self._search_index()
         if index[1] is not None:
             return _KeyBound(q, index)
-        return _BlockBound(q, self.emb, index[0])
+        return _BlockBound(q, self._sums, index[0])
 
     def _search_index(self):
         """(largest |e|_1, sorted 1-D keys, kept index of each key rank).
@@ -341,25 +347,23 @@ class _BlockBound:
     Every discrete row sums to 1/2, so a key would have to be another
     projection; on 2 to 40 states and about 300 beliefs this bound left as
     few exact distances per query as a ramp projection key, or up to 145
-    times fewer.  Block sums map L1 to L1 with Lipschitz constant 1.  Edges
-    must be distinct: reduceat returns a whole column at a repeated edge.
+    times fewer.  Block sums map L1 to L1 with Lipschitz constant 1; the
+    kept beliefs' sums, ``sums`` (blocks, kept), are the search's own
+    (:func:`_block_sums`), so only the query rows are reduced here.
     Rounding slack: with S as in :class:`_KeyBound`, a computed bound is
     within (cols + blocks)*eps*S of its exact value, so a computed distance
     <= tau has a computed bound <= tau + (2*cols + blocks + 1)*eps*S, which
     4*(cols + blocks)*eps*S covers.
     """
 
-    def __init__(self, q: np.ndarray, emb: np.ndarray, norm: float):
-        cols = emb.shape[1]
-        edges = sorted({b * cols // _KNN_BLOCKS for b in range(_KNN_BLOCKS)})
-        qb, eb = (np.add.reduceat(x, edges, axis=1) for x in (q, emb))
-        self.lb = np.zeros((len(q), len(emb)))
+    def __init__(self, q: np.ndarray, sums: np.ndarray, norm: float):
+        self.lb = np.zeros((len(q), sums.shape[1]))
         tmp = np.empty_like(self.lb)
-        for qc, ec in zip(qb.T, np.ascontiguousarray(eb.T)):
-            np.subtract(qc[:, None], ec[None, :], out=tmp)
+        for qc, ec in zip(_block_sums(q).T[:, :, None], sums):  # (m, 1) - (kept,)
+            np.subtract(qc, ec, out=tmp)
             self.lb += np.abs(tmp, out=tmp)
         scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
-        self.slack = 4 * (cols + len(edges)) * np.finfo(float).eps * scale
+        self.slack = 4 * (q.shape[1] + len(sums)) * np.finfo(float).eps * scale
         self.seed = None  # (query, kept) of the seeds
 
     def seeds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,6 +382,18 @@ class _BlockBound:
         if self.seed is not None:
             keep[self.seed] = False
         return np.nonzero(keep)
+
+
+def _block_sums(emb: np.ndarray) -> np.ndarray:
+    """(rows, blocks) sums of ``emb`` over the discrete bound's column blocks.
+
+    A row's sums have the same bits whether it is reduced alone or in a
+    block.  Edges must be distinct: reduceat returns a whole column at a
+    repeated edge.
+    """
+    cols = emb.shape[1]
+    edges = sorted({b * cols // _KNN_BLOCKS for b in range(_KNN_BLOCKS)})
+    return np.add.reduceat(emb, edges, axis=1)
 
 
 def _window(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

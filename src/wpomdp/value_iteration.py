@@ -32,9 +32,16 @@ from .errors import (
     SolverFailure,
 )
 from .filtering import bayes_step
-from .measures import DiscreteMeasure, make_measure
+from .measures import DISCRETE, DiscreteMeasure, make_measure
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
-from .sampling import _GATHER_BYTES, _L1_BLOCK_BYTES, BeliefDistances, BeliefSample, check_lp_budget
+from .sampling import (
+    _GATHER_BYTES,
+    _KNN_CHUNK,
+    _L1_BLOCK_BYTES,
+    BeliefDistances,
+    BeliefSample,
+    check_lp_budget,
+)
 
 __all__ = [
     "TabulatedValue",
@@ -220,7 +227,9 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _precompute_bytes(B: int, A: int, J: int, K: int, n: int, workers: int) -> int:
+def _precompute_bytes(
+    B: int, A: int, J: int, K: int, n: int, workers: int, discrete: bool
+) -> int:
     """Leading terms of the bytes :class:`_Precomputed` holds at its peak.
 
     The (B, A, J) arrays (K-major neighbour indices in the narrowest
@@ -229,13 +238,18 @@ def _precompute_bytes(B: int, A: int, J: int, K: int, n: int, workers: int) -> i
     action's likelihoods and (b, j) indices, the slope's row blocks (about
     4 * B^2), one slope block's mask or square copy, one L1 step, and per
     k-NN worker three (_CHUNK, n) blocks (rows and their gathers, or rows,
-    embedding and index arrays) and the exact step's gather buffers.
+    embedding and index arrays) and the exact step's gather buffers.  On
+    the ``discrete`` metric each worker's search step also holds a
+    (_KNN_CHUNK, B) float bound, and where that bound prunes nothing every
+    (query, kept) pair is a candidate: two indices, a distance, their
+    three concatenations and the sort order, 64 bytes a pair in all.
     """
     idx = np.min_scalar_type(B - 1).itemsize
     kept = B * A * J * (K * (idx + 8) + 8) + 16 * B * n + 24 * B * J
     blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
     step = max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_L1_BLOCK_BYTES, 8 * B * n)
-    return kept + blocks + step + workers * (24 * _CHUNK * n + _GATHER_BYTES)
+    search = 64 * _KNN_CHUNK * B if discrete else 0
+    return kept + blocks + step + workers * (24 * _CHUNK * n + _GATHER_BYTES + search)
 
 
 class _Precomputed:
@@ -266,7 +280,8 @@ class _Precomputed:
         geom = BeliefDistances(sample.grid, W, sample.beliefs)
         if geom.emb is None:
             check_lp_budget((B * A * J + B) * B, sample.grid.n)
-        need = _precompute_bytes(B, A, J, K, model.n_states, parallel)
+        discrete = sample.grid.metric_kind == DISCRETE
+        need = _precompute_bytes(B, A, J, K, model.n_states, parallel, discrete)
         have = _physical_memory()
         if have is not None and need > have:
             raise SolverFailure(

@@ -341,6 +341,27 @@ class TestWithin:
             assert keys.tobytes() == want[want_order].tobytes()
 
 
+class TestBlockSums:
+    """The discrete search's kept column-block sums, grown by ``add``."""
+
+    @pytest.mark.parametrize(
+        "n, edges", [(3, [0, 1, 2]), (39, [0, 9, 19, 29]), (200, [0, 50, 100, 150])]
+    )
+    def test_add_matches_a_fresh_reduceat(self, n, edges):
+        rng = np.random.default_rng(n)
+        g = random_grid("discrete", n, rng)
+        rows = random_rows(g, 70, rng)
+        geom = BeliefDistances(g, rows[:1])
+        for i in range(1, len(rows)):
+            geom.add(rows[i])
+            if i % 5 == 0:  # searches between adds read, but never rebuild, the sums
+                geom.within(rows[i], DEDUP_W1_TOL)
+        want = np.add.reduceat(geom.emb, edges, axis=1)
+        assert geom._sums.shape == (len(edges), len(rows))
+        assert geom._sums.T.tobytes() == want.tobytes()
+        assert BeliefDistances(g, rows)._sums.T.tobytes() == want.tobytes()
+
+
 class TestWindow:
     """``sampling._window`` against a double loop over queries and keys."""
 

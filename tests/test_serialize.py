@@ -8,7 +8,7 @@ import pytest
 
 from wpomdp.conjugate import AlphaSet
 from wpomdp.errors import ModelValidationError
-from wpomdp.kalman import KalmanSpec, build_model
+from wpomdp.kalman import KalmanSpec, build_model, reference_spec
 from wpomdp.measures import (
     EXPLICIT_TABLE,
     StateGrid,
@@ -32,6 +32,50 @@ from wpomdp.synthetic import finite_obs_quadrature, pbvi_toy
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def table_model():
+    """Three states under an explicit distance table, one action."""
+    table = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+    grid = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=table)
+    return PomdpModel(
+        state_grid=grid,
+        actions=("hold",),
+        obs_quadrature=finite_obs_quadrature(1),
+        trans=np.eye(3)[None, :, :],
+        obs_density=np.ones((1, 3, 1)),
+        reward=np.zeros((1, 3)),
+        discount=0.5,
+        weight=WeightFunction(x0=0.0, k=0.25),
+    )
+
+
+def reference_with_belief():
+    """The reference Kalman model and the initial belief ``example`` writes."""
+    m = build_model(reference_spec())
+    pts = m.state_grid.points
+    return m, make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+
+
+def loaded_arrays(path):
+    """Every array and scalar :func:`load_model` returns, in one flat dict."""
+    m, init = load_model(path)
+    out = {
+        "points": m.state_grid.points,
+        "metric": m.state_grid.metric_kind,
+        "actions": m.actions,
+        "nodes": m.obs_quadrature.nodes,
+        "node_weights": m.obs_quadrature.weights,
+        "trans": m.trans,
+        "obs_density": m.obs_density,
+        "reward": m.reward,
+        "discount": m.discount,
+        "weight": (m.weight.x0, m.weight.k),
+        "init": init,
+    }
+    if m.state_grid.metric_kind == EXPLICIT_TABLE:
+        out["table"] = m.state_grid.pairwise()
+    return out
 
 
 class TestModelRoundTrip:
@@ -64,8 +108,9 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(a.obs_density, b.obs_density)
 
     def test_obs_density_stable_under_reload(self, tmp_path):
-        # load-time column renormalization must be a fixed point: saving
-        # the renormalized table and loading it back changes nothing
+        # load-time column renormalization may move last bits again on each
+        # save -> load trip (it is not a fixed point), but never by more
+        # than 1e-15 on this table
         m = build_model(KalmanSpec(grid_step=0.4))
         p = tmp_path / "m.json"
         save_model(m, p)
@@ -82,23 +127,12 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(m.obs_density, m2.obs_density)
 
     def test_table_metric_round_trip(self, tmp_path):
-        table = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
-        grid = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=table)
-        m = PomdpModel(
-            state_grid=grid,
-            actions=("hold",),
-            obs_quadrature=finite_obs_quadrature(1),
-            trans=np.eye(3)[None, :, :],
-            obs_density=np.ones((1, 3, 1)),
-            reward=np.zeros((1, 3)),
-            discount=0.5,
-            weight=WeightFunction(x0=0.0, k=0.25),
-        )
+        m = table_model()
         p = tmp_path / "tab.json"
         save_model(m, p)
         m2, _ = load_model(p)
         assert m2.state_grid.metric_kind == EXPLICIT_TABLE
-        np.testing.assert_array_equal(m2.state_grid.pairwise(), table)
+        np.testing.assert_array_equal(m2.state_grid.pairwise(), m.state_grid.pairwise())
 
     def test_missing_field_reported(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -130,6 +164,34 @@ class TestModelRoundTrip:
         with pytest.raises(ModelValidationError) as exc:
             load_model(p)
         assert str(p) in str(exc.value)
+
+
+class TestModelFileLayout:
+    """``save_model`` writes one compact line; any JSON layout loads."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [reference_with_belief, lambda: (pbvi_toy(), None), lambda: (table_model(), None)],
+        ids=["reference_with_belief", "pbvi_toy", "table"],
+    )
+    def test_compact_file_loads_the_bits_of_an_indented_one(self, make, tmp_path):
+        m, init = make()
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_model(m, compact, init_belief=init)
+        text = compact.read_text()
+        doc = json.loads(text)
+        # the one-shot, unindented form of the document
+        assert text == json.dumps(doc)
+        indented.write_text(json.dumps(doc, indent=1))
+        want, got = loaded_arrays(indented), loaded_arrays(compact)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == got[key].dtype and value.shape == got[key].shape, key
+                assert value.tobytes() == got[key].tobytes(), key
+            else:
+                assert value == got[key], key
+        assert (init is None) == (got["init"] is None)
 
 
 class TestCsvWriters:

@@ -553,6 +553,14 @@ def drift_tree():
     return m, centred_tree(m, 60)
 
 
+def dirichlet_sample():
+    """300 beliefs on 40 discrete states, so far apart that the block
+    bound of the k-NN prunes almost no (query, kept) pair."""
+    m = random_finite_model(5, n_states=40)
+    rng = np.random.default_rng(0)
+    return m, user_sample([make_measure(m.state_grid, w) for w in rng.dirichlet(np.ones(40), 300)])
+
+
 def k_major(a):
     return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
@@ -689,9 +697,13 @@ class TestMemoryCheck:
         monkeypatch.setattr(value_iteration, "_physical_memory", lambda: None)
         assert solve_vi(m, s, epsilon=1e-2).converged
 
-    @pytest.mark.parametrize("parallel", [1, 2])
-    def test_estimate_covers_the_arrays_kept(self, parallel):
-        m, s = drift_tree()
+    @pytest.mark.parametrize(
+        "case, parallel",
+        [(drift_tree, 1), (drift_tree, 2), (dirichlet_sample, 2)],
+        ids=["1", "2", "discrete"],
+    )
+    def test_estimate_covers_the_arrays_kept(self, case, parallel):
+        m, s = case()
         s.weight_matrix()
         tracemalloc.start()
         try:
@@ -700,7 +712,8 @@ class TestMemoryCheck:
         finally:
             tracemalloc.stop()
         B, A, J = pre.node_probs.shape
-        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states, parallel) >= peak
+        discrete = m.state_grid.metric_kind == DISCRETE
+        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states, parallel, discrete) >= peak
 
 
 class TestSolveVi:
