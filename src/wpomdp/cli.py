@@ -27,7 +27,13 @@ from .kalman import KalmanSpec, build_model
 from .measures import make_measure
 from .model import certify, check_stop_rule
 from .sampling import reachability_tree
-from .value_iteration import check_rollout_size, rollout_estimate, selector_policy, solve_vi
+from .value_iteration import (
+    check_parallel,
+    check_rollout_size,
+    rollout_estimate,
+    selector_policy,
+    solve_vi,
+)
 
 __all__ = ["main"]
 
@@ -54,6 +60,8 @@ def _load(args):
 def _sample(model, mu0, args):
     # the solvers refuse these too, but only after the tree is built
     check_stop_rule(args.epsilon, args.max_iters)
+    if "parallel" in args:
+        check_parallel(args.parallel)
     return reachability_tree(
         model,
         mu0,
@@ -205,23 +213,14 @@ def cmd_compare(args) -> int:
 def cmd_example(args) -> int:
     if args.which != "kalman":
         raise BeliefSpaceError(f"unknown example {args.which!r}")
-    if args.spec is not None:
+    if args.spec is None:
+        spec = KalmanSpec()
+    else:
         try:
             spec = KalmanSpec(**json.loads(Path(args.spec).read_text()))
         except (OSError, ValueError, TypeError) as e:
             # unreadable file, malformed JSON, unknown or mistyped field
             raise ModelValidationError(f"cannot use spec file {args.spec}: {e}") from e
-    else:
-        spec = KalmanSpec(
-            gains=tuple(float(g) for g in args.gains.split(",")),
-            process_std=args.process_std,
-            obs_std=args.obs_std,
-            discount=args.discount,
-            grid_lo=args.grid_lo,
-            grid_hi=args.grid_hi,
-            grid_step=args.grid_step,
-            n_obs_nodes=args.nodes,
-        )
     model = build_model(spec)
     pts = model.state_grid.points
     init = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
@@ -232,17 +231,15 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _add_common(p, *, sample_flags=True, solver_flags=True):
+def _add_common(p):
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--out-dir", default=None, help="artifact directory")
-    if sample_flags:
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--cap", type=int, default=5000)
-        p.add_argument("--mixtures", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
-    if solver_flags:
-        p.add_argument("--epsilon", type=float, default=1e-3)
-        p.add_argument("--max-iters", type=int, default=1000)
+    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--cap", type=int, default=5000)
+    p.add_argument("--mixtures", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--max-iters", type=int, default=1000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,15 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("kalman",))
     p.add_argument("--out", default=None, help="model file to write")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--spec", default=None, help="JSON file of spec fields")
-    p.add_argument("--gains", default="-0.5,0,0.5")
-    p.add_argument("--process-std", type=float, default=1.0)
-    p.add_argument("--obs-std", type=float, default=0.5)
-    p.add_argument("--discount", type=float, default=0.9)
-    p.add_argument("--grid-lo", type=float, default=-8.0)
-    p.add_argument("--grid-hi", type=float, default=8.0)
-    p.add_argument("--grid-step", type=float, default=0.1)
-    p.add_argument("--nodes", type=int, default=33)
+    p.add_argument(
+        "--spec", default=None, help="JSON file of KalmanSpec fields (default: KalmanSpec())"
+    )
     p.set_defaults(fn=cmd_example)
 
     return ap

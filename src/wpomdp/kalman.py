@@ -40,6 +40,12 @@ _ROW_MASS_TOL = 1e-2
 # slack allowed between the measured drift factor and the chosen target
 _DRIFT_SLACK = 1e-6
 
+# observation-continuity probes: anchors x0, and separations halving from
+# _TV_START_DELTA down to _TV_FLOOR
+_TV_ANCHORS = (0.0, 1.0, -2.0)
+_TV_START_DELTA = 0.5
+_TV_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class KalmanSpec:
@@ -136,21 +142,18 @@ def _midpoint_quadrature(lo: float, hi: float, n: int) -> ObservationQuadrature:
     return ObservationQuadrature(nodes, np.full(n, h))
 
 
-def choose_weight(spec: KalmanSpec, alpha: float | None = None) -> tuple[float, float, float]:
+def choose_weight(spec: KalmanSpec) -> tuple[float, float, float]:
     """Derive the weight slope from the drift inequality: (k, beta, K).
 
     The one-step mean-distance bound E|x'| <= sqrt(sigma^2 + mean^2) is
     dominated by beta_tilde * |x| + K with beta_tilde = (1 + max|gain|)/2
     and K the largest slack of that bound over the grid.
     Scaling the distance by k = (beta - 1) / K, with beta halfway into
-    (1, 1/alpha), turns this into the weighted-drift certificate the
-    solver needs; the discretized rows are then re-checked numerically,
-    and a failure means the grid truncation broke the derivation.
+    (1, 1/alpha) for alpha the spec's discount, turns this into the
+    weighted-drift certificate the solver needs; the discretized rows are
+    then re-checked numerically, and a failure means the grid truncation
+    broke the derivation.
     """
-    if alpha is None:
-        alpha = spec.discount
-    if not 0.0 < alpha < 1.0:
-        raise ModelValidationError("discount must lie in (0, 1)")
     points = spec.state_points()
     beta_tilde = 0.5 * (1.0 + spec.feedback_sup)
     slack = np.stack(
@@ -163,7 +166,7 @@ def choose_weight(spec: KalmanSpec, alpha: float | None = None) -> tuple[float, 
     big_k = float(slack.max())
     if big_k <= 0:
         raise DriftDerivationFailed("drift slack collapsed to zero on the grid")
-    beta = 0.5 * (1.0 + 1.0 / alpha)
+    beta = 0.5 * (1.0 + 1.0 / spec.discount)
     k = (beta - 1.0) / big_k
 
     # numeric re-check on the discretized, renormalized rows; rows that
@@ -228,27 +231,21 @@ def build_model(spec: KalmanSpec) -> PomdpModel:
     )
 
 
-def tv_continuity_report(
-    spec: KalmanSpec,
-    anchors: tuple[float, ...] = (0.0, 1.0, -2.0),
-    start_delta: float = 0.5,
-    floor: float = 1e-3,
-) -> tuple[TvProbeReport, ...]:
-    """Observation-kernel continuity at state separations halving to ``floor``.
+def tv_continuity_report(spec: KalmanSpec) -> tuple[TvProbeReport, ...]:
+    """Observation-kernel continuity at state separations halving to 1e-3.
 
-    For each anchor x0 a ladder of probe states x0 + delta, delta =
-    start_delta / 2^n, is packed into a dedicated fine grid, and the
+    For each anchor x0 in (0, 1, -2) a ladder of probe states x0 + delta,
+    delta = 0.5 / 2^n, is packed into a dedicated fine grid, and the
     quadrature total-variation gap between the observation densities at
-    x0 + delta and x0 is recorded per rung.  The Gaussian kernel makes
-    the gaps shrink with delta; the reports carry the evidence.
+    x0 + delta and x0 is recorded per rung, until delta is at most 1e-3.
+    The Gaussian kernel makes the gaps shrink with delta; the reports
+    carry the evidence.
     """
-    if start_delta <= floor:
-        raise ModelValidationError("start_delta must exceed the floor")
-    n_rungs = int(math.ceil(math.log2(start_delta / floor))) + 1
-    deltas = start_delta / 2.0 ** np.arange(n_rungs)  # descending
+    n_rungs = int(math.ceil(math.log2(_TV_START_DELTA / _TV_FLOOR))) + 1
+    deltas = _TV_START_DELTA / 2.0 ** np.arange(n_rungs)  # descending
 
     reports = []
-    for x0 in anchors:
+    for x0 in _TV_ANCHORS:
         points = np.concatenate([[x0], x0 + deltas[::-1]])  # ascending
         n = len(points)
         pad = spec.obs_pad_stds * spec.obs_std

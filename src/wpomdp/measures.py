@@ -82,7 +82,7 @@ class StateGrid:
     points: np.ndarray
     metric_kind: str = EUCLIDEAN_1D
     distance_table: np.ndarray | None = None
-    _pairwise: np.ndarray | None = field(default=None, repr=False)
+    _pairwise: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -221,11 +221,6 @@ class WeightFunction:
 
     def values_on(self, grid: StateGrid) -> np.ndarray:
         return 1.0 + self.k * grid.distance_to(self.x0)
-
-    def __call__(self, x: float, grid: StateGrid | None = None) -> float:
-        if grid is None or grid.metric_kind == EUCLIDEAN_1D:
-            return 1.0 + self.k * abs(x - self.x0)
-        return float(self.values_on(grid)[grid.index_of(x)])
 
 
 class LipschitzFn:

@@ -256,9 +256,9 @@ class TvProbeReport:
     distances: tuple[float, ...]
     tv_gaps: tuple[float, ...]
 
-    def is_monotone_decreasing(self, tol: float = 0.0) -> bool:
+    def is_monotone_decreasing(self) -> bool:
         gaps = self.tv_gaps
-        return all(gaps[i + 1] <= gaps[i] + tol for i in range(len(gaps) - 1))
+        return all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
 
 
 def probe_q_tv_continuity(model: PomdpModel, x_pairs, a_pairs) -> TvProbeReport:

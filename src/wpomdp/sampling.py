@@ -71,7 +71,7 @@ class BeliefSample:
     beliefs: tuple[DiscreteMeasure, ...]
     provenance: str
     truncated: bool = False
-    _weight_matrix: np.ndarray | None = field(default=None, repr=False)
+    _weight_matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.beliefs = tuple(self.beliefs)
@@ -126,8 +126,8 @@ class BeliefDistances:
     least).  :meth:`knn` and :meth:`within` compute exact distances only
     where a lower bound on W1 allows: on the 1-D metric the gap of
     embedding row sums, inside a window of the kept beliefs sorted by sum
-    (the first search builds that order, and :meth:`add` keeps it current
-    with one sorted insert); on the discrete metric a sum over column
+    (built on construction, and kept current by :meth:`add` with one
+    sorted insert); on the discrete metric a sum over column
     blocks, whose kept sums are computed with the embedding and extended
     by :meth:`add`, so a search reduces only its query rows.  Explicit
     tables have no embedding (``emb`` is None) and fall back to one
@@ -147,7 +147,14 @@ class BeliefDistances:
             ]
             return
         self._buf = self.emb  # spare rows for add(); emb is its live prefix
-        self._index = None  # built by knn
+        # (largest |e|_1, sorted 1-D keys, kept index of each key rank); keys
+        # and ranks are None off the 1-D metric
+        keys = order = None
+        if grid.metric_kind == EUCLIDEAN_1D:
+            keys = self.emb.sum(axis=1)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+        self._index = (np.abs(self.emb).sum(axis=1).max(initial=0.0), keys, order)
         # discrete: (blocks, kept) column-block sums of emb, one row per block
         self._sums = _block_sums(self.emb).T.copy() if grid.metric_kind == DISCRETE else None
 
@@ -166,18 +173,16 @@ class BeliefDistances:
         self.emb = self._buf[:k + 1]
         if self._sums is not None:
             self._sums = np.concatenate((self._sums, _block_sums(e[None, :]).T), axis=1)
-        index = self._index
-        if index is not None:  # keep it current, in one assignment
-            norm, keys, order = index
-            norm = max(norm, np.abs(e).sum())
-            if keys is not None:
-                # after any equal keys: they are kept earlier, as a stable
-                # argsort of every key orders them
-                key = e.sum()
-                p = np.searchsorted(keys, key, side="right")
-                keys = np.concatenate((keys[:p], [key], keys[p:]))
-                order = np.concatenate((order[:p], [k], order[p:]))
-            self._index = (norm, keys, order)
+        norm, keys, order = self._index
+        norm = max(norm, np.abs(e).sum())
+        if keys is not None:
+            # after any equal keys: they are kept earlier, as a stable
+            # argsort of every key orders them
+            key = e.sum()
+            p = np.searchsorted(keys, key, side="right")
+            keys = np.concatenate((keys[:p], [key], keys[p:]))
+            order = np.concatenate((order[:p], [k], order[p:]))
+        self._index = (norm, keys, order)
 
     def l1(self, q: np.ndarray) -> np.ndarray:
         """(len(q), len(self)) L1 block from embedded query rows."""
@@ -247,28 +252,10 @@ class BeliefDistances:
 
     def _bound(self, q: np.ndarray):
         """The search bound of embedded query rows ``q`` on this metric."""
-        index = self._search_index()
+        index = self._index
         if index[1] is not None:
             return _KeyBound(q, index)
         return _BlockBound(q, self._sums, index[0])
-
-    def _search_index(self):
-        """(largest |e|_1, sorted 1-D keys, kept index of each key rank).
-
-        Built by the first search and kept current by :meth:`add`; keys
-        and ranks are None off the 1-D metric.  It is stored in one
-        assignment: the VI precompute searches from several threads, and
-        none may see half an index.
-        """
-        index = self._index
-        if index is None:
-            keys = order = None
-            if self.grid.metric_kind == EUCLIDEAN_1D:
-                keys = self.emb.sum(axis=1)
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-            index = self._index = (np.abs(self.emb).sum(axis=1).max(initial=0.0), keys, order)
-        return index
 
     def _exact(self, q: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
         """L1 from embedded query row ``q[r[i]]`` to kept belief ``j[i]``.
@@ -467,14 +454,13 @@ def reachability_tree(
     depth: int = 3,
     *,
     cap: int = 5000,
-    dedup_tol: float = DEDUP_W1_TOL,
     mixtures: int = 0,
     seed: int = 0,
 ) -> BeliefSample:
     """Breadth-first posterior expansion of ``mu0``.
 
     Every action/observation-node pair with positive marginal probability
-    spawns a child posterior; children closer than ``dedup_tol`` in W1 to
+    spawns a child posterior; children closer than ``DEDUP_W1_TOL`` in W1 to
     an existing sample point (:meth:`BeliefDistances.within`) are dropped.
     After the tree (or the cap) is exhausted, up to ``mixtures`` random
     pairwise mixtures of collected beliefs are appended, drawn from a
@@ -500,7 +486,7 @@ def reachability_tree(
         if kept.emb is None:
             solves += len(kept)
             check_lp_budget(solves, kept.grid.n)
-        return kept.within(row, dedup_tol)
+        return kept.within(row, DEDUP_W1_TOL)
 
     frontier = [0]
     for _ in range(depth):

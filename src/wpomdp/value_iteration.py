@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
 )
 from .filtering import bayes_step
-from .measures import DISCRETE, DiscreteMeasure, make_measure
+from .measures import DISCRETE, DiscreteMeasure
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import (
     _GATHER_BYTES,
@@ -50,6 +50,7 @@ __all__ = [
     "solve_vi",
     "rollout_estimate",
     "check_rollout_size",
+    "check_parallel",
     "NearestAnchorPolicy",
     "selector_policy",
 ]
@@ -344,6 +345,16 @@ def _mcshane(
         np.maximum(out, tmp, out=out)
 
 
+def check_parallel(parallel: int) -> None:
+    """Refuse a VI precompute worker count below one.
+
+    Raises :class:`~wpomdp.errors.SolverFailure`; :func:`solve_vi` calls
+    it, and the CLI before it builds a sample.
+    """
+    if parallel < 1:
+        raise SolverFailure(f"parallel must be >= 1, got {parallel}")
+
+
 def solve_vi(
     model: PomdpModel,
     sample: BeliefSample,
@@ -360,13 +371,16 @@ def solve_vi(
     smaller).  If ``max_iters`` cuts the run short the result is returned
     with ``converged=False`` rather than raised; ``max_iters=0`` returns
     the zero table with the greedy actions of the expected reward; a
-    negative ``max_iters`` raises :class:`~wpomdp.errors.SolverFailure`.
+    negative ``max_iters`` or a ``parallel`` below 1 raises
+    :class:`~wpomdp.errors.SolverFailure`.  ``parallel`` k-NN workers
+    never change a result bit.
 
     Posteriors read the value of their sample point when every posterior
     lies in the sample (a closed sample), and the McShane extension over
     their ``_K_NEIGHBORS`` nearest sample points otherwise.
     """
     check_stop_rule(epsilon, max_iters)
+    check_parallel(parallel)
     constants = certify(model)
     pre = _Precomputed(model, sample, parallel)
 
@@ -429,9 +443,6 @@ class NearestAnchorPolicy:
     def act_batch(self, rows: np.ndarray) -> np.ndarray:
         return self.actions[self.anchors.knn(rows, 1)[0][:, 0]]
 
-    def __call__(self, mu: DiscreteMeasure) -> int:
-        return int(self.act_batch(mu.weights[None, :])[0])
-
 
 def selector_policy(result: VIResult) -> NearestAnchorPolicy:
     sample = result.selector.sample
@@ -464,13 +475,12 @@ def rollout_estimate(
     :func:`~wpomdp.filtering.bayes_step`, as ``bayes_update`` would.
     Paths are simulated in fixed-size chunks with per-chunk seeded
     generators, so results do not depend on how workers are scheduled.
-    ``policy`` is either a plain callable on beliefs or an object with a
-    vectorised ``act_batch`` (weights-matrix in, action vector out).
+    ``policy`` has a vectorised ``act_batch``: a (paths, n_states) matrix
+    of belief weights in, one action index per row out.
     Returns (mean, standard error).
     """
     model.check_belief(mu0)
     check_rollout_size(horizon, n_paths)
-    batched = hasattr(policy, "act_batch")
     n, A, J = model.n_states, model.n_actions, model.n_obs
     trans_cum = np.cumsum(model.trans, axis=2)  # (A, n, n)
     # node draw for a path in state x' under action a: phi_j q(y_j|x',a)
@@ -487,14 +497,7 @@ def rollout_estimate(
         disc = 1.0
         acc = np.zeros(p)
         for t in range(horizon + 1):
-            if batched:
-                acts = policy.act_batch(beliefs)
-            else:
-                acts = np.fromiter(
-                    (policy(make_measure(model.state_grid, b)) for b in beliefs),
-                    dtype=np.int64,
-                    count=p,
-                )
+            acts = policy.act_batch(beliefs)
             acc += disc * model.reward[acts, x]
             disc *= model.discount
             if t == horizon:

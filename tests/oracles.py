@@ -31,7 +31,7 @@ from wpomdp.measures import (
     w1,
 )
 from wpomdp.model import certify
-from wpomdp.sampling import BeliefDistances
+from wpomdp.sampling import DEDUP_W1_TOL, BeliefDistances
 from wpomdp.value_iteration import Selector, TabulatedValue
 
 
@@ -376,7 +376,7 @@ def merge_duplicate_rows_greedy(rows, tol):
 EXACT_MATCH_TOL = 1e-9
 
 
-def reachability_tree_dense(model, mu0, depth, *, cap, dedup_tol=1e-6, mixtures=0, seed=0):
+def reachability_tree_dense(model, mu0, depth, *, cap, mixtures=0, seed=0):
     """Weight rows of the breadth-first reachability tree, dense dedup.
 
     The same expansion, cap and mixture padding as the package tree, but
@@ -387,7 +387,7 @@ def reachability_tree_dense(model, mu0, depth, *, cap, dedup_tol=1e-6, mixtures=
     kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
 
     def duplicate(row):
-        return kept.dists(row[None, :]).min() < dedup_tol
+        return kept.dists(row[None, :]).min() < DEDUP_W1_TOL
 
     frontier = [mu0]
     for _ in range(depth):

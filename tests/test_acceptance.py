@@ -388,7 +388,9 @@ def test_c11_kalman_assumption_certification():
 
 def test_c12_determinism(tmp_path):
     mp = tmp_path / "m.json"
-    assert cli_main(["example", "kalman", "--out", str(mp), "--grid-step", "1.0"]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"grid_step": 1.0}')
+    assert cli_main(["example", "kalman", "--out", str(mp), "--spec", str(spec)]) == 0
     blobs = []
     for name, par in (("r1", "1"), ("r2", "2"), ("r3", "1")):
         rc = cli_main(

@@ -6,6 +6,7 @@ and emitted CSVs can all be checked without spawning subprocesses.
 
 from __future__ import annotations
 
+import argparse
 import csv
 
 import numpy as np
@@ -21,6 +22,13 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def coarse_spec(directory):
+    """A spec file for the reference model on a grid of step 1.0 (17 states)."""
+    p = directory / "coarse_spec.json"
+    p.write_text('{"grid_step": 1.0}')
+    return p
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +52,9 @@ def kalman_file(tmp_path_factory):
     # coarse state grid keeps every CLI test fast; the default 33
     # observation nodes are kept because fewer cannot resolve the
     # likelihood and the load-time mass gate rejects the model
-    p = tmp_path_factory.mktemp("models") / "kalman.json"
-    rc = main(["example", "kalman", "--out", str(p), "--grid-step", "1.0"])
+    d = tmp_path_factory.mktemp("models")
+    p = d / "kalman.json"
+    rc = main(["example", "kalman", "--out", str(p), "--spec", str(coarse_spec(d))])
     assert rc == 0
     return p
 
@@ -60,8 +69,16 @@ class TestExample:
 
     def test_reports_shape(self, tmp_path, capsys):
         out = tmp_path / "m.json"
-        main(["example", "kalman", "--out", str(out), "--grid-step", "1.0"])
+        main(["example", "kalman", "--out", str(out), "--spec", str(coarse_spec(tmp_path))])
         assert "17 states, 3 actions, 33 nodes" in capsys.readouterr().out
+
+    def test_no_spec_is_the_empty_spec(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        assert main(["example", "kalman", "--out", str(tmp_path / "a.json")]) == 0
+        assert main(["example", "kalman", "--out", str(tmp_path / "b.json"),
+                     "--spec", str(empty)]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_spec_file_overrides_flags(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -84,6 +101,38 @@ class TestExample:
         err = capsys.readouterr().err
         assert err.startswith("error: ModelValidationError") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
+
+
+COMMON = {"--model", "--out-dir", "--depth", "--cap", "--mixtures", "--seed",
+          "--epsilon", "--max-iters"}
+
+
+class TestOptionInventory:
+    """Every subcommand's flags, so that a deleted option cannot come back unnoticed."""
+
+    EXPECTED = {
+        "validate": {"--model"},
+        "solve-vi": COMMON | {"--parallel"},
+        "solve-sets": COMMON | {"--algorithm"},
+        "filter": {"--model", "--out-dir", "--steps", "--seed"},
+        "rollout": COMMON | {"--parallel", "--horizon", "--n-paths"},
+        "compare": COMMON | {"--parallel", "--algorithm"},
+        "example": {"which", "--out", "--out-dir", "--spec"},
+    }
+
+    def test_flags_of_every_subcommand(self):
+        ap = cli.build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {
+                flag
+                for action in p._actions
+                if not isinstance(action, argparse._HelpAction)
+                for flag in (action.option_strings or [action.dest])
+            }
+            for name, p in sub.choices.items()
+        }
+        assert got == self.EXPECTED
 
 
 class TestValidate:
@@ -225,6 +274,18 @@ class TestRefusedFlags:
         assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cmd", ["solve-vi", "rollout", "compare"])
+    @pytest.mark.parametrize("value", ["0", "-50"])
+    def test_parallel_below_one(self, cmd, value, toy_file, tmp_path, capsys):
+        rc = main(
+            [cmd, "--model", str(toy_file), "--out-dir", str(tmp_path), "--depth", "1",
+             "--parallel", value]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SolverFailure: parallel must be >= 1, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFlagsRefusedBeforeTheTree:
     @pytest.fixture(autouse=True)
@@ -240,6 +301,15 @@ class TestFlagsRefusedBeforeTheTree:
     )
     def test_solver_flags(self, cmd, flag, value, toy_file, tmp_path, capsys):
         rc = main([cmd, "--model", str(toy_file), "--out-dir", str(tmp_path), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SolverFailure: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", ["solve-vi", "rollout", "compare"])
+    @pytest.mark.parametrize("value", ["0", "-50"])
+    def test_parallel_flag(self, cmd, value, toy_file, tmp_path, capsys):
+        rc = main([cmd, "--model", str(toy_file), "--out-dir", str(tmp_path), "--parallel", value])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: SolverFailure: ") and err.count("\n") == 1

@@ -1,5 +1,7 @@
 """Measure layer: W1 distances, duality, weights, Lipschitz integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -86,6 +88,14 @@ class TestStateGrid:
     def test_discrete_pairwise_is_zero_one(self):
         g = StateGrid(np.arange(4.0), metric_kind=DISCRETE)
         assert_allclose(g.pairwise(), 1.0 - np.eye(4))
+
+    def test_the_distance_cache_is_not_a_field(self):
+        g = StateGrid(np.array([0.0, 1.0, 2.0]))
+        g.pairwise()
+        moved = dataclasses.replace(g, points=np.array([0.0, 10.0, 20.0]))
+        np.testing.assert_array_equal(moved.pairwise()[0], [0.0, 10.0, 20.0])
+        with pytest.raises(TypeError):
+            StateGrid(np.arange(3.0), DISCRETE, _pairwise=np.zeros((3, 3)))
 
     def test_index_of_requires_exact_point(self):
         g = line_grid(0.0, 0.5, 1.0)

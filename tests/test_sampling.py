@@ -1,5 +1,6 @@
 """Belief-sample construction: user sets and reachability trees."""
 
+import dataclasses
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +60,15 @@ class TestUserSample:
         s = user_sample([uniform_belief(m)])
         assert s.weight_matrix() is s.weight_matrix()
 
+    def test_the_cache_is_not_a_field(self):
+        m = pbvi_toy()
+        s = user_sample([uniform_belief(m)])
+        s.weight_matrix()
+        other = dataclasses.replace(s, beliefs=(make_measure(m.state_grid, [1.0, 0.0]),))
+        np.testing.assert_array_equal(other.weight_matrix(), [[1.0, 0.0]])
+        with pytest.raises(TypeError):
+            BeliefSample((uniform_belief(m),), "user_supplied", _weight_matrix=np.zeros((1, 2)))
+
 
 class TestReachabilityTree:
     def test_depth_zero_is_just_the_root(self):
@@ -101,12 +111,16 @@ class TestReachabilityTree:
             )
 
     def test_dedup_drops_near_duplicates(self):
-        # a huge tolerance collapses the whole tree onto the root
+        # the revealing toy's sample closes after one step, so every
+        # deeper posterior duplicates a kept belief
+        m = revealing_toy()
+        assert reachability_tree(m, uniform_belief(m), depth=3).n == (
+            reachability_tree(m, uniform_belief(m), depth=1).n
+        )
         m = pbvi_toy()
-        s = reachability_tree(m, uniform_belief(m), depth=3, dedup_tol=10.0)
-        assert s.n == 1
-        tight = reachability_tree(m, uniform_belief(m), depth=3, dedup_tol=DEDUP_W1_TOL)
-        assert tight.n > 1
+        s = reachability_tree(m, uniform_belief(m), depth=3)
+        d = BeliefDistances(s.grid, s.weight_matrix()).dists(s.weight_matrix())
+        assert s.n > 1 and (d[~np.eye(s.n, dtype=bool)] >= DEDUP_W1_TOL).all()
 
     def test_cap_truncates(self):
         m = pbvi_toy()
@@ -469,9 +483,9 @@ class TestKnn:
         assert dist[0, 0] == dist[0, 1] == 0.0 < dist[0, 2]
 
     def test_concurrent_first_searches_see_the_whole_index(self):
-        # the VI precompute's workers share one BeliefDistances, so their
-        # first knn calls race to build its sorted 1-D index; four threads
-        # make an overlap likely within a few repetitions
+        # the VI precompute's workers share one BeliefDistances and search
+        # it at once; four threads make an overlap likely within a few
+        # repetitions
         rng = np.random.default_rng(11)
         g = random_grid("line", 81, rng)
         rows = random_rows(g, 3000, rng)

@@ -77,6 +77,16 @@ def toy_sample(model, ps=(1.0, 0.75, 0.5, 0.25, 0.0)):
     return user_sample([belief(model, p) for p in ps])
 
 
+class Constant:
+    """Rollout policy that takes one action at every belief."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def act_batch(self, rows):
+        return np.full(len(rows), self.action, dtype=np.int64)
+
+
 class TestTypes:
     def test_tabulated_value_checks(self):
         s = toy_sample(pbvi_toy(), ps=(0.5, 0.2))
@@ -764,6 +774,14 @@ class TestSolveVi:
         with pytest.raises(SolverFailure):
             solve_vi(m, s, epsilon=0.0)
 
+    @pytest.mark.parametrize("parallel", [0, -50])
+    def test_parallel_below_one_is_refused(self, parallel, monkeypatch):
+        m = revealing_toy()
+        s = reachability_tree(m, uniform_belief(m), depth=1)
+        monkeypatch.setattr(value_iteration, "_Precomputed", None)  # refused before it
+        with pytest.raises(SolverFailure, match=f"parallel must be >= 1, got {parallel}"):
+            solve_vi(m, s, epsilon=1e-2, parallel=parallel)
+
     def test_auto_picks_exact_on_closed_sample(self):
         m = revealing_toy()
         s = reachability_tree(m, uniform_belief(m), depth=1)
@@ -796,35 +814,24 @@ class TestSolveVi:
 class TestRollout:
     def test_zero_reward_is_exactly_zero(self):
         m = zero_reward(pbvi_toy())
-        mean, err = rollout_estimate(m, lambda mu: 0, uniform_belief(m), 5, 200, seed=1)
+        mean, err = rollout_estimate(m, Constant(0), uniform_belief(m), 5, 200, seed=1)
         assert mean == 0.0
         assert err == 0.0
 
     def test_one_step_expectation(self):
         m = pbvi_toy()
         mu0 = belief(m, 0.3)
-        mean, err = rollout_estimate(m, lambda mu: 1, mu0, 0, 4000, seed=2)
+        mean, err = rollout_estimate(m, Constant(1), mu0, 0, 4000, seed=2)
         exact = expected_reward(m, mu0, 1)
         assert abs(mean - exact) <= 3 * err
 
     def test_seed_reproducibility(self):
         m = pbvi_toy()
-        a = rollout_estimate(m, lambda mu: 0, uniform_belief(m), 4, 500, seed=9)
-        b = rollout_estimate(m, lambda mu: 0, uniform_belief(m), 4, 500, seed=9)
-        c = rollout_estimate(m, lambda mu: 0, uniform_belief(m), 4, 500, seed=10)
+        a = rollout_estimate(m, Constant(0), uniform_belief(m), 4, 500, seed=9)
+        b = rollout_estimate(m, Constant(0), uniform_belief(m), 4, 500, seed=9)
+        c = rollout_estimate(m, Constant(0), uniform_belief(m), 4, 500, seed=10)
         assert a == b
         assert a != c
-
-    def test_batched_and_scalar_policies_agree(self):
-        m = pbvi_toy()
-
-        class Const:
-            def act_batch(self, rows):
-                return np.ones(len(rows), dtype=np.int64)
-
-        a = rollout_estimate(m, Const(), uniform_belief(m), 3, 800, seed=3)
-        b = rollout_estimate(m, lambda mu: 1, uniform_belief(m), 3, 800, seed=3)
-        assert a == b
 
     def test_optimal_selector_meets_value_with_tail_allowance(self):
         m = revealing_toy()
@@ -875,9 +882,9 @@ class TestRollout:
     def test_bad_arguments_rejected(self):
         m = pbvi_toy()
         with pytest.raises(DimensionMismatch):
-            rollout_estimate(m, lambda mu: 0, uniform_belief(m), -1, 10)
+            rollout_estimate(m, Constant(0), uniform_belief(m), -1, 10)
         with pytest.raises(DimensionMismatch):
-            rollout_estimate(m, lambda mu: 0, uniform_belief(m), 1, 0)
+            rollout_estimate(m, Constant(0), uniform_belief(m), 1, 0)
 
 
 class TestAnchorPolicy:
@@ -885,16 +892,15 @@ class TestAnchorPolicy:
         m = pbvi_toy()
         s = toy_sample(m, ps=(1.0, 0.0))
         pol = NearestAnchorPolicy(m.state_grid, s.weight_matrix(), [0, 1])
-        assert pol(belief(m, 0.9)) == 0
-        assert pol(belief(m, 0.1)) == 1
+        rows = np.stack([belief(m, 0.9).weights, belief(m, 0.1).weights])
+        np.testing.assert_array_equal(pol.act_batch(rows), [0, 1])
 
     def test_selector_roundtrip(self):
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=2)
         res = solve_vi(m, s, epsilon=1e-2)
         pol = selector_policy(res)
-        for i, mu in enumerate(s.beliefs):
-            assert pol(mu) == res.selector.actions[i]
+        np.testing.assert_array_equal(pol.act_batch(s.weight_matrix()), res.selector.actions)
 
     def test_action_count_must_match(self):
         m = pbvi_toy()
