@@ -23,11 +23,18 @@ import numpy as np
 
 from wpomdp import serialize
 from wpomdp.conjugate import solve_sets
+from wpomdp.errors import BeliefSpaceError
 from wpomdp.kalman import build_model, choose_weight, reference_spec, tv_continuity_report
 from wpomdp.measures import make_measure
-from wpomdp.model import certify
-from wpomdp.sampling import reachability_tree
-from wpomdp.value_iteration import rollout_estimate, selector_policy, solve_vi
+from wpomdp.model import certify, check_stop_rule
+from wpomdp.sampling import check_tree_size, reachability_tree
+from wpomdp.value_iteration import (
+    check_parallel,
+    check_rollout_size,
+    rollout_estimate,
+    selector_policy,
+    solve_vi,
+)
 
 
 def parse_args():
@@ -40,7 +47,7 @@ def parse_args():
     ap.add_argument("--beliefs", type=int, default=600)
     ap.add_argument("--depth", type=int, default=2)
     ap.add_argument("--n-paths", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="seed of the rollout's paths")
     ap.add_argument("--parallel", type=int, default=4)
     return ap.parse_args()
 
@@ -51,8 +58,16 @@ def peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def main() -> int:
-    args = parse_args()
+def check_args(args) -> None:
+    """Refuse, before any work, every flag value a later step would refuse."""
+    for epsilon in (args.epsilon, args.compare_epsilon):
+        check_stop_rule(epsilon, 0)  # max_iters is no flag here: the solvers keep their default
+    check_parallel(args.parallel)
+    check_rollout_size(0, args.n_paths)  # the horizon comes from the certificate
+    check_tree_size(args.depth, args.beliefs)
+
+
+def run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -72,7 +87,7 @@ def main() -> int:
     pts = model.state_grid.points
     mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
     t0 = time.perf_counter()
-    sample = reachability_tree(model, mu0, depth=args.depth, cap=args.beliefs, seed=args.seed)
+    sample = reachability_tree(model, mu0, depth=args.depth, cap=args.beliefs)
     print(f"sample: {sample.n} beliefs ({sample.provenance}), "
           f"tree {time.perf_counter() - t0:.2f}s")
 
@@ -108,6 +123,17 @@ def main() -> int:
     print(f"artifacts in {out}/")
     print(f"peak RSS: {peak_rss_mb():.1f} MB")
     return 0
+
+
+def main() -> int:
+    """Run the pipeline; a package error is one ``error:`` line and exit code 1."""
+    args = parse_args()
+    try:
+        check_args(args)
+        return run(args)
+    except BeliefSpaceError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

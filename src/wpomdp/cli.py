@@ -62,14 +62,7 @@ def _sample(model, mu0, args):
     check_stop_rule(args.epsilon, args.max_iters)
     if "parallel" in args:
         check_parallel(args.parallel)
-    return reachability_tree(
-        model,
-        mu0,
-        depth=args.depth,
-        cap=args.cap,
-        mixtures=args.mixtures,
-        seed=args.seed,
-    )
+    return reachability_tree(model, mu0, depth=args.depth, cap=args.cap)
 
 
 def _bounds_column(constants, n_iters):
@@ -236,8 +229,6 @@ def _add_common(p):
     p.add_argument("--out-dir", default=None, help="artifact directory")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--cap", type=int, default=5000)
-    p.add_argument("--mixtures", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--max-iters", type=int, default=1000)
 
@@ -274,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--n-paths", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_rollout)
 
     p = sub.add_parser("compare", help="run both solvers and diff the values")

@@ -10,6 +10,10 @@ The hidden-state problem is driven entirely through four maps on beliefs:
 
 ``bayes_step`` is the one Bayes step behind ``bayes_update``: it conditions
 a batch of prediction rows at once, which is how rollouts filter.
+``possible_nodes`` is the one rule for which nodes a belief can produce:
+the reachability tree expands, the VI precompute queries and
+``sample_transition`` draws exactly the nodes it admits, and ``bayes_step``
+refuses exactly the others.
 
 Together they realise the belief recursion: observing node j after playing
 action a moves belief mu to the normalised product of its prediction with
@@ -34,6 +38,7 @@ __all__ = [
     "expected_reward",
     "predict",
     "obs_marginal",
+    "possible_nodes",
     "bayes_step",
     "bayes_update",
     "sample_transition",
@@ -44,6 +49,7 @@ __all__ = [
 # rounding scale
 POSTERIOR_PRUNE_TOL = 1e-15
 
+# a node whose likelihood is at most this has no posterior
 _ZERO_LIKELIHOOD_TOL = 1e-300
 
 
@@ -87,6 +93,16 @@ def obs_marginal(model: PomdpModel, mu: DiscreteMeasure, a: int) -> ObservationM
     return ObservationMarginal(lam=lam, quad_weights=model.obs_quadrature.weights)
 
 
+def possible_nodes(lam: np.ndarray) -> np.ndarray:
+    """Mask of the observation nodes that can occur, given their likelihoods.
+
+    True where ``lam`` exceeds ``_ZERO_LIKELIHOOD_TOL``: those nodes have a
+    posterior, and :func:`bayes_step` refuses every other one.  A subnormal
+    likelihood is not possible, although its node probability is positive.
+    """
+    return lam > _ZERO_LIKELIHOOD_TOL
+
+
 def bayes_step(model: PomdpModel, pred_rows: np.ndarray, actions, nodes) -> np.ndarray:
     """Posterior weight rows of (prediction row, action, node) triples.
 
@@ -95,11 +111,12 @@ def bayes_step(model: PomdpModel, pred_rows: np.ndarray, actions, nodes) -> np.n
     the node's likelihood column is normalised, atoms below
     ``POSTERIOR_PRUNE_TOL`` are dropped and the rest renormalised.  Rows are
     independent, so a batched row has the bits of its own one-row call.
-    Raises :class:`ZeroLikelihood` when a node is ~impossible under its row.
+    Raises :class:`ZeroLikelihood` where :func:`possible_nodes` refuses a
+    row's likelihood.
     """
     unnorm = pred_rows * model.obs_density[actions, :, nodes]
     lam = unnorm.sum(axis=1)
-    bad = np.flatnonzero(lam <= _ZERO_LIKELIHOOD_TOL)
+    bad = np.flatnonzero(~possible_nodes(lam))
     if len(bad):
         i = bad[0]
         raise ZeroLikelihood(
@@ -124,12 +141,13 @@ def bayes_update(model: PomdpModel, mu: DiscreteMeasure, a: int, j: int) -> Disc
 def sample_transition(
     model: PomdpModel, mu: DiscreteMeasure, a: int, rng_seed: int
 ) -> SampledTransition:
-    """Draw an observation node with probability phi_j*lam_j and condition.
+    """Draw a possible observation node with probability phi_j*lam_j and condition.
 
-    The per-call seed (no shared generator state) keeps parallel rollouts
-    reproducible.
+    Nodes :func:`possible_nodes` refuses get probability 0.  The per-call
+    seed (no shared generator state) keeps parallel rollouts reproducible.
     """
-    probs = obs_marginal(model, mu, a).node_probs
+    marg = obs_marginal(model, mu, a)
+    probs = np.where(possible_nodes(marg.lam), marg.node_probs, 0.0)
     rng = np.random.default_rng(rng_seed)
     j = int(rng.choice(len(probs), p=probs / probs.sum()))
     return SampledTransition(

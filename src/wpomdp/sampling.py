@@ -2,8 +2,8 @@
 
 The solvers tabulate values over a finite set of beliefs.  The standard
 point-based recipe applies: expand every Bayes posterior of the initial
-belief up to a fixed depth, deduplicate near-identical measures, cap the
-total, and optionally pad with random mixtures of what was found.
+belief up to a fixed depth, deduplicate near-identical measures, and cap the
+total.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySample, SolverFailure
-from .filtering import bayes_update, obs_marginal
+from .filtering import bayes_update, obs_marginal, possible_nodes
 from .measures import DISCRETE, EUCLIDEAN_1D, DiscreteMeasure, cdf_embedding, make_measure, w1_lp
 from .model import PomdpModel
 
@@ -22,6 +22,7 @@ __all__ = [
     "BeliefDistances",
     "user_sample",
     "reachability_tree",
+    "check_tree_size",
     "check_lp_budget",
     "DEDUP_W1_TOL",
     "MAX_TABLE_LP_SOLVES",
@@ -448,92 +449,62 @@ def _first_k(m: int, k: int, rows, dist, idx) -> tuple[np.ndarray, np.ndarray]:
     return idx[take], dist[take]
 
 
+def check_tree_size(depth: int, cap: int) -> None:
+    """Refuse a negative ``depth`` or a ``cap`` below 1.
+
+    Raises :class:`~wpomdp.errors.DimensionMismatch`;
+    :func:`reachability_tree` calls it before any other work.
+    """
+    if depth < 0:
+        raise DimensionMismatch("depth must be >= 0")
+    if cap < 1:
+        raise DimensionMismatch("cap must be >= 1")
+
+
 def reachability_tree(
     model: PomdpModel,
     mu0: DiscreteMeasure,
     depth: int = 3,
     *,
     cap: int = 5000,
-    mixtures: int = 0,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> BeliefSample:
     """Breadth-first posterior expansion of ``mu0``.
 
-    Every action/observation-node pair with positive marginal probability
-    spawns a child posterior; children closer than ``DEDUP_W1_TOL`` in W1 to
-    an existing sample point (:meth:`BeliefDistances.within`) are dropped.
-    After the tree (or the cap) is exhausted, up to ``mixtures`` random
-    pairwise mixtures of collected beliefs are appended, drawn from a
-    generator seeded with ``seed`` — the whole construction is
-    deterministic.  On an explicit-table metric every dedup check solves
-    one LP per kept belief; the tree raises
+    Every action/observation-node pair that
+    :func:`~wpomdp.filtering.possible_nodes` admits spawns a child
+    posterior; children closer than ``DEDUP_W1_TOL`` in W1 to an existing
+    sample point (:meth:`BeliefDistances.within`) are dropped.  The first
+    new child past ``cap`` ends the tree with ``truncated=True``.  The
+    construction is deterministic: ``seed`` is ignored, and goes once
+    ``bench/workloads.py`` stops passing it.  On an explicit-table metric
+    every dedup check solves one LP per kept belief; the tree raises
     :class:`~wpomdp.errors.SolverFailure` before its count of them would
-    pass ``MAX_TABLE_LP_SOLVES``.  A negative ``depth`` or a ``cap``
-    below 1 raises :class:`~wpomdp.errors.DimensionMismatch`.
+    pass ``MAX_TABLE_LP_SOLVES``.  :func:`check_tree_size` refuses a
+    negative ``depth`` or a ``cap`` below 1.
     """
     model.check_belief(mu0)
-    if depth < 0:
-        raise DimensionMismatch("depth must be >= 0")
-    if cap < 1:
-        raise DimensionMismatch("cap must be >= 1")
+    check_tree_size(depth, cap)
+    provenance = f"reachability_tree(depth={depth})"
     beliefs = [mu0]
     kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
-    truncated = False
     solves = 0
-
-    def duplicate(row: np.ndarray) -> bool:
-        nonlocal solves
-        if kept.emb is None:
-            solves += len(kept)
-            check_lp_budget(solves, kept.grid.n)
-        return kept.within(row, DEDUP_W1_TOL)
-
-    frontier = [0]
+    frontier = [mu0]
     for _ in range(depth):
-        if truncated or not frontier:
-            break
-        next_frontier: list[int] = []
-        for parent in frontier:
-            if truncated:
-                break
+        next_frontier = []
+        for mu in frontier:
             for a in range(model.n_actions):
-                probs = obs_marginal(model, beliefs[parent], a).node_probs
-                for j in np.flatnonzero(probs > 0):
-                    post = bayes_update(model, beliefs[parent], a, int(j))
-                    if duplicate(post.weights):
+                for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
+                    post = bayes_update(model, mu, a, int(j))
+                    if kept.emb is None:
+                        solves += len(kept)
+                        check_lp_budget(solves, kept.grid.n)
+                    if kept.within(post.weights, DEDUP_W1_TOL):
                         continue
                     if len(beliefs) >= cap:
-                        truncated = True
-                        break
-                    next_frontier.append(len(beliefs))
+                        return BeliefSample(tuple(beliefs), provenance, truncated=True)
+                    next_frontier.append(post)
                     beliefs.append(post)
                     kept.add(post.weights)
-                if truncated:
-                    break
         frontier = next_frontier
-
-    rng = np.random.default_rng(seed)
-    attempts = 0
-    added = 0
-    while added < mixtures and not truncated and attempts < 20 * max(mixtures, 1):
-        attempts += 1
-        i, j = rng.integers(0, len(beliefs), size=2)
-        kappa = rng.uniform(0.1, 0.9)
-        mix = make_measure(
-            model.state_grid,
-            kappa * beliefs[i].weights + (1.0 - kappa) * beliefs[j].weights,
-        )
-        if duplicate(mix.weights):
-            continue
-        if len(beliefs) >= cap:
-            truncated = True
-            break
-        beliefs.append(mix)
-        kept.add(mix.weights)
-        added += 1
-
-    return BeliefSample(
-        tuple(beliefs),
-        provenance=f"reachability_tree(depth={depth}, seed={seed})",
-        truncated=truncated,
-    )
+    return BeliefSample(tuple(beliefs), provenance)

@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteValue,
     SolverFailure,
 )
-from .filtering import bayes_step
+from .filtering import bayes_step, possible_nodes
 from .measures import DISCRETE, DiscreteMeasure
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import (
@@ -57,11 +57,6 @@ __all__ = [
 
 # distances below this are "the same belief" for exact-sample lookup
 _EXACT_MATCH_TOL = 1e-9
-
-# fixed k-NN work-unit size, in posteriors; each chunk builds its own
-# posterior rows and writes its results by index, so outputs are identical
-# for any worker count
-_CHUNK = 256
 
 # sample points the McShane extension maximises over, per posterior
 _K_NEIGHBORS = 16
@@ -189,7 +184,7 @@ def _nearest_in_sample(
     """k nearest sample points of each (b, j) posterior of one action.
 
     The posterior of (b, j) is ``pred[b] * dens.T[j] / lam[b, j]``, built
-    one chunk of ``_CHUNK`` posteriors at a time inside the chunk's worker,
+    one chunk of ``_KNN_CHUNK`` posteriors at a time inside the chunk's worker,
     so no (B * J, n) block of every posterior is ever held.  The first k
     by (distance, index) go to ``idx_out[:, b, j]`` and
     ``dist_out[:, b, j]``, K-major, with k = ``len(idx_out)``.  Each chunk
@@ -203,10 +198,10 @@ def _nearest_in_sample(
     second point under the sample's dedup tolerance.
     """
     dens_t = np.ascontiguousarray(dens.T)
-    spans = range(0, len(b), _CHUNK)
+    spans = range(0, len(b), _KNN_CHUNK)
 
     def work(s):
-        bs, js = b[s:s + _CHUNK], j[s:s + _CHUNK]
+        bs, js = b[s:s + _KNN_CHUNK], j[s:s + _KNN_CHUNK]
         rows = pred[bs] * dens_t[js]
         rows /= lam[bs, js][:, None]
         idx, dist = geom.knn(rows, len(idx_out))
@@ -238,7 +233,7 @@ def _precompute_bytes(
     two (B, n) row blocks (embedding, one action's predictions), one
     action's likelihoods and (b, j) indices, the slope's row blocks (about
     4 * B^2), one slope block's mask or square copy, one L1 step, and per
-    k-NN worker three (_CHUNK, n) blocks (rows and their gathers, or rows,
+    k-NN worker three (_KNN_CHUNK, n) blocks (rows and their gathers, or rows,
     embedding and index arrays) and the exact step's gather buffers.  On
     the ``discrete`` metric each worker's search step also holds a
     (_KNN_CHUNK, B) float bound, and where that bound prunes nothing every
@@ -250,7 +245,7 @@ def _precompute_bytes(
     blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
     step = max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_L1_BLOCK_BYTES, 8 * B * n)
     search = 64 * _KNN_CHUNK * B if discrete else 0
-    return kept + blocks + step + workers * (24 * _CHUNK * n + _GATHER_BYTES + search)
+    return kept + blocks + step + workers * (24 * _KNN_CHUNK * n + _GATHER_BYTES + search)
 
 
 class _Precomputed:
@@ -261,9 +256,10 @@ class _Precomputed:
     holds every (b, a, j) posterior's k-th nearest sample point and its
     distance, so a sweep reads one contiguous (B, A, J) slice per k.
     ``nn_idx`` has the narrowest unsigned dtype that holds B - 1 (uint16,
-    a quarter of the bytes of ``intp``, up to 65,536 beliefs).  Nodes of
-    zero likelihood have no posterior, so they are never queried,
-    carry zeros and are masked by ``node_probs`` anyway.  ``pairs`` holds
+    a quarter of the bytes of ``intp``, up to 65,536 beliefs).  Only the
+    nodes :func:`~wpomdp.filtering.possible_nodes` admits have a
+    posterior: the others are never queried, and their ``node_probs``,
+    ``nn_idx`` and ``nn_dist`` entries are 0.  ``pairs`` holds
     the separated sample pairs for the McShane slope estimate as row
     blocks of their upper triangle (:func:`_separated_pairs`), about
     4 * B^2 bytes, computed block by block so no (B, B) array is held.
@@ -306,8 +302,9 @@ class _Precomputed:
             for a in range(A):
                 pred = W @ model.trans[a]  # (B, n)
                 lam = pred @ model.obs_density[a]  # (B, J)
-                self.node_probs[:, a, :] = phi[None, :] * lam
-                b, j = np.nonzero(lam > 0.0)
+                live = possible_nodes(lam)
+                self.node_probs[:, a, :] = np.where(live, phi[None, :] * lam, 0.0)
+                b, j = np.nonzero(live)
                 _nearest_in_sample(
                     geom, pred, model.obs_density[a], lam, b, j,
                     self.nn_idx[:, :, a], self.nn_dist[:, :, a], pool,
@@ -473,8 +470,8 @@ def rollout_estimate(
     Each path samples a hidden start from mu0 and runs ``horizon + 1``
     decision steps; the policy only ever sees the belief filtered by
     :func:`~wpomdp.filtering.bayes_step`, as ``bayes_update`` would.
-    Paths are simulated in fixed-size chunks with per-chunk seeded
-    generators, so results do not depend on how workers are scheduled.
+    Paths are simulated in chunks of ``_PATH_CHUNK`` with per-chunk seeded
+    generators, which bound the memory of a step.
     ``policy`` has a vectorised ``act_batch``: a (paths, n_states) matrix
     of belief weights in, one action index per row out.
     Returns (mean, standard error).

@@ -21,13 +21,12 @@ from wpomdp.errors import (
     NonPositiveMass,
     SolverFailure,
 )
-from wpomdp.filtering import bayes_update, expected_reward, obs_marginal
+from wpomdp.filtering import bayes_update, expected_reward, obs_marginal, possible_nodes
 from wpomdp.measures import (
     EUCLIDEAN_1D,
     LipschitzFn,
     integrate,
     lipschitz_constants,
-    make_measure,
     w1,
 )
 from wpomdp.model import certify
@@ -376,48 +375,30 @@ def merge_duplicate_rows_greedy(rows, tol):
 EXACT_MATCH_TOL = 1e-9
 
 
-def reachability_tree_dense(model, mu0, depth, *, cap, mixtures=0, seed=0):
+def reachability_tree_dense(model, mu0, depth, *, cap):
     """Weight rows of the breadth-first reachability tree, dense dedup.
 
-    The same expansion, cap and mixture padding as the package tree, but
-    each candidate is compared with every kept belief through one full
+    The same expansion and cap as the package tree, but each candidate is
+    compared with every kept belief through one full
     ``BeliefDistances.dists`` row; returns the (n, n_states) kept rows.
     """
     rows = [mu0.weights]
     kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
-
-    def duplicate(row):
-        return kept.dists(row[None, :]).min() < DEDUP_W1_TOL
-
     frontier = [mu0]
     for _ in range(depth):
         next_frontier = []
         for mu in frontier:
             for a in range(model.n_actions):
-                for j in np.flatnonzero(obs_marginal(model, mu, a).node_probs > 0):
+                for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
                     post = bayes_update(model, mu, a, int(j))
-                    if duplicate(post.weights):
+                    if kept.dists(post.weights[None, :]).min() < DEDUP_W1_TOL:
                         continue
-                    if len(rows) >= cap:  # truncated: no mixtures either
+                    if len(rows) >= cap:
                         return np.stack(rows)
                     next_frontier.append(post)
                     rows.append(post.weights)
                     kept.add(post.weights)
         frontier = next_frontier
-    rng = np.random.default_rng(seed)
-    added = attempts = 0
-    while added < mixtures and attempts < 20 * max(mixtures, 1):
-        attempts += 1
-        i, j = rng.integers(0, len(rows), size=2)
-        kappa = rng.uniform(0.1, 0.9)
-        mix = make_measure(model.state_grid, kappa * rows[i] + (1.0 - kappa) * rows[j])
-        if duplicate(mix.weights):
-            continue
-        if len(rows) >= cap:
-            break
-        rows.append(mix.weights)
-        kept.add(mix.weights)
-        added += 1
     return np.stack(rows)
 
 
@@ -465,8 +446,8 @@ def posterior_knn_bruteforce(model, sample, k):
     """Nearest sample points of every (b, a, j) posterior: (B, A, J, k) each.
 
     Builds each action's full (B * J, n) posterior block at once and sorts
-    every distance row; zero-likelihood nodes have no posterior and keep
-    zeros.
+    every distance row; nodes ``possible_nodes`` refuses have no posterior
+    and keep zeros.
     """
     B, A, J, n = sample.n, model.n_actions, model.n_obs, model.n_states
     W = sample.weight_matrix()
@@ -478,7 +459,7 @@ def posterior_knn_bruteforce(model, sample, k):
         pred = W @ model.trans[a]
         lam = pred @ model.obs_density[a]
         post = pred[:, None, :] * model.obs_density[a].T[None, :, :]
-        valid = lam > 0.0
+        valid = possible_nodes(lam)
         post /= np.where(valid, lam, 1.0)[:, :, None]
         b, j = np.nonzero(valid)
         idx[b, a, j], dist[b, a, j] = knn_bruteforce(geom, post[b, j], k)
@@ -509,7 +490,9 @@ def solve_vi_broadcast(model, sample, epsilon, k):
     node_probs = np.empty((B, A, J))
     for a in range(A):
         lam = (W @ model.trans[a]) @ model.obs_density[a]
-        node_probs[:, a, :] = model.obs_quadrature.weights[None, :] * lam
+        node_probs[:, a, :] = np.where(
+            possible_nodes(lam), model.obs_quadrature.weights[None, :] * lam, 0.0
+        )
     nn_idx, nn_dist = posterior_knn_bruteforce(model, sample, k)
     closed = bool((np.where(node_probs > 0, nn_dist[..., 0], 0.0) <= EXACT_MATCH_TOL).all())
     reward = W @ model.reward.T
@@ -565,14 +548,13 @@ def mcshane_evaluator(table, *, lip_bound=None, k_neighbors=None):
 def bellman_backup_point(model, value_eval, mu, a):
     """One-action backup r~(mu,a) + alpha * E_nodes[ value(posterior) ].
 
-    Nodes with zero marginal probability contribute nothing and are
-    skipped (conditioning on them is undefined).
+    Nodes ``possible_nodes`` refuses contribute nothing and are skipped
+    (conditioning on them is undefined).
     """
     marg = obs_marginal(model, mu, a)
     acc = 0.0
-    for j, p in enumerate(marg.node_probs):
-        if p <= 0.0:
-            continue
+    for j in np.flatnonzero(possible_nodes(marg.lam)):
+        p = marg.node_probs[j]
         v = value_eval(bayes_update(model, mu, a, j))
         if not np.isfinite(v):
             raise NonFiniteValue(f"generalizer returned {v!r} at node {j}")

@@ -74,7 +74,7 @@ def kalman_ref_vi(kalman_ref):
     # the headline run: 161 states x 3 actions x 33 nodes, <= 600 beliefs
     model, mu0 = kalman_ref
     t0 = time.perf_counter()
-    sample = reachability_tree(model, mu0, depth=2, cap=600, seed=0)
+    sample = reachability_tree(model, mu0, depth=2, cap=600)
     vi = solve_vi(model, sample, epsilon=EPS_REF, parallel=4)
     return sample, vi, time.perf_counter() - t0
 
@@ -245,7 +245,7 @@ def test_c07_cross_solver_agreement(kalman_ref):
     # the reference model at a looser tolerance keeps the set route cheap;
     # the certified bounds scale with it, so the check stays meaningful
     model, mu0 = kalman_ref
-    sample = reachability_tree(model, mu0, depth=2, cap=150, seed=0)
+    sample = reachability_tree(model, mu0, depth=2, cap=150)
     vi = solve_vi(model, sample, epsilon=0.05, parallel=4)
     st = solve_sets(model, sample, epsilon=0.05)
     gap = float(np.abs(vi.value.values - st.table.values).max())
@@ -348,7 +348,7 @@ def test_c10_policy_value_realism(kalman_ref):
     model = build_model(reference_spec(grid_step=0.2))
     pts = model.state_grid.points
     mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-    sample = reachability_tree(model, mu0, depth=2, cap=300, seed=0)
+    sample = reachability_tree(model, mu0, depth=2, cap=300)
     vi = solve_vi(model, sample, epsilon=eps, parallel=4)
     c = vi.constants
     horizon = c.iterations_for(eps / 10.0)
@@ -395,8 +395,7 @@ def test_c12_determinism(tmp_path):
     for name, par in (("r1", "1"), ("r2", "2"), ("r3", "1")):
         rc = cli_main(
             ["compare", "--model", str(mp), "--out-dir", str(tmp_path / name),
-             "--depth", "2", "--cap", "120", "--epsilon", "0.05",
-             "--seed", "3", "--parallel", par]
+             "--depth", "2", "--cap", "120", "--epsilon", "0.05", "--parallel", par]
         )
         assert rc == 0
         blobs.append((tmp_path / name / "diff.csv").read_bytes())

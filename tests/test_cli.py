@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,8 +105,7 @@ class TestExample:
         assert not (tmp_path / "m.json").exists()
 
 
-COMMON = {"--model", "--out-dir", "--depth", "--cap", "--mixtures", "--seed",
-          "--epsilon", "--max-iters"}
+COMMON = {"--model", "--out-dir", "--depth", "--cap", "--epsilon", "--max-iters"}
 
 
 class TestOptionInventory:
@@ -115,7 +116,7 @@ class TestOptionInventory:
         "solve-vi": COMMON | {"--parallel"},
         "solve-sets": COMMON | {"--algorithm"},
         "filter": {"--model", "--out-dir", "--steps", "--seed"},
-        "rollout": COMMON | {"--parallel", "--horizon", "--n-paths"},
+        "rollout": COMMON | {"--parallel", "--horizon", "--n-paths", "--seed"},
         "compare": COMMON | {"--parallel", "--algorithm"},
         "example": {"which", "--out", "--out-dir", "--spec"},
     }
@@ -133,6 +134,38 @@ class TestOptionInventory:
             for name, p in sub.choices.items()
         }
         assert got == self.EXPECTED
+
+
+def readme_cli_section():
+    """README's ``## CLI`` section: (its first code block, the prose around it)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("\n## CLI\n")
+    section = text[start:text.index("\n## ", start + 1)]
+    before, block, after = section.split("```", 2)
+    return block, before + after
+
+
+class TestReadmeCli:
+    """The README's CLI section names only what the parser accepts."""
+
+    def test_every_command_line_parses(self):
+        ap = cli.build_parser()
+        lines = [line.split("#")[0].split() for line in readme_cli_section()[0].splitlines()
+                 if line.startswith("wpomdp ")]
+        assert lines
+        for words in lines:
+            try:
+                ap.parse_args(words[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {' '.join(words)}")
+
+    def test_every_backticked_flag_exists(self):
+        ap = cli.build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        known = {f for p in sub.choices.values() for a in p._actions for f in a.option_strings}
+        spans = re.findall(r"`([^`]+)`", readme_cli_section()[1])
+        named = {f for span in spans for f in re.findall(r"--[a-z][a-z-]*", span)}
+        assert named and named - known == set()
 
 
 class TestValidate:
@@ -389,7 +422,7 @@ class TestCompare:
         for d, par in (("p1", "1"), ("p2", "2"), ("p1b", "1")):
             rc = main(
                 ["compare", "--model", str(revealing_file), "--out-dir", str(tmp_path / d),
-                 "--depth", "3", "--epsilon", "0.01", "--seed", "5", "--parallel", par]
+                 "--depth", "3", "--epsilon", "0.01", "--parallel", par]
             )
             assert rc == 0
         ref = (tmp_path / "p1" / "diff.csv").read_bytes()

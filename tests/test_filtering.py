@@ -1,5 +1,7 @@
 """Belief-MDP reduction: prediction, observation marginal, Bayes updates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from wpomdp.filtering import (
     bayes_update,
     expected_reward,
     obs_marginal,
+    possible_nodes,
     predict,
     sample_transition,
 )
@@ -25,7 +28,9 @@ from wpomdp.measures import (
     dirac,
     make_measure,
 )
+from wpomdp import sampling, value_iteration
 from wpomdp.model import PomdpModel
+from wpomdp.sampling import reachability_tree, user_sample
 from wpomdp.synthetic import (
     finite_obs_quadrature,
     pbvi_toy,
@@ -297,6 +302,83 @@ class TestBayesStep:
         if not possible.all():
             with pytest.raises(ZeroLikelihood):
                 bayes_step(model, preds, acts, nodes)
+
+
+class TestOneLikelihoodRule:
+    """The tree, the VI precompute and the Bayes step agree on which nodes exist.
+
+    Each likelihood column has one of five scales.  A column scaled by at
+    most 1e-310 gives likelihoods below 1e-300 at every belief, and one
+    scaled by 1e-290 or more gives likelihoods above it, by many orders of
+    magnitude more than the rounding in which the sites' sums differ.
+    """
+
+    SCALES = (0.0, 5e-321, 1e-310, 1e-290, 1.0)  # exactly 0, subnormal, ..., O(1)
+
+    @staticmethod
+    def model(kind, n, scales, rng):
+        grid = (StateGrid(np.cumsum(rng.uniform(0.1, 2.0, n))) if kind == "line"
+                else StateGrid(np.arange(float(n)), DISCRETE))
+        A, J = scales.shape
+        dens = scales[:, None, :] * rng.uniform(0.5, 1.0, (A, n, J))
+        return PomdpModel(
+            state_grid=grid,
+            actions=tuple(f"a{i}" for i in range(A)),
+            obs_quadrature=finite_obs_quadrature(J),
+            trans=rng.dirichlet(np.ones(n), (A, n)),
+            obs_density=dens / dens.sum(axis=2, keepdims=True),
+            reward=np.zeros((A, n)),
+            discount=0.9,
+            weight=WeightFunction(0.0, 0.1),
+        )
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        st.sampled_from(["line", "discrete"]),
+        st.integers(1, 6),
+        st.integers(1, 2),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_every_site_reads_possible_nodes(self, kind, n, A, J, data):
+        scales = np.array(data.draw(st.lists(st.sampled_from(self.SCALES),
+                                             min_size=A * J, max_size=A * J))).reshape(A, J)
+        for a in range(A):  # each density row needs an O(1) node to normalise
+            scales[a, data.draw(st.integers(0, J - 1))] = 1.0
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = self.model(kind, n, scales, rng)
+        mu0 = make_measure(m.state_grid, rng.dirichlet(np.ones(n)))
+        want = scales >= 1e-290
+
+        got = np.stack([possible_nodes(obs_marginal(m, mu0, a).lam) for a in range(A)])
+        np.testing.assert_array_equal(got, want)
+
+        with mock.patch.object(sampling, "bayes_update", wraps=bayes_update) as spy:
+            reachability_tree(m, mu0, depth=1)
+        assert sorted((c.args[2], c.args[3]) for c in spy.call_args_list) == (
+            [tuple(aj) for aj in np.argwhere(want)]
+        )
+
+        for a in range(A):
+            pred = predict(m, mu0, a).weights[None, :]
+            for j in range(J):
+                if want[a, j]:
+                    bayes_step(m, pred, [a], [j])
+                else:
+                    with pytest.raises(ZeroLikelihood):
+                        bayes_step(m, pred, [a], [j])
+
+        query = value_iteration._nearest_in_sample
+        with mock.patch.object(value_iteration, "_nearest_in_sample", wraps=query) as spy:
+            pre = value_iteration._Precomputed(m, user_sample([mu0]), 1)
+        queried = np.zeros_like(want)
+        for a, c in enumerate(spy.call_args_list):
+            b, j = c.args[4], c.args[5]
+            assert (b == 0).all()
+            queried[a, j] = True
+        np.testing.assert_array_equal(queried, want)
+        assert (pre.node_probs[0][~want] == 0.0).all()
+        assert (pre.node_probs[0][want] > 0.0).all()
 
 
 class TestReductionIdentities:

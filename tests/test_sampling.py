@@ -141,29 +141,13 @@ class TestReachabilityTree:
         with pytest.raises(DimensionMismatch, match="cap"):
             reachability_tree(m, uniform_belief(m), depth=1, cap=cap)
 
-    def test_mixtures_are_padded_and_seeded(self):
-        m = pbvi_toy()
-        a = reachability_tree(m, uniform_belief(m), depth=2, mixtures=5, seed=7)
-        b = reachability_tree(m, uniform_belief(m), depth=2, mixtures=5, seed=7)
-        c = reachability_tree(m, uniform_belief(m), depth=2, mixtures=5, seed=8)
-        base = reachability_tree(m, uniform_belief(m), depth=2)
-        assert a.n == base.n + 5
-        np.testing.assert_array_equal(a.weight_matrix(), b.weight_matrix())
-        assert not np.array_equal(a.weight_matrix(), c.weight_matrix())
-
-    def test_mixtures_live_in_the_convex_hull(self):
-        m = pbvi_toy()
-        base = reachability_tree(m, uniform_belief(m), depth=2)
-        s = reachability_tree(m, uniform_belief(m), depth=2, mixtures=4, seed=3)
-        lo = base.weight_matrix()[:, 0].min()
-        hi = base.weight_matrix()[:, 0].max()
-        for b in s.beliefs[base.n :]:
-            assert lo - 1e-12 <= b.weights[0] <= hi + 1e-12
-
     def test_provenance_records_the_recipe(self):
+        # the tree is deterministic: the seed it still accepts changes nothing
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=2, seed=5)
-        assert s.provenance == "reachability_tree(depth=2, seed=5)"
+        assert s.provenance == "reachability_tree(depth=2)"
+        plain = reachability_tree(m, uniform_belief(m), depth=2)
+        assert s.weight_matrix().tobytes() == plain.weight_matrix().tobytes()
 
     def test_belief_off_grid_rejected(self):
         m = pbvi_toy()
@@ -171,22 +155,21 @@ class TestReachabilityTree:
         with pytest.raises(DimensionMismatch):
             reachability_tree(m, make_measure(other, [1, 0, 0]), depth=1)
 
-    @pytest.mark.parametrize("cap", [20, 75, 300])
-    @pytest.mark.parametrize("instance", ["reference", "drift"])
-    def test_equals_the_dense_dedup_oracle(self, instance, cap):
+    # depth 3 truncates at every cap; the drift instance's depth-1 tree
+    # closes below its cap
+    @pytest.mark.parametrize(
+        "instance, depth, cap",
+        [(i, 3, c) for i in ("reference", "drift") for c in (20, 75, 300)] + [("drift", 1, 300)],
+        ids=[f"{i}-{c}" for i in ("reference", "drift") for c in (20, 75, 300)]
+        + ["drift-depth1-300"],
+    )
+    def test_equals_the_dense_dedup_oracle(self, instance, depth, cap):
         drift = KalmanSpec(drift=1.0, grid_step=0.2)
         m = build_model(reference_spec() if instance == "reference" else drift)
         mu0 = centred_belief(m)
-        got = reachability_tree(m, mu0, depth=3, cap=cap)
-        want = reachability_tree_dense(m, mu0, 3, cap=cap)
-        assert got.weight_matrix().tobytes() == want.tobytes()
-
-    def test_mixtures_equal_the_dense_dedup_oracle(self):
-        m = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
-        mu0 = centred_belief(m)
-        got = reachability_tree(m, mu0, depth=1, cap=300, mixtures=40, seed=4)
-        want = reachability_tree_dense(m, mu0, 1, cap=300, mixtures=40, seed=4)
-        assert got.n > 40
+        got = reachability_tree(m, mu0, depth=depth, cap=cap)
+        want = reachability_tree_dense(m, mu0, depth, cap=cap)
+        assert got.truncated == (depth == 3)
         assert got.weight_matrix().tobytes() == want.tobytes()
 
 

@@ -57,3 +57,15 @@ def test_run_kalman_reference(tmp_path):
     # one row per sampled belief in both per-belief tables
     assert len(lines["values.csv"]) == len(lines["diff.csv"])
     assert (out / "model.json").is_file()
+
+
+def test_run_kalman_reference_refuses_flags_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    proc = run_script(
+        "run_kalman_reference.py", "--grid-step", 1.0, "--beliefs", 20, "--parallel", 0,
+        "--out-dir", out,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: SolverFailure") and proc.stderr.count("\n") == 1
+    assert not out.exists()

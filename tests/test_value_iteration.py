@@ -27,7 +27,13 @@ from oracles import (
 )
 from wpomdp import sampling, value_iteration
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
-from wpomdp.filtering import POSTERIOR_PRUNE_TOL, bayes_update, expected_reward
+from wpomdp.filtering import (
+    POSTERIOR_PRUNE_TOL,
+    bayes_update,
+    expected_reward,
+    obs_marginal,
+    possible_nodes,
+)
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec
 from wpomdp.measures import (
     DISCRETE,
@@ -727,6 +733,18 @@ class TestMemoryCheck:
 
 
 class TestSolveVi:
+    def test_a_wide_coarse_grid_skips_subnormal_nodes(self):
+        # on +-32 at step 1.0 some tree beliefs give nodes a subnormal
+        # likelihood; the tree and the precompute skip them instead of the
+        # Bayes step refusing them
+        m = build_model(KalmanSpec(grid_lo=-32, grid_hi=32, grid_step=1.0, n_obs_nodes=129))
+        s = centred_tree(m, 300)
+        lam = np.array([[obs_marginal(m, mu, a).lam for a in range(m.n_actions)]
+                        for mu in s.beliefs])
+        assert ((lam > 0.0) & ~possible_nodes(lam)).any()
+        res = solve_vi(m, s, parallel=1)
+        assert s.n == 300 and res.converged
+
     def test_zero_reward_converges_immediately(self):
         m = zero_reward(pbvi_toy())
         res = solve_vi(m, toy_sample(m), epsilon=1e-3)
