@@ -128,6 +128,9 @@ def run(args) -> int:
 def main() -> int:
     """Run the pipeline; a package error is one ``error:`` line and exit code 1."""
     args = parse_args()
+    if args.beliefs < 1:  # the library's own message names its cap keyword
+        print("error: --beliefs must be >= 1", file=sys.stderr)
+        return 1
     try:
         check_args(args)
         return run(args)

@@ -222,7 +222,8 @@ class BeliefDistances:
         if self.emb is None:
             d = self.dists(rows)
             r, j = np.indices(d.shape)
-            return _first_k(m, k, r.ravel(), d.ravel(), j.ravel())
+            return _first_k(j[:, :k], d[:, :k], r[:, k:].ravel(), j[:, k:].ravel(),
+                            d[:, k:].ravel())
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
@@ -230,10 +231,10 @@ class BeliefDistances:
             bound = self._bound(q)
             r, j = bound.seeds(k)
             d = self._exact(q, r, j)
-            r2, j2 = bound.near(d.reshape(len(q), k).max(axis=1))
+            d = d.reshape(len(q), k)
+            r2, j2 = bound.near(d.max(axis=1))
             idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = _first_k(
-                len(q), k, np.concatenate([r, r2]), np.concatenate([d, self._exact(q, r2, j2)]),
-                np.concatenate([j, j2]),
+                j.reshape(len(q), k), d, r2, j2, self._exact(q, r2, j2)
             )
         return idx, dist
 
@@ -438,15 +439,30 @@ def check_lp_budget(solves: int, n_states: int) -> None:
         )
 
 
-def _first_k(m: int, k: int, rows, dist, idx) -> tuple[np.ndarray, np.ndarray]:
-    """The first k (distance, index)-ordered triples of each of m rows.
+def _first_k(seed_idx, seed_dist, rows, idx, dist) -> tuple[np.ndarray, np.ndarray]:
+    """The first k (distance, index)-ordered candidates of each of m rows.
 
-    Every row must have at least k triples.
+    Row i's candidates are its k seeds, (``seed_idx[i]``, ``seed_dist[i]``)
+    of the (m, k) seed blocks, and the extra triples (``rows``, ``idx``,
+    ``dist``) with ``rows`` == i.  A row with no extra and no tied seed
+    distances is ordered by one stable argsort of its seed distances; the
+    others go through one three-key lexsort of all their candidates.
     """
-    order = np.lexsort((idx, dist, rows))
-    first = np.searchsorted(rows[order], np.arange(m))
-    take = order[first[:, None] + np.arange(k)]
-    return idx[take], dist[take]
+    m, k = seed_dist.shape
+    order = seed_dist.argsort(axis=1, kind="stable")
+    at = np.arange(m)[:, None]
+    out_idx, out_dist = seed_idx[at, order], seed_dist[at, order]
+    slow = (out_dist[:, 1:] == out_dist[:, :-1]).any(axis=1)
+    slow[rows] = True
+    redo = np.flatnonzero(slow)
+    if len(redo):
+        r = np.concatenate([np.repeat(redo, k), rows])
+        d = np.concatenate([seed_dist[redo].ravel(), dist])
+        j = np.concatenate([seed_idx[redo].ravel(), idx])
+        lex = np.lexsort((j, d, r))
+        take = lex[np.searchsorted(r[lex], redo)[:, None] + np.arange(k)]
+        out_idx[redo], out_dist[redo] = j[take], d[take]
+    return out_idx, out_dist
 
 
 def check_tree_size(depth: int, cap: int) -> None:

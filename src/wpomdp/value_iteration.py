@@ -158,16 +158,55 @@ def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
 def _table_lip_estimate(values: np.ndarray, blocks) -> float:
     """Largest |dv| / W1 over separated sample pairs (0 when there are none).
 
-    ``blocks`` are the row blocks of :func:`_separated_pairs`.  Each
-    separated pair makes the subtraction and division of the pair-by-pair
-    form |v_i - v_j| / d_ij, every other entry gives 0, and the max is
-    exact, so the result has the bits of that form.
+    ``blocks`` are row blocks (s, D[s:e, s:]) as :func:`_separated_pairs`
+    and :func:`_slope_parts` give them.  Each separated pair makes the
+    subtraction and division of the pair-by-pair form |v_i - v_j| / d_ij,
+    every other entry gives 0, and the max is exact, so the result has the
+    bits of that form.
     """
     best = np.empty(len(blocks))
     for t, (s, d) in enumerate(blocks):
         q = np.subtract(values[s:s + len(d), None], values[None, s:])
         best[t] = np.divide(np.abs(q, out=q), d, out=q).max()
     return float(best.max())
+
+
+def _slope_parts(blocks, parts: int) -> list[list[tuple[int, np.ndarray]]]:
+    """The rows of every slope block, dealt out to ``parts`` workers.
+
+    Each block's rows are cut into ``parts`` runs of about equal upper
+    triangle entries.  A run of rows [r, r2) of the block starting at s
+    becomes the block (r, D[r:r2, r:]): the columns [s, r) it drops hold
+    inf (they are below the diagonal) and give 0 in
+    :func:`_table_lip_estimate`, so the max over every part is exact.
+    Parts with no rows are left out.
+    """
+    out = [[] for _ in range(parts)]
+    for s, d in blocks:
+        entries = np.cumsum(d.shape[1] - np.arange(len(d)))
+        share = entries[-1] * np.arange(1, parts) / parts
+        cuts = [0, *np.searchsorted(entries, share), len(d)]
+        for part, lo, hi in zip(out, cuts, cuts[1:]):
+            if hi > lo:
+                part.append((s + lo, d[lo:hi, lo:]))
+    return [part for part in out if part]
+
+
+def _spans(n: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous near-equal ranges [s, e) of n rows, none empty."""
+    cuts = [n * w // parts for w in range(parts + 1)]
+    return [(s, e) for s, e in zip(cuts, cuts[1:]) if e > s]
+
+
+def _pool(parallel: int):
+    """The one thread pool of a solve: ``parallel`` threads, none at 1."""
+    return ThreadPoolExecutor(parallel) if parallel > 1 else nullcontext()
+
+
+def _split(pool: ThreadPoolExecutor | None, fn, parts: list) -> list:
+    """``fn`` over ``parts``: the first on this thread, the rest on ``pool``."""
+    rest = [pool.submit(fn, p) for p in parts[1:]]
+    return [fn(parts[0])] + [f.result() for f in rest]
 
 
 def _nearest_in_sample(
@@ -264,13 +303,26 @@ class _Precomputed:
     blocks of their upper triangle (:func:`_separated_pairs`), about
     4 * B^2 bytes, computed block by block so no (B, B) array is held.
 
+    ``pool`` runs the k-NN chunks (None: this thread does).
+    :func:`solve_vi` opens one pool of ``parallel`` threads for the
+    precompute and every sweep after it.  A new pool's threads can start
+    before the last pool's threads have handed back their malloc arenas,
+    and then open one more arena, which stays resident: three 2-worker
+    pools in a row did so in 6 of 40 processes, one pool in none.
+
     A sample whose arrays would not fit in physical memory, or whose
     explicit-table metric would need more than ``MAX_TABLE_LP_SOLVES``
     transport solves, raises :class:`~wpomdp.errors.SolverFailure` before
     any distance is computed.
     """
 
-    def __init__(self, model: PomdpModel, sample: BeliefSample, parallel: int):
+    def __init__(
+        self,
+        model: PomdpModel,
+        sample: BeliefSample,
+        parallel: int,
+        pool: ThreadPoolExecutor | None = None,
+    ):
         B, A, J = sample.n, model.n_actions, model.n_obs
         K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
@@ -294,21 +346,16 @@ class _Precomputed:
         self.pairs = _separated_pairs(geom.block, B)
 
         phi = model.obs_quadrature.weights
-        # One pool for every action.  A new pool's threads can start before
-        # the last pool's threads have handed back their malloc arenas, and
-        # then open one more arena, which stays resident: three 2-worker
-        # pools in a row did so in 6 of 40 processes, one pool in none.
-        with (ThreadPoolExecutor(parallel) if parallel > 1 else nullcontext()) as pool:
-            for a in range(A):
-                pred = W @ model.trans[a]  # (B, n)
-                lam = pred @ model.obs_density[a]  # (B, J)
-                live = possible_nodes(lam)
-                self.node_probs[:, a, :] = np.where(live, phi[None, :] * lam, 0.0)
-                b, j = np.nonzero(live)
-                _nearest_in_sample(
-                    geom, pred, model.obs_density[a], lam, b, j,
-                    self.nn_idx[:, :, a], self.nn_dist[:, :, a], pool,
-                )
+        for a in range(A):
+            pred = W @ model.trans[a]  # (B, n)
+            lam = pred @ model.obs_density[a]  # (B, J)
+            live = possible_nodes(lam)
+            self.node_probs[:, a, :] = np.where(live, phi[None, :] * lam, 0.0)
+            b, j = np.nonzero(live)
+            _nearest_in_sample(
+                geom, pred, model.obs_density[a], lam, b, j,
+                self.nn_idx[:, :, a], self.nn_dist[:, :, a], pool,
+            )
 
         self.closed = bool(
             (np.where(self.node_probs > 0, self.nn_dist[0], 0.0) <= _EXACT_MATCH_TOL).all()
@@ -369,8 +416,14 @@ def solve_vi(
     with ``converged=False`` rather than raised; ``max_iters=0`` returns
     the zero table with the greedy actions of the expected reward; a
     negative ``max_iters`` or a ``parallel`` below 1 raises
-    :class:`~wpomdp.errors.SolverFailure`.  ``parallel`` k-NN workers
-    never change a result bit.
+    :class:`~wpomdp.errors.SolverFailure`.
+
+    One pool of ``parallel`` threads serves the k-NN precompute and every
+    sweep.  A sweep splits the beliefs into ``parallel`` contiguous ranges,
+    one of them on the calling thread, and the slope estimate splits the
+    rows of its pair blocks; every step is element-wise, a per-row
+    reduction or an exact max, so the worker count never changes a result
+    bit.
 
     Posteriors read the value of their sample point when every posterior
     lies in the sample (a closed sample), and the McShane extension over
@@ -379,29 +432,40 @@ def solve_vi(
     check_stop_rule(epsilon, max_iters)
     check_parallel(parallel)
     constants = certify(model)
-    pre = _Precomputed(model, sample, parallel)
+    with _pool(parallel) as pool:
+        pre = _Precomputed(model, sample, parallel, pool)
+        t_star = constants.iterations_for(epsilon)
+        v = np.zeros(sample.n)
+        lip_hat = 0.0
+        sup_diffs = []
+        q = pre.reward.copy()  # the zero-sweep greedy actions, if we never iterate
+        post_vals, tmp, scaled = np.empty((3,) + pre.node_probs.shape)
 
-    t_star = constants.iterations_for(epsilon)
-    v = np.zeros(sample.n)
-    lip_hat = 0.0
-    sup_diffs = []
-    q = pre.reward  # the zero-sweep greedy actions, if we never iterate
-    post_vals, tmp, scaled = np.empty((3,) + pre.node_probs.shape)
-    t = 0
-    while t < min(t_star, max_iters):
-        if pre.closed:
-            v.take(pre.nn_idx[0], out=post_vals, mode="clip")
-        else:
-            _mcshane(v, lip_hat, pre.nn_idx, pre.nn_dist, post_vals, tmp, scaled)
-        q = pre.reward + model.discount * (pre.node_probs * post_vals).sum(axis=-1)
-        v_new = q.max(axis=1)
-        sup_diffs.append(float((np.abs(v_new - v) / pre.tilde_w).max()))
-        v = v_new
-        t += 1
-        if not pre.closed:
-            # never let the correction slope shrink between sweeps: keeps
-            # the effective operator stationary once the estimate settles
-            lip_hat = max(lip_hat, _table_lip_estimate(v, pre.pairs))
+        def backup(span):
+            """Rows [s, e) of ``q``: the posterior values, then their expectation."""
+            s, e = span
+            vals, buf = post_vals[s:e], tmp[s:e]
+            if pre.closed:
+                v.take(pre.nn_idx[0, s:e], out=vals, mode="clip")
+            else:
+                _mcshane(v, lip_hat, pre.nn_idx[:, s:e], pre.nn_dist[:, s:e], vals, buf,
+                         scaled[s:e])
+            np.multiply(pre.node_probs[s:e], vals, out=buf)
+            q[s:e] = pre.reward[s:e] + model.discount * buf.sum(axis=-1)
+
+        spans = _spans(sample.n, parallel)
+        slopes = _slope_parts(pre.pairs, parallel)
+        t = 0
+        while t < min(t_star, max_iters):
+            _split(pool, backup, spans)
+            v_new = q.max(axis=1)
+            sup_diffs.append(float((np.abs(v_new - v) / pre.tilde_w).max()))
+            v = v_new
+            t += 1
+            if not pre.closed:
+                # never let the correction slope shrink between sweeps: keeps
+                # the effective operator stationary once the estimate settles
+                lip_hat = max(lip_hat, *_split(pool, lambda p: _table_lip_estimate(v, p), slopes))
 
     table = TabulatedValue(sample, v)
     selector = Selector(sample, tuple(int(i) for i in q.argmax(axis=1)))

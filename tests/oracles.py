@@ -442,6 +442,17 @@ def knn_bruteforce(geom, rows, k):
     return idx, np.take_along_axis(d, idx, axis=1)
 
 
+def first_k_lexsort(m, k, rows, dist, idx):
+    """The first k (distance, index)-ordered triples of each of m rows.
+
+    One three-key lexsort of every triple; every row must have at least k.
+    """
+    order = np.lexsort((idx, dist, rows))
+    first = np.searchsorted(rows[order], np.arange(m))
+    take = order[first[:, None] + np.arange(k)]
+    return idx[take], dist[take]
+
+
 def posterior_knn_bruteforce(model, sample, k):
     """Nearest sample points of every (b, a, j) posterior: (B, A, J, k) each.
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import knn_bruteforce, l1_broadcast, reachability_tree_dense
+from oracles import first_k_lexsort, knn_bruteforce, l1_broadcast, reachability_tree_dense
 from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update, obs_marginal
@@ -22,6 +22,7 @@ from wpomdp.sampling import (
     DEDUP_W1_TOL,
     BeliefDistances,
     BeliefSample,
+    _first_k,
     reachability_tree,
     user_sample,
 )
@@ -488,6 +489,44 @@ class TestKnn:
                     np.testing.assert_array_equal(
                         dist.view(np.int64), want_dist.view(np.int64)
                     )
+
+
+class TestFirstK:
+    """``_first_k``'s seed-block fast path against one lexsort of every triple."""
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        st.integers(1, 10),  # rows
+        st.integers(1, 8).flatmap(lambda kept: st.tuples(st.just(kept), st.integers(1, kept))),
+        st.integers(1, 12),  # distinct distances: few make ties, in and past the seeds
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, (6, 1), 12, 0)  # k = 1
+    @example(4, (6, 6), 12, 0)  # k = kept: no extras
+    @example(4, (6, 3), 1, 0)  # every distance tied
+    def test_equals_one_lexsort(self, m, kept_k, levels, seed):
+        kept, k = kept_k
+        rng = np.random.default_rng(seed)
+        dists = rng.random(levels)
+        seed_idx, seed_dist, rows, idx, dist = [], [], [], [], []
+        for i in range(m):
+            cand = rng.permutation(kept)[:rng.integers(k, kept + 1)]
+            d = rng.choice(dists, len(cand))
+            seed_idx.append(cand[:k])
+            seed_dist.append(d[:k])
+            rows += [i] * (len(cand) - k)
+            idx += list(cand[k:])
+            dist += list(d[k:])
+        seed_idx, seed_dist, dist = np.array(seed_idx), np.array(seed_dist), np.array(dist)
+        rows, idx = np.array(rows, dtype=np.intp), np.array(idx, dtype=np.intp)
+        shuffle = rng.permutation(len(rows))  # extras come in any row order
+        got = _first_k(seed_idx, seed_dist, rows[shuffle], idx[shuffle], dist[shuffle])
+        want = first_k_lexsort(
+            m, k, np.concatenate([np.repeat(np.arange(m), k), rows]),
+            np.concatenate([seed_dist.ravel(), dist]), np.concatenate([seed_idx.ravel(), idx]),
+        )
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def centred_belief(model):

@@ -61,11 +61,14 @@ def test_run_kalman_reference(tmp_path):
 
 def test_run_kalman_reference_refuses_flags_before_any_work(tmp_path):
     out = tmp_path / "out"
-    proc = run_script(
-        "run_kalman_reference.py", "--grid-step", 1.0, "--beliefs", 20, "--parallel", 0,
-        "--out-dir", out,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: SolverFailure") and proc.stderr.count("\n") == 1
-    assert not out.exists()
+    for flags, error in [
+        (("--beliefs", 20, "--parallel", 0), "error: SolverFailure"),
+        (("--beliefs", 0), "error: --beliefs must be >= 1\n"),  # not the library's cap
+    ]:
+        proc = run_script(
+            "run_kalman_reference.py", "--grid-step", 1.0, *flags, "--out-dir", out
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1
+        assert not out.exists()

@@ -60,6 +60,7 @@ from wpomdp.value_iteration import (
     TabulatedValue,
     _K_NEIGHBORS,
     _mcshane,
+    _pool,
     _precompute_bytes,
     _Precomputed,
     _row_blocks,
@@ -69,6 +70,12 @@ from wpomdp.value_iteration import (
     selector_policy,
     solve_vi,
 )
+
+
+def precompute(model, sample, parallel):
+    """``_Precomputed`` on the pool ``solve_vi`` opens for ``parallel``."""
+    with _pool(parallel) as pool:
+        return _Precomputed(model, sample, parallel, pool)
 
 
 def belief(model, p):
@@ -499,7 +506,7 @@ class TestExplicitTableSolve:
             return lp(mu, nu)
 
         monkeypatch.setattr(sampling, "w1_lp", counted)
-        pre = _Precomputed(tab, s, 1)
+        pre = precompute(tab, s, 1)
         B, A, J = pre.node_probs.shape
         assert len(calls) == (B * A * J + B) * B  # each ordered pair solved once
         assert [start for start, _ in pre.pairs] == [0]  # one block: both orientations
@@ -649,7 +656,7 @@ class TestPrecompute:
     )
     def test_neighbours_equal_the_full_block_bruteforce(self, name, parallel):
         m, s = self.case(name)
-        pre = _Precomputed(m, s, parallel)
+        pre = precompute(m, s, parallel)
         idx, dist = posterior_knn_bruteforce(m, s, _K_NEIGHBORS)
         assert pre.nn_idx.dtype == np.min_scalar_type(s.n - 1)
         assert pre.nn_idx.shape == (min(_K_NEIGHBORS, s.n), s.n, m.n_actions, m.n_obs)
@@ -661,11 +668,11 @@ class TestPrecompute:
     def test_more_workers_than_cores_lose_no_write(self):
         # the workers write disjoint entries of the shared neighbour arrays
         m, s = self.case("line")
-        want = _Precomputed(m, s, 1)
+        want = precompute(m, s, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _Precomputed(m, s, 8)
+            got = precompute(m, s, 8)
         finally:
             sys.setswitchinterval(interval)
         assert got.nn_idx.tobytes() == want.nn_idx.tobytes()
@@ -685,7 +692,7 @@ class TestPrecompute:
         block = s.n * m.n_obs * m.n_states * 8
         tracemalloc.start()
         try:
-            pre = _Precomputed(m, s, parallel)
+            pre = precompute(m, s, parallel)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -723,7 +730,7 @@ class TestMemoryCheck:
         s.weight_matrix()
         tracemalloc.start()
         try:
-            pre = _Precomputed(m, s, parallel)
+            pre = precompute(m, s, parallel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -820,13 +827,33 @@ class TestSolveVi:
         assert res.selector.actions == tuple(int(a) for a in greedy)
         assert res.error_bound == res.constants.apriori_bound(0)
 
-    def test_worker_count_does_not_change_bits(self):
-        m = pbvi_toy()
-        s = reachability_tree(m, uniform_belief(m), depth=3)
-        one = solve_vi(m, s, epsilon=1e-2, parallel=1)
-        two = solve_vi(m, s, epsilon=1e-2, parallel=2)
-        np.testing.assert_array_equal(one.value.values, two.value.values)
-        assert one.selector.actions == two.selector.actions
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        # the pbvi toy, and an open sample of 131 beliefs: neither 2 nor 3
+        # workers split its beliefs evenly, 9 slope blocks of 9 to 25 rows
+        # give every worker rows of several blocks, and 8 workers on a
+        # short switch interval would expose a lost write
+        monkeypatch.setattr(value_iteration, "_SLOPE_BLOCK_BYTES", 8 * 131 * 9)
+        toy = pbvi_toy()
+        drift = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
+        open_sample = centred_tree(drift, 131)
+        assert open_sample.n == 131 and len(list(_row_blocks(131))) == 9
+
+        def bits(res):
+            return (res.value.values.tobytes(), np.array(res.sup_diffs).tobytes(),
+                    np.float64(res.lip_estimate).tobytes(), res.selector.actions)
+
+        for m, s in [(toy, reachability_tree(toy, uniform_belief(toy), depth=3)),
+                     (drift, open_sample)]:
+            one = solve_vi(m, s, epsilon=1e-2, parallel=1)
+            runs = [solve_vi(m, s, epsilon=1e-2, parallel=p) for p in (2, 3)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs.append(solve_vi(m, s, epsilon=1e-2, parallel=8))
+            finally:
+                sys.setswitchinterval(interval)
+            assert [bits(got) for got in runs] == [bits(one)] * 3
+        assert one.lip_estimate > 0.0  # the drift sample is open: the McShane path ran
 
 
 class TestRollout:
