@@ -1,11 +1,11 @@
 """Controlled linear-Gaussian reference model on a truncated 1-D grid.
 
 The running example: state drifts as x' = drift + gain(a) * x + noise,
-observations are Gaussian around a per-action mean (identity by default),
-and the reward -|x| is unbounded in the state.  Everything the general
-machinery needs -- grid transition rows, an observation quadrature, and a
-weight function certifying the drift condition -- is derived here from
-the handful of scalar parameters.
+observations are Gaussian around the state, and the reward -|x| is
+unbounded in the state.  Everything the general machinery needs -- grid
+transition rows, an observation quadrature, and a weight function
+certifying the drift condition -- is derived here from the handful of
+scalar parameters.
 
 Truncating the line to a finite grid is what makes the model a
 ``PomdpModel``; the certificate constants are then established on the
@@ -16,7 +16,8 @@ what the code actually solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,9 @@ _TV_ANCHORS = (0.0, 1.0, -2.0)
 _TV_START_DELTA = 0.5
 _TV_FLOOR = 1e-3
 
+# the number each scalar spec field must hold, by annotation (finite, no bool)
+_NUMBER_TYPES = {"float": numbers.Real, "int": numbers.Integral}
+
 
 @dataclass(frozen=True)
 class KalmanSpec:
@@ -53,9 +57,9 @@ class KalmanSpec:
 
     ``gains`` is the per-action feedback coefficient table; its largest
     magnitude must stay strictly below one, which is what makes a
-    sub-unit drift factor attainable at all.  ``obs_mean`` and
-    ``reward_fn`` take (state, action index) and default to the identity
-    observation and the negative-distance reward.
+    sub-unit drift factor attainable at all.  Observations are centred on
+    the state.  ``reward_fn`` takes (state, action index) and defaults to
+    the negative-distance reward.
     """
 
     drift: float = 0.0
@@ -68,10 +72,13 @@ class KalmanSpec:
     grid_step: float = 0.1
     n_obs_nodes: int = 33
     obs_pad_stds: float = 5.0
-    obs_mean: Callable | None = None
     reward_fn: Callable | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v, kind = getattr(self, f.name), _NUMBER_TYPES.get(f.type)
+            if kind and (isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v)):
+                raise ModelValidationError(f"{f.name} must be a finite {f.type}, not {v!r}")
         if len(self.gains) == 0:
             raise ModelValidationError("need at least one action gain")
         if self.feedback_sup >= 1.0:
@@ -86,6 +93,8 @@ class KalmanSpec:
             raise ModelValidationError("grid range must be increasing with step > 0")
         if self.n_obs_nodes < 2:
             raise ModelValidationError("need at least two observation nodes")
+        if self.reward_fn is not None and not callable(self.reward_fn):
+            raise ModelValidationError("reward_fn must be None or a callable")
 
     @property
     def feedback_sup(self) -> float:
@@ -102,11 +111,6 @@ class KalmanSpec:
     def mean_after(self, x, a: int) -> np.ndarray:
         """Next-state mean drift + gain(a) * x, vectorised over x."""
         return self.drift + self.gains[a] * np.asarray(x, dtype=float)
-
-    def obs_mean_at(self, x, a: int) -> np.ndarray:
-        if self.obs_mean is None:
-            return np.asarray(x, dtype=float)
-        return np.asarray(self.obs_mean(x, a), dtype=float)
 
     def reward_at(self, x, a: int) -> np.ndarray:
         if self.reward_fn is None:
@@ -204,18 +208,13 @@ def build_model(spec: KalmanSpec) -> PomdpModel:
 
     k, _, _ = choose_weight(spec)
 
-    all_means = np.concatenate(
-        [spec.obs_mean_at(points, a) for a in range(spec.n_actions)]
-    )
+    # observations are centred on the state, under every action
     pad = spec.obs_pad_stds * spec.obs_std
     quad = _midpoint_quadrature(
-        float(all_means.min()) - pad, float(all_means.max()) + pad, spec.n_obs_nodes
+        float(points.min()) - pad, float(points.max()) + pad, spec.n_obs_nodes
     )
-    obs = np.empty((spec.n_actions, len(points), spec.n_obs_nodes))
-    for a in range(spec.n_actions):
-        obs[a] = _gaussian_density(
-            quad.nodes[None, :], spec.obs_mean_at(points, a)[:, None], spec.obs_std
-        )
+    dens = _gaussian_density(quad.nodes[None, :], points[:, None], spec.obs_std)
+    obs = np.repeat(dens[None, :, :], spec.n_actions, axis=0)
 
     reward = np.stack([spec.reward_at(points, a) for a in range(spec.n_actions)])
 
@@ -253,7 +252,7 @@ def tv_continuity_report(spec: KalmanSpec) -> tuple[TvProbeReport, ...]:
             float(points.min()) - pad, float(points.max()) + pad, spec.n_obs_nodes
         )
         obs = _gaussian_density(
-            quad.nodes[None, :], spec.obs_mean_at(points, 0)[:, None], spec.obs_std
+            quad.nodes[None, :], points[:, None], spec.obs_std
         )[None, :, :]
         probe = PomdpModel(
             state_grid=StateGrid(points),

@@ -31,10 +31,6 @@ __all__ = [
 # beliefs closer than this in W1 are treated as the same sample point
 DEDUP_W1_TOL = 1e-6
 
-# bytes of the (rows x kept x cols) difference block of one l1 step: the
-# query rows per step are as many as fit, and at least one
-_L1_BLOCK_BYTES = 4 << 20
-
 # contiguous column blocks of the discrete k-NN lower bound (fewer when
 # the embedding has fewer columns), and query rows per k-NN search step:
 # bounds the discrete search's (rows x kept) bound block; larger blocks
@@ -120,21 +116,19 @@ def _embed_rows(grid, weight_rows: np.ndarray) -> np.ndarray | None:
 class BeliefDistances:
     """W1 from belief weight rows to a growing set of kept beliefs.
 
-    Where the metric embeds isometrically into L1 (1-D, discrete) each kept
-    belief is embedded once, on construction or by :meth:`add`, and a
-    distance block is an L1 reduction over steps of as many query rows as
-    keep the difference block within ``_L1_BLOCK_BYTES`` (one row at
-    least).  :meth:`knn` and :meth:`within` compute exact distances only
-    where a lower bound on W1 allows: on the 1-D metric the gap of
-    embedding row sums, inside a window of the kept beliefs sorted by sum
-    (built on construction, and kept current by :meth:`add` with one
-    sorted insert); on the discrete metric a sum over column
-    blocks, whose kept sums are computed with the embedding and extended
-    by :meth:`add`, so a search reduces only its query rows.  Explicit
-    tables have no embedding (``emb`` is None) and fall back to one
-    transportation solve per pair: exact, but only meant for desk-size
-    models.  ``beliefs`` supplies the kept measures for that fallback; by
-    default they are rebuilt from ``rows``.
+    One kernel, :meth:`_exact`, gives every distance.  Where the metric
+    embeds isometrically into L1 (1-D, discrete) each kept belief is
+    embedded once, on construction or by :meth:`add`.  Explicit tables
+    have no embedding (``emb`` is None), and a distance is one transport
+    solve: exact, but only meant for desk-size models.  ``beliefs``
+    supplies their kept measures; by default they are rebuilt from ``rows``.
+    :meth:`knn` and :meth:`within` share one prune-then-verify search: a
+    lower bound on W1 picks the pairs that get an exact distance.  Three
+    bound objects give it (:meth:`_bound`): on the 1-D metric the gap of
+    embedding row sums, in a window of the kept beliefs sorted by sum
+    (kept current by :meth:`add` with one sorted insert); on the discrete
+    metric a sum over column blocks, whose kept sums :meth:`add` extends;
+    on an explicit table the bound 0, so a search solves one LP per pair.
     """
 
     def __init__(self, grid, rows: np.ndarray, beliefs=None):
@@ -185,53 +179,37 @@ class BeliefDistances:
             order = np.concatenate((order[:p], [k], order[p:]))
         self._index = (norm, keys, order)
 
-    def l1(self, q: np.ndarray) -> np.ndarray:
-        """(len(q), len(self)) L1 block from embedded query rows."""
-        return _l1_block(q, self.emb)
-
-    def dists(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), len(self)) W1 block from belief weight rows."""
-        if self.emb is not None:
-            return self.l1(_embed_rows(self.grid, rows))
-        return _lp_block(self.grid, rows, self.beliefs)
-
     def block(self, rows: slice, cols: slice) -> np.ndarray:
         """W1 from the kept beliefs ``rows`` to the kept beliefs ``cols``.
 
-        Each entry has the bits of the matching entry of ``dists(W)``, W
-        the stacked weight rows of the kept beliefs: the same L1 reduction
-        on an embedding, and on an explicit table the same
-        ``w1_lp(make_measure(grid, w_i), belief_j)`` solve.
+        One :meth:`_exact` call over every pair; the rows are queries as
+        :meth:`_query` forms them.  An embedded block is bitwise the
+        transpose of its mirror, as |a - b| and |b - a| have the same bits.
         """
-        if self.emb is not None:
-            return _l1_block(self.emb[rows], self.emb[cols])
-        return _lp_block(self.grid, [b.weights for b in self.beliefs[rows]], self.beliefs[cols])
+        kept = self.beliefs
+        q = self.emb[rows] if kept is None else self._query([b.weights for b in kept[rows]])
+        j = np.arange(len(self))[cols]
+        r = np.repeat(np.arange(len(q)), len(j))
+        return self._exact(q, r, np.tile(j, len(q))).reshape(len(q), len(j))
 
     def knn(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest kept beliefs of each weight row: (idx, dist), (m, k).
 
         Exact: each row lists the first k kept beliefs in (distance, index)
-        order, so ties go to the lowest index, and every distance has the
-        bits of the matching :meth:`dists` entry.  On an embedded metric
-        each step of ``_KNN_CHUNK`` rows computes exact distances to k seed
-        beliefs per row, whose largest, tau, is at least the k-th nearest
-        distance, then to every other kept belief whose lower bound is
-        within tau (:meth:`_bound`).  Explicit tables solve every pair by LP.
+        order, so ties go to the lowest index, and every distance is the
+        :meth:`_exact` distance of its pair.  Each step of ``_KNN_CHUNK``
+        rows computes exact distances to k seed beliefs per row, whose
+        largest, tau, is at least the k-th nearest distance, then to every
+        other kept belief whose lower bound is within tau (:meth:`_bound`).
         """
         m, k = len(rows), min(k, len(self))
-        if self.emb is None:
-            d = self.dists(rows)
-            r, j = np.indices(d.shape)
-            return _first_k(j[:, :k], d[:, :k], r[:, k:].ravel(), j[:, k:].ravel(),
-                            d[:, k:].ravel())
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
-            q = _embed_rows(self.grid, rows[s:s + _KNN_CHUNK])
+            q = self._query(rows[s:s + _KNN_CHUNK])
             bound = self._bound(q)
             r, j = bound.seeds(k)
-            d = self._exact(q, r, j)
-            d = d.reshape(len(q), k)
+            d = self._exact(q, r, j).reshape(len(q), k)
             r2, j2 = bound.near(d.max(axis=1))
             idx[s:s + _KNN_CHUNK], dist[s:s + _KNN_CHUNK] = _first_k(
                 j.reshape(len(q), k), d, r2, j2, self._exact(q, r2, j2)
@@ -241,32 +219,41 @@ class BeliefDistances:
     def within(self, row: np.ndarray, tol: float) -> bool:
         """Whether a kept belief lies closer than ``tol`` in W1 to a weight row.
 
-        Always ``dists(row[None, :]).min() < tol``.  On an embedded metric
-        only the kept beliefs whose lower bound (:meth:`_bound`) is within
-        ``tol`` get an exact distance, with the bits of the matching
-        :meth:`dists` entry; explicit tables solve one LP per pair.
+        Only the kept beliefs whose lower bound (:meth:`_bound`) is within
+        ``tol`` get an exact distance (:meth:`_exact`).
         """
-        if self.emb is None:
-            return bool(self.dists(row[None, :]).min() < tol)
-        q = _embed_rows(self.grid, row[None, :])
+        q = self._query(row[None, :])
         r, j = self._bound(q).near(tol)
         return bool(len(j) and self._exact(q, r, j).min() < tol)
 
-    def _bound(self, q: np.ndarray):
-        """The search bound of embedded query rows ``q`` on this metric."""
-        index = self._index
-        if index[1] is not None:
-            return _KeyBound(q, index)
-        return _BlockBound(q, self._sums, index[0])
+    def _query(self, rows):
+        """Weight rows as :meth:`_exact` reads them: embedded, or ``make_measure(grid, row)``."""
+        if self.emb is None:
+            return [make_measure(self.grid, r) for r in rows]
+        return _embed_rows(self.grid, rows)
 
-    def _exact(self, q: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """L1 from embedded query row ``q[r[i]]`` to kept belief ``j[i]``.
+    def _bound(self, q):
+        """The search bound of queries ``q`` (:meth:`_query`) on this metric."""
+        kind = self.grid.metric_kind
+        if kind == EUCLIDEAN_1D:
+            return _KeyBound(q, self._index)
+        if kind == DISCRETE:
+            return _BlockBound(q, self._sums, self._index[0])
+        return _TableBound(len(q), len(self))
 
-        Every exact distance of :meth:`knn` and :meth:`within` comes from
-        here.  Rows are gathered into two buffers of ``_GATHER_BYTES`` in
-        all, and each distance has the bits of the matching :meth:`l1`
-        entry: the same differences, reduced along one contiguous row.
+    def _exact(self, q, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """W1 from query ``q[r[i]]`` (:meth:`_query`) to kept belief ``j[i]``.
+
+        The one distance kernel.  On an embedded metric the L1 of the two
+        rows: rows are gathered into two buffers of ``_GATHER_BYTES`` in
+        all, and each distance is one reduction along one contiguous row of
+        differences, so its bits do not depend on the pairs listed with it.
+        On an explicit table one ``w1_lp(q[r[i]], beliefs[j[i]])`` call per
+        pair.
         """
+        if self.emb is None:
+            pairs = zip(r.tolist(), j.tolist())
+            return np.fromiter((w1_lp(q[a], self.beliefs[b]) for a, b in pairs), float, len(j))
         cols = self.emb.shape[1]
         out = np.empty(len(j))
         step = max(1, _GATHER_BYTES // max(1, 16 * cols))
@@ -373,6 +360,28 @@ class _BlockBound:
         return np.nonzero(keep)
 
 
+class _TableBound:
+    """Explicit-table search bound: 0, which prunes nothing.
+
+    The seeds are the first k kept beliefs, and every other kept belief is
+    near at any reach.  A tighter bound changes only this class.
+    """
+
+    def __init__(self, m: int, kept: int):
+        self.m, self.kept = m, kept
+        self.k = 0  # seeds per query, kept beliefs [0, k)
+
+    def seeds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first k kept beliefs of each query, 1 <= k <= kept."""
+        self.k = k
+        return np.repeat(np.arange(self.m), k), np.tile(np.arange(k), self.m)
+
+    def near(self, reach) -> tuple[np.ndarray, np.ndarray]:
+        """(query, kept) of every non-seed pair, whatever ``reach``."""
+        rest = np.arange(self.k, self.kept)
+        return np.repeat(np.arange(self.m), len(rest)), np.tile(rest, self.m)
+
+
 def _block_sums(emb: np.ndarray) -> np.ndarray:
     """(rows, blocks) sums of ``emb`` over the discrete bound's column blocks.
 
@@ -396,33 +405,6 @@ def _window(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     if not len(i):  # all empty, as for each new posterior of the tree's dedup
         return i, i
     return i, np.arange(len(i)) + (start - count.cumsum() + count).repeat(count)
-
-
-def _l1_block(q: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """(len(q), len(emb)) L1 block between embedded rows.
-
-    Reduced over steps of as many query rows as keep the difference block
-    within ``_L1_BLOCK_BYTES`` (one row at least).
-    """
-    kept, cols = emb.shape
-    out = np.empty((len(q), kept))
-    step = max(1, _L1_BLOCK_BYTES // max(1, 8 * kept * cols))
-    buf = np.empty((min(step, len(q)), kept, cols))
-    for s in range(0, len(q), step):
-        qc = q[s:s + step]
-        t = buf[:len(qc)]
-        np.subtract(qc[:, None, :], emb[None, :, :], out=t)
-        np.abs(t, out=t).sum(axis=2, out=out[s:s + step])
-    return out
-
-
-def _lp_block(grid, rows, kept) -> np.ndarray:
-    """(len(rows), len(kept)) W1 block by one transport solve per pair."""
-    out = np.empty((len(rows), len(kept)))
-    for i, r in enumerate(rows):
-        mu = make_measure(grid, r)
-        out[i] = [w1_lp(mu, b) for b in kept]
-    return out
 
 
 def check_lp_budget(solves: int, n_states: int) -> None:

@@ -37,7 +37,6 @@ from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import (
     _GATHER_BYTES,
     _KNN_CHUNK,
-    _L1_BLOCK_BYTES,
     BeliefDistances,
     BeliefSample,
     check_lp_budget,
@@ -134,20 +133,20 @@ def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
 
     ``block(rows, cols)`` gives a new array of the W1 block between the
     sample points ``rows`` and ``cols`` (slices).  Entry (i, j), i < j,
-    holds the smaller of its two ordered distances that exceed 1e-9, and
-    inf where neither does; the diagonal and below hold inf, so the quotient
-    max of :func:`_table_lip_estimate` is the max over every separated
-    ordered pair.  Each block is masked in place, and its square
-    D[s:e, s:e] takes the minimum with its transpose.  That changes no bit
-    on an embedded metric, whose blocks are bitwise symmetric, and an
-    explicit table's sample is one block (its LP budget admits fewer
-    beliefs than the first block's rows), whose square is all of D.  No
-    (B, B) array is ever held beyond that.
+    holds the smaller of its two ordered distances above
+    ``_EXACT_MATCH_TOL``, and inf where neither is; the diagonal and below
+    hold inf, so the quotient max of :func:`_table_lip_estimate` is the
+    max over every separated ordered pair.  Each block is masked in
+    place, and its square D[s:e, s:e] takes the minimum with its
+    transpose.  That changes no bit on an embedded metric, whose blocks
+    are bitwise symmetric, and an explicit table's sample is one block
+    (its LP budget admits fewer beliefs than the first block's rows),
+    whose square is all of D.  No (B, B) array is ever held beyond that.
     """
     out = []
     for s, e in _row_blocks(B):
         up = block(slice(s, e), slice(s, B))
-        np.putmask(up, up <= 1e-9, np.inf)
+        np.putmask(up, up <= _EXACT_MATCH_TOL, np.inf)
         sq = up[:, :e - s]
         np.minimum(sq, sq.T.copy(), out=sq)
         sq[np.tri(e - s, dtype=bool)] = np.inf
@@ -271,9 +270,10 @@ def _precompute_bytes(
     unsigned dtype that holds B - 1, their distances, node probabilities),
     two (B, n) row blocks (embedding, one action's predictions), one
     action's likelihoods and (b, j) indices, the slope's row blocks (about
-    4 * B^2), one slope block's mask or square copy, one L1 step, and per
-    k-NN worker three (_KNN_CHUNK, n) blocks (rows and their gathers, or rows,
-    embedding and index arrays) and the exact step's gather buffers.  On
+    4 * B^2), one slope block's mask or square copy, its (row, column)
+    index pairs and gather buffers, and per k-NN worker three
+    (_KNN_CHUNK, n) blocks (rows and their gathers, or rows, embedding and
+    index arrays) and the exact step's gather buffers.  On
     the ``discrete`` metric each worker's search step also holds a
     (_KNN_CHUNK, B) float bound, and where that bound prunes nothing every
     (query, kept) pair is a candidate: two indices, a distance, their
@@ -282,7 +282,7 @@ def _precompute_bytes(
     idx = np.min_scalar_type(B - 1).itemsize
     kept = B * A * J * (K * (idx + 8) + 8) + 16 * B * n + 24 * B * J
     blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
-    step = max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_L1_BLOCK_BYTES, 8 * B * n)
+    step = 3 * max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_GATHER_BYTES, 16 * n)
     search = 64 * _KNN_CHUNK * B if discrete else 0
     return kept + blocks + step + workers * (24 * _KNN_CHUNK * n + _GATHER_BYTES + search)
 

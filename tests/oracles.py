@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations for the test suite.
 
 Nothing in here imports solver internals beyond plain data containers and
-the per-belief building blocks (filter steps, pairwise W1, including the
-``BeliefDistances.dists`` block); each oracle
+the per-belief building blocks (filter steps, pairwise W1, the kept
+beliefs a ``BeliefDistances`` stores); each oracle
 recomputes its target quantity by the most literal method available
 (vertex enumeration, exhaustive recursion, dense matrix algebra, one W1 per
 pair) so that agreement with the package is evidence, not tautology.
@@ -23,11 +23,15 @@ from wpomdp.errors import (
 )
 from wpomdp.filtering import bayes_update, expected_reward, obs_marginal, possible_nodes
 from wpomdp.measures import (
+    DISCRETE,
     EUCLIDEAN_1D,
     LipschitzFn,
+    cdf_embedding,
     integrate,
     lipschitz_constants,
+    make_measure,
     w1,
+    w1_lp,
 )
 from wpomdp.model import certify
 from wpomdp.sampling import DEDUP_W1_TOL, BeliefDistances
@@ -379,8 +383,8 @@ def reachability_tree_dense(model, mu0, depth, *, cap):
     """Weight rows of the breadth-first reachability tree, dense dedup.
 
     The same expansion and cap as the package tree, but each candidate is
-    compared with every kept belief through one full
-    ``BeliefDistances.dists`` row; returns the (n, n_states) kept rows.
+    compared with every kept belief through one full :func:`dense_dists`
+    row; returns the (n, n_states) kept rows.
     """
     rows = [mu0.weights]
     kept = BeliefDistances(model.state_grid, mu0.weights[None, :])
@@ -391,7 +395,7 @@ def reachability_tree_dense(model, mu0, depth, *, cap):
             for a in range(model.n_actions):
                 for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
                     post = bayes_update(model, mu, a, int(j))
-                    if kept.dists(post.weights[None, :]).min() < DEDUP_W1_TOL:
+                    if dense_dists(kept, post.weights[None, :]).min() < DEDUP_W1_TOL:
                         continue
                     if len(rows) >= cap:
                         return np.stack(rows)
@@ -435,9 +439,27 @@ def l1_broadcast(q, emb):
     return out
 
 
+def dense_dists(geom, rows):
+    """(len(rows), len(geom)) W1 block from weight rows to the kept beliefs.
+
+    Where the metric embeds into L1, :func:`l1_broadcast` from the rows'
+    embedding (the CDF on the line, half the weights on the discrete
+    metric) to the stored kept embedding ``geom.emb``; on an explicit
+    table one ``w1_lp(make_measure(grid, row), kept)`` solve per pair.
+    """
+    grid = geom.grid
+    if grid.metric_kind == EUCLIDEAN_1D:
+        return l1_broadcast(cdf_embedding(grid.points, rows), geom.emb)
+    if grid.metric_kind == DISCRETE:
+        return l1_broadcast(0.5 * rows, geom.emb)
+    return np.array(
+        [[w1_lp(make_measure(grid, r), b) for b in geom.beliefs] for r in rows]
+    ).reshape(len(rows), len(geom))
+
+
 def knn_bruteforce(geom, rows, k):
     """k nearest kept beliefs by a stable sort of the full distance block."""
-    d = geom.dists(rows)
+    d = dense_dists(geom, rows)
     idx = np.argsort(d, axis=1, kind="stable")[:, :k]
     return idx, np.take_along_axis(d, idx, axis=1)
 
@@ -496,7 +518,7 @@ def solve_vi_broadcast(model, sample, epsilon, k):
     """
     W = sample.weight_matrix()
     geom = BeliefDistances(sample.grid, W, sample.beliefs)
-    pair_d = geom.dists(W)
+    pair_d = dense_dists(geom, W)
     B, A, J = sample.n, model.n_actions, model.n_obs
     node_probs = np.empty((B, A, J))
     for a in range(A):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import re
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 from wpomdp import cli, value_iteration
 from wpomdp.cli import main
+from wpomdp.kalman import KalmanSpec
 from wpomdp.serialize import load_model, save_model
 from wpomdp.synthetic import pbvi_toy, revealing_toy
 
@@ -104,6 +106,23 @@ class TestExample:
         assert err.startswith("error: ModelValidationError") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"reward_fn": 3}', '{"obs_mean": "x"}', '{"n_obs_nodes": 2.5}',
+            '{"n_obs_nodes": 33.0}', '{"drift": "x"}',
+        ],
+        ids=["reward_fn_int", "obs_mean", "n_obs_nodes_fraction", "n_obs_nodes_float", "drift_str"],
+    )
+    def test_mistyped_spec_field_is_a_one_line_error(self, text, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        rc = main(["example", "kalman", "--out", str(tmp_path / "m.json"), "--spec", str(spec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
 
 COMMON = {"--model", "--out-dir", "--depth", "--cap", "--epsilon", "--max-iters"}
 
@@ -166,6 +185,13 @@ class TestReadmeCli:
         spans = re.findall(r"`([^`]+)`", readme_cli_section()[1])
         named = {f for span in spans for f in re.findall(r"--[a-z][a-z-]*", span)}
         assert named and named - known == set()
+
+    def test_spec_fields_are_the_json_settable_ones(self):
+        # a callable field (reward_fn) cannot come from a JSON file
+        prose = " ".join(readme_cli_section()[1].split())
+        listed = prose.split("`KalmanSpec` fields (", 1)[1].split(")", 1)[0]
+        settable = [f.name for f in dataclasses.fields(KalmanSpec) if "Callable" not in str(f.type)]
+        assert re.findall(r"`(\w+)`", listed) == settable
 
 
 class TestValidate:

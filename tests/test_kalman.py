@@ -46,10 +46,21 @@ class TestSpecValidation:
         with pytest.raises(ModelValidationError):
             KalmanSpec(n_obs_nodes=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_obs_nodes", 2.5), ("n_obs_nodes", 33.0), ("n_obs_nodes", True),
+            ("reward_fn", 3), ("drift", "x"), ("grid_lo", None), ("obs_pad_stds", "5"),
+            ("drift", float("nan")), ("obs_std", float("inf")),
+        ],
+    )
+    def test_mistyped_fields(self, field, value):
+        with pytest.raises(ModelValidationError, match=field):
+            KalmanSpec(**{field: value})
+
     def test_default_tables(self):
         spec = reference_spec()
         xs = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_array_equal(spec.obs_mean_at(xs, 0), xs)
         np.testing.assert_array_equal(spec.reward_at(xs, 1), [-2.0, 0.0, -3.0])
         np.testing.assert_array_equal(spec.mean_after(xs, 2), 0.5 * xs)
 

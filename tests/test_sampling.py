@@ -11,14 +11,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import first_k_lexsort, knn_bruteforce, l1_broadcast, reachability_tree_dense
+from oracles import (
+    dense_dists,
+    first_k_lexsort,
+    knn_bruteforce,
+    l1_broadcast,
+    reachability_tree_dense,
+)
 from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update, obs_marginal
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec
-from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1
+from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1, w1_lp
 from wpomdp.sampling import (
-    _L1_BLOCK_BYTES,
+    _GATHER_BYTES,
     DEDUP_W1_TOL,
     BeliefDistances,
     BeliefSample,
@@ -120,7 +126,7 @@ class TestReachabilityTree:
         )
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=3)
-        d = BeliefDistances(s.grid, s.weight_matrix()).dists(s.weight_matrix())
+        d = dense_dists(BeliefDistances(s.grid, s.weight_matrix()), s.weight_matrix())
         assert s.n > 1 and (d[~np.eye(s.n, dtype=bool)] >= DEDUP_W1_TOL).all()
 
     def test_cap_truncates(self):
@@ -210,7 +216,9 @@ class TestBeliefDistances:
         kept = random_rows(g, int(rng.integers(1, 5)), rng)
         # many queries, except on the slow LP path
         queries = random_rows(g, int(rng.integers(1, 5 if kind == "table" else 150)), rng)
-        block = BeliefDistances(g, kept).dists(queries)
+        block = BeliefDistances(g, np.concatenate([queries, kept])).block(
+            slice(0, len(queries)), slice(len(queries), None)
+        )
         want = [
             [w1(make_measure(g, q), make_measure(g, k)) for k in kept] for q in queries
         ]
@@ -230,8 +238,15 @@ class TestBeliefDistances:
         assert len(grown) == len(stacked) == len(rows)
         if stacked.emb is not None:
             np.testing.assert_array_equal(grown.emb, stacked.emb)
-        np.testing.assert_array_equal(grown.dists(queries), stacked.dists(queries))
-        np.testing.assert_array_equal(grown.dists(rows), stacked.dists(rows))
+        for q in (queries, rows):
+            idx, dist = stacked.knn(q, len(rows))
+            got_idx, got_dist = grown.knn(q, len(rows))
+            np.testing.assert_array_equal(got_idx, idx)
+            assert got_dist.tobytes() == dist.tobytes()
+        everything = slice(None)
+        assert grown.block(everything, everything).tobytes() == (
+            stacked.block(everything, everything).tobytes()
+        )
 
     @pytest.mark.parametrize("kind", ["line", "discrete"])
     def test_anchor_ties_go_to_the_lowest_index(self, kind):
@@ -254,17 +269,18 @@ class TestEmbeddedBlockSymmetry:
         st.sampled_from(["line", "discrete"]),
         st.sampled_from([1, 2, 7, 40, 161]),  # states
         st.integers(1, 60),  # kept beliefs
-        st.sampled_from([None, 1, 3000]),  # L1 step budget: default, one row, a few rows
+        st.sampled_from([None, 1, 3]),  # pairs per gather step: default, one, a few
         st.integers(0, 2**32 - 1),
     )
-    def test_block_equals_the_transpose_of_its_mirror(self, kind, n, kept, budget, seed):
+    def test_block_equals_the_transpose_of_its_mirror(self, kind, n, kept, pairs, seed):
         rng = np.random.default_rng(seed)
         g = random_grid(kind, n, rng)
         base = random_rows(g, kept, rng)
         geom = BeliefDistances(g, base[rng.integers(0, kept, kept)])  # repeats: zero blocks
         a, b = np.sort(rng.integers(0, kept + 1, 2))
         c, d = np.sort(rng.integers(0, kept + 1, 2))
-        with mock.patch.object(sampling, "_L1_BLOCK_BYTES", budget or _L1_BLOCK_BYTES):
+        budget = 16 * geom.emb.shape[1] * pairs if pairs else _GATHER_BYTES
+        with mock.patch.object(sampling, "_GATHER_BYTES", budget):
             rc = geom.block(slice(a, b), slice(c, d))
             cr = geom.block(slice(c, d), slice(a, b))
         assert rc.view(np.int64).tolist() == cr.T.view(np.int64).tolist()
@@ -311,7 +327,7 @@ class TestWithin:
             grown.add(r)
         stacked = BeliefDistances(g, rows)
         for q in queries:
-            d = stacked.dists(q[None, :]).min()
+            d = dense_dists(stacked, q[None, :]).min()
             # the tolerance exactly at the nearest distance, either side of
             # it, and the tree's default
             for tol in (d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf), DEDUP_W1_TOL, 0.0):
@@ -385,7 +401,7 @@ class TestWindow:
 
 
 class TestL1Block:
-    """``BeliefDistances.l1`` in steps bounded by ``_L1_BLOCK_BYTES``."""
+    """``BeliefDistances.block`` on the embedded metrics: the one kernel's L1 block."""
 
     @pytest.mark.parametrize("kind", ["line", "discrete"])
     @pytest.mark.parametrize("kept, queries", [(300, 70), (4000, 3)])
@@ -393,26 +409,71 @@ class TestL1Block:
         rng = np.random.default_rng(kept)
         g = random_grid(kind, 161, rng)
         geom = BeliefDistances(g, random_rows(g, kept, rng))
-        q = BeliefDistances(g, random_rows(g, queries, rng)).emb
-        row_bytes = 8 * kept * geom.emb.shape[1]
-        if kept == 300:  # several steps, the last one short
-            assert 1 < _L1_BLOCK_BYTES // row_bytes < queries
-        else:  # one query row is over the budget: one row per step
-            assert row_bytes > _L1_BLOCK_BYTES
-        want = l1_broadcast(q, geom.emb)
-        np.testing.assert_array_equal(geom.l1(q).view(np.int64), want.view(np.int64))
+        rows, cols = slice(kept // 2, kept // 2 + queries), slice(kept // 4, None)
+        want = l1_broadcast(geom.emb[rows], geom.emb[cols])
+        # pairs per gather step: the default, one, a few
+        for pairs in (None, 1, 7):
+            budget = 16 * geom.emb.shape[1] * pairs if pairs else _GATHER_BYTES
+            with mock.patch.object(sampling, "_GATHER_BYTES", budget):
+                got = geom.block(rows, cols)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_peak_memory_stays_within_the_budget(self):
+        # the block, its (row, column) index pairs and the gather buffers
         rng = np.random.default_rng(2)
         g = random_grid("line", 161, rng)
-        geom = BeliefDistances(g, random_rows(g, 2000, rng))
+        geom = BeliefDistances(g, random_rows(g, 600, rng))
         tracemalloc.start()
         try:
-            d = geom.l1(geom.emb)
+            d = geom.block(slice(None), slice(None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - d.nbytes < 2 * _L1_BLOCK_BYTES
+        assert peak - d.nbytes < 2 * d.nbytes + 2 * _GATHER_BYTES
+
+
+class TestTableSearch:
+    """Explicit tables: the zero bound leaves exactly one LP per pair."""
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        st.integers(1, 5),  # states
+        st.integers(1, 6),  # kept beliefs
+        st.integers(1, 4),  # queries
+        st.integers(1, 8),  # k: often at least the kept count
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_search_equals_per_pair_w1_lp(self, n, kept, queries, k, seed):
+        rng = np.random.default_rng(seed)
+        g = random_grid("table", n, rng)
+        rows = random_rows(g, kept, rng)
+        rows = rows[rng.integers(0, kept, kept)]  # repeats: ties
+        q = np.concatenate([random_rows(g, queries, rng), rows[:1]])
+        geom = BeliefDistances(g, rows)
+        want = np.array([[w1_lp(make_measure(g, a), b) for b in geom.beliefs] for a in q])
+        want_kept = np.array(
+            [[w1_lp(make_measure(g, b.weights), c) for c in geom.beliefs] for b in geom.beliefs]
+        )
+        calls = []
+
+        def counted(mu, nu):
+            calls.append(1)
+            return w1_lp(mu, nu)
+
+        with mock.patch.object(sampling, "w1_lp", counted):
+            idx, dist = geom.knn(q, k)
+            assert len(calls) == len(q) * kept
+            calls.clear()
+            near = [geom.within(r, tol) for r in q for tol in (DEDUP_W1_TOL, 0.1)]
+            assert len(calls) == 2 * len(q) * kept
+            calls.clear()
+            block = geom.block(slice(1, None), slice(None))
+            assert len(calls) == (kept - 1) * kept
+        order = np.argsort(want, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(idx, order)
+        assert dist.tobytes() == np.take_along_axis(want, order, axis=1).tobytes()
+        assert near == [bool(d.min() < tol) for d in want for tol in (DEDUP_W1_TOL, 0.1)]
+        assert block.tobytes() == want_kept[1:].tobytes()
 
 
 class TestKnn:

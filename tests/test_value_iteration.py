@@ -16,6 +16,7 @@ from oracles import (
     backup_value_bruteforce,
     bellman_backup,
     bellman_backup_point,
+    dense_dists,
     exact_sample_evaluator,
     finite_horizon_value_bruteforce,
     greedy_selector,
@@ -353,7 +354,7 @@ class TestTableLipEstimate:
         m = pbvi_toy()
         s = reachability_tree(m, uniform_belief(m), depth=3)
         geom = BeliefDistances(s.grid, s.weight_matrix())
-        d = geom.dists(s.weight_matrix())
+        d = dense_dists(geom, s.weight_matrix())
         v = solve_vi(m, s, epsilon=1e-2).value.values
         got = _table_lip_estimate(v, _separated_pairs(geom.block, s.n))
         assert got == table_lip_estimate_dense(v, d) > 0.0
@@ -371,7 +372,7 @@ class TestTableLipEstimate:
         with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes[rows]):
             one = _separated_pairs(geom.block, s.n)
         v = res.value.values
-        want = table_lip_estimate_dense(v, geom.dists(W))
+        want = table_lip_estimate_dense(v, dense_dists(geom, W))
         assert want > 0.0
         assert np.float64(_table_lip_estimate(v, one)).tobytes() == np.float64(want).tobytes()
         # the solve's slope: the dense estimate's running max over every sweep
@@ -513,7 +514,7 @@ class TestExplicitTableSolve:
 
         W = s.weight_matrix()
         geom = BeliefDistances(s.grid, W, s.beliefs)
-        d = geom.dists(W)
+        d = dense_dists(geom, W)
         assert geom.block(slice(2, 4), slice(1, None)).tobytes() == d[2:4, 1:].tobytes()
         assert geom.block(slice(4, None), slice(0, 3)).tobytes() == d[4:, :3].tobytes()
         sep = np.where(d > 1e-9, d, np.inf)
