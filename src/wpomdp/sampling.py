@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySample, SolverFailure
 from .filtering import bayes_update, obs_marginal, possible_nodes
-from .measures import DISCRETE, EUCLIDEAN_1D, DiscreteMeasure, cdf_embedding, make_measure, w1_lp
+from .measures import (
+    DISCRETE, EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure, cdf_embedding, make_measure, w1_lp,
+)
 from .model import PomdpModel
 
 __all__ = [
@@ -98,49 +100,44 @@ def user_sample(beliefs) -> BeliefSample:
     return BeliefSample(tuple(beliefs), provenance="user_supplied")
 
 
-def _embed_rows(grid, weight_rows: np.ndarray) -> np.ndarray | None:
-    """Rows whose pairwise L1 distance equals W1, if the metric allows it.
+def _embed_rows(grid, weight_rows: np.ndarray) -> np.ndarray:
+    """Weight rows as :class:`BeliefDistances` keeps and compares them.
 
     1-D: :func:`~wpomdp.measures.cdf_embedding`.  Discrete: half the
     weights (L1 becomes total variation, which is W1 under the discrete
-    metric).  Explicit tables have no such embedding -> None, callers fall
-    back to the LP.
+    metric).  On both, the L1 distance of two rows is their W1.  Explicit
+    tables have no such embedding: a float copy of the weight rows
+    themselves, which :meth:`BeliefDistances._exact` compares by LP.
     """
     if grid.metric_kind == EUCLIDEAN_1D:
         return cdf_embedding(grid.points, weight_rows)
     if grid.metric_kind == DISCRETE:
         return 0.5 * weight_rows
-    return None
+    return np.array(weight_rows, dtype=float)
 
 
 class BeliefDistances:
     """W1 from belief weight rows to a growing set of kept beliefs.
 
-    One kernel, :meth:`_exact`, gives every distance.  Where the metric
-    embeds isometrically into L1 (1-D, discrete) each kept belief is
-    embedded once, on construction or by :meth:`add`.  Explicit tables
-    have no embedding (``emb`` is None), and a distance is one transport
-    solve: exact, but only meant for desk-size models.  ``beliefs``
-    supplies their kept measures; by default they are rebuilt from ``rows``.
-    :meth:`knn` and :meth:`within` share one prune-then-verify search: a
-    lower bound on W1 picks the pairs that get an exact distance.  Three
-    bound objects give it (:meth:`_bound`): on the 1-D metric the gap of
-    embedding row sums, in a window of the kept beliefs sorted by sum
-    (kept current by :meth:`add` with one sorted insert); on the discrete
-    metric a sum over column blocks, whose kept sums :meth:`add` extends;
-    on an explicit table the bound 0, so a search solves one LP per pair.
+    Every kept belief is one row of ``emb`` (:func:`_embed_rows`), stored on
+    construction or by :meth:`add` in a buffer that doubles when full: its
+    L1 embedding on the 1-D and discrete metrics, its weight row on an
+    explicit table.  The metric decides only that embedding, the distance
+    kernel, :meth:`_exact`, and the search bound, :meth:`_bound`.  On an
+    explicit table a distance is one transport solve: exact, but only meant
+    for desk-size models.  :meth:`knn` and :meth:`within` share one
+    prune-then-verify search: a lower bound on W1 picks the pairs that get
+    an exact distance.  Three bound objects give it: on the 1-D metric the
+    gap of embedding row sums, in a window of the kept beliefs sorted by
+    sum (kept current by :meth:`add` with one sorted insert); on the
+    discrete metric a sum over column blocks, whose kept sums :meth:`add`
+    extends; on an explicit table the bound 0, so a search solves one LP
+    per pair.
     """
 
-    def __init__(self, grid, rows: np.ndarray, beliefs=None):
-        rows = np.asarray(rows, dtype=float)
+    def __init__(self, grid, rows: np.ndarray):
         self.grid = grid
-        self.emb = _embed_rows(grid, rows)
-        self.beliefs = None
-        if self.emb is None:
-            self.beliefs = list(beliefs) if beliefs is not None else [
-                make_measure(grid, r) for r in rows
-            ]
-            return
+        self.emb = _embed_rows(grid, np.asarray(rows, dtype=float))
         self._buf = self.emb  # spare rows for add(); emb is its live prefix
         # (largest |e|_1, sorted 1-D keys, kept index of each key rank); keys
         # and ranks are None off the 1-D metric
@@ -154,13 +151,10 @@ class BeliefDistances:
         self._sums = _block_sums(self.emb).T.copy() if grid.metric_kind == DISCRETE else None
 
     def __len__(self) -> int:
-        return len(self.beliefs) if self.emb is None else len(self.emb)
+        return len(self.emb)
 
     def add(self, row: np.ndarray) -> None:
         """Keep one more belief, given by its weight row."""
-        if self.emb is None:
-            self.beliefs.append(make_measure(self.grid, row))
-            return
         k = len(self.emb)
         if k == len(self._buf):  # full: double the capacity
             self._buf = np.concatenate([self.emb, np.empty((max(k, 1), self.emb.shape[1]))])
@@ -182,12 +176,11 @@ class BeliefDistances:
     def block(self, rows: slice, cols: slice) -> np.ndarray:
         """W1 from the kept beliefs ``rows`` to the kept beliefs ``cols``.
 
-        One :meth:`_exact` call over every pair; the rows are queries as
-        :meth:`_query` forms them.  An embedded block is bitwise the
+        One :meth:`_exact` call over every pair, with the kept rows
+        ``rows`` as its queries.  An embedded block is bitwise the
         transpose of its mirror, as |a - b| and |b - a| have the same bits.
         """
-        kept = self.beliefs
-        q = self.emb[rows] if kept is None else self._query([b.weights for b in kept[rows]])
+        q = self.emb[rows]
         j = np.arange(len(self))[cols]
         r = np.repeat(np.arange(len(q)), len(j))
         return self._exact(q, r, np.tile(j, len(q))).reshape(len(q), len(j))
@@ -206,7 +199,7 @@ class BeliefDistances:
         idx = np.empty((m, k), dtype=np.intp)
         dist = np.empty((m, k))
         for s in range(0, m, _KNN_CHUNK):
-            q = self._query(rows[s:s + _KNN_CHUNK])
+            q = _embed_rows(self.grid, rows[s:s + _KNN_CHUNK])
             bound = self._bound(q)
             r, j = bound.seeds(k)
             d = self._exact(q, r, j).reshape(len(q), k)
@@ -222,18 +215,12 @@ class BeliefDistances:
         Only the kept beliefs whose lower bound (:meth:`_bound`) is within
         ``tol`` get an exact distance (:meth:`_exact`).
         """
-        q = self._query(row[None, :])
+        q = _embed_rows(self.grid, row[None, :])
         r, j = self._bound(q).near(tol)
         return bool(len(j) and self._exact(q, r, j).min() < tol)
 
-    def _query(self, rows):
-        """Weight rows as :meth:`_exact` reads them: embedded, or ``make_measure(grid, row)``."""
-        if self.emb is None:
-            return [make_measure(self.grid, r) for r in rows]
-        return _embed_rows(self.grid, rows)
-
     def _bound(self, q):
-        """The search bound of queries ``q`` (:meth:`_query`) on this metric."""
+        """The search bound of query rows ``q`` (:func:`_embed_rows`) on this metric."""
         kind = self.grid.metric_kind
         if kind == EUCLIDEAN_1D:
             return _KeyBound(q, self._index)
@@ -242,18 +229,22 @@ class BeliefDistances:
         return _TableBound(len(q), len(self))
 
     def _exact(self, q, r: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """W1 from query ``q[r[i]]`` (:meth:`_query`) to kept belief ``j[i]``.
+        """W1 from query row ``q[r[i]]`` (:func:`_embed_rows`) to kept belief ``j[i]``.
 
         The one distance kernel.  On an embedded metric the L1 of the two
         rows: rows are gathered into two buffers of ``_GATHER_BYTES`` in
         all, and each distance is one reduction along one contiguous row of
         differences, so its bits do not depend on the pairs listed with it.
-        On an explicit table one ``w1_lp(q[r[i]], beliefs[j[i]])`` call per
-        pair.
+        On an explicit table one ``w1_lp(make_measure(grid, q[r[i]]),
+        DiscreteMeasure(grid, emb[j[i]]))`` call per pair: the query is
+        normalised, the kept row is read as it was kept.
         """
-        if self.emb is None:
-            pairs = zip(r.tolist(), j.tolist())
-            return np.fromiter((w1_lp(q[a], self.beliefs[b]) for a, b in pairs), float, len(j))
+        if self.grid.metric_kind == EXPLICIT_TABLE:
+            g, pairs = self.grid, zip(r.tolist(), j.tolist())
+            return np.fromiter(
+                (w1_lp(make_measure(g, q[a]), DiscreteMeasure(g, self.emb[b])) for a, b in pairs),
+                float, len(j),
+            )
         cols = self.emb.shape[1]
         out = np.empty(len(j))
         step = max(1, _GATHER_BYTES // max(1, 16 * cols))
@@ -494,7 +485,7 @@ def reachability_tree(
             for a in range(model.n_actions):
                 for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
                     post = bayes_update(model, mu, a, int(j))
-                    if kept.emb is None:
+                    if model.state_grid.metric_kind == EXPLICIT_TABLE:
                         solves += len(kept)
                         check_lp_budget(solves, kept.grid.n)
                     if kept.within(post.weights, DEDUP_W1_TOL):

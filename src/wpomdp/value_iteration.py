@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
 )
 from .filtering import bayes_step, possible_nodes
-from .measures import DISCRETE, DiscreteMeasure
+from .measures import DISCRETE, EXPLICIT_TABLE, DiscreteMeasure
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import (
     _GATHER_BYTES,
@@ -326,8 +326,8 @@ class _Precomputed:
         B, A, J = sample.n, model.n_actions, model.n_obs
         K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
-        geom = BeliefDistances(sample.grid, W, sample.beliefs)
-        if geom.emb is None:
+        geom = BeliefDistances(sample.grid, W)
+        if sample.grid.metric_kind == EXPLICIT_TABLE:
             check_lp_budget((B * A * J + B) * B, sample.grid.n)
         discrete = sample.grid.metric_kind == DISCRETE
         need = _precompute_bytes(B, A, J, K, model.n_states, parallel, discrete)
@@ -493,9 +493,9 @@ class NearestAnchorPolicy:
     """
 
     def __init__(self, grid, anchor_rows: np.ndarray, actions):
-        self.anchors = BeliefDistances(grid, anchor_rows)
-        if self.anchors.emb is None:
+        if grid.metric_kind == EXPLICIT_TABLE:
             raise DimensionMismatch("anchor policies need an embeddable metric")
+        self.anchors = BeliefDistances(grid, anchor_rows)
         self.emb = self.anchors.emb
         self.actions = np.asarray(actions, dtype=np.int64)
         if len(self.actions) != len(self.emb):

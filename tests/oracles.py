@@ -2,7 +2,7 @@
 
 Nothing in here imports solver internals beyond plain data containers and
 the per-belief building blocks (filter steps, pairwise W1, the kept
-beliefs a ``BeliefDistances`` stores); each oracle
+rows a ``BeliefDistances`` stores); each oracle
 recomputes its target quantity by the most literal method available
 (vertex enumeration, exhaustive recursion, dense matrix algebra, one W1 per
 pair) so that agreement with the package is evidence, not tautology.
@@ -25,6 +25,7 @@ from wpomdp.filtering import bayes_update, expected_reward, obs_marginal, possib
 from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,
+    DiscreteMeasure,
     LipschitzFn,
     cdf_embedding,
     integrate,
@@ -445,7 +446,9 @@ def dense_dists(geom, rows):
     Where the metric embeds into L1, :func:`l1_broadcast` from the rows'
     embedding (the CDF on the line, half the weights on the discrete
     metric) to the stored kept embedding ``geom.emb``; on an explicit
-    table one ``w1_lp(make_measure(grid, row), kept)`` solve per pair.
+    table, whose ``geom.emb`` holds the kept weight rows, one
+    ``w1_lp(make_measure(grid, row), DiscreteMeasure(grid, kept))`` solve
+    per pair.
     """
     grid = geom.grid
     if grid.metric_kind == EUCLIDEAN_1D:
@@ -453,7 +456,7 @@ def dense_dists(geom, rows):
     if grid.metric_kind == DISCRETE:
         return l1_broadcast(0.5 * rows, geom.emb)
     return np.array(
-        [[w1_lp(make_measure(grid, r), b) for b in geom.beliefs] for r in rows]
+        [[w1_lp(make_measure(grid, r), DiscreteMeasure(grid, b)) for b in geom.emb] for r in rows]
     ).reshape(len(rows), len(geom))
 
 
@@ -484,7 +487,7 @@ def posterior_knn_bruteforce(model, sample, k):
     """
     B, A, J, n = sample.n, model.n_actions, model.n_obs, model.n_states
     W = sample.weight_matrix()
-    geom = BeliefDistances(sample.grid, W, sample.beliefs)
+    geom = BeliefDistances(sample.grid, W)
     k = min(k, B)
     idx = np.zeros((B, A, J, k), dtype=np.intp)
     dist = np.zeros((B, A, J, k))
@@ -517,7 +520,7 @@ def solve_vi_broadcast(model, sample, epsilon, k):
     sweeps; the slope never shrinks and is the dense-block estimate.
     """
     W = sample.weight_matrix()
-    geom = BeliefDistances(sample.grid, W, sample.beliefs)
+    geom = BeliefDistances(sample.grid, W)
     pair_d = dense_dists(geom, W)
     B, A, J = sample.n, model.n_actions, model.n_obs
     node_probs = np.empty((B, A, J))

@@ -18,6 +18,7 @@ import pytest
 from wpomdp import cli, value_iteration
 from wpomdp.cli import main
 from wpomdp.kalman import KalmanSpec
+from wpomdp.model import certify
 from wpomdp.serialize import load_model, save_model
 from wpomdp.synthetic import pbvi_toy, revealing_toy
 
@@ -420,6 +421,18 @@ class TestRollout:
         assert rows[0][2] == "200" and rows[0][3] == "5"
         # per-step reward in [-1, 2], discount 0.7: crude sanity envelope
         assert abs(float(rows[0][0])) <= 2.0 / (1.0 - 0.7) + 1e-9
+
+    def test_default_horizon_comes_from_the_certificate(self, kalman_file, tmp_path, capsys):
+        rc = main(
+            ["rollout", "--model", str(kalman_file), "--out-dir", str(tmp_path),
+             "--depth", "1", "--cap", "20", "--n-paths", "20", "--epsilon", "0.05",
+             "--parallel", "1"]
+        )
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "rollout.csv")
+        # the tail past the horizon is below epsilon / 10
+        want = certify(load_model(kalman_file)[0]).iterations_for(0.005)
+        assert rows[0][3] == str(want)
 
 
 class TestCompare:

@@ -404,6 +404,22 @@ class TestQSetBackup:
         np.testing.assert_array_equal(plain.table.values, per.table.values)
         np.testing.assert_array_equal(plain.new_sets[0].values, per.new_sets[0].values)
 
+    @pytest.mark.parametrize(
+        "run, fragment",
+        [
+            (
+                lambda m, s: q_set_backup(m, (zero_alpha_set(m),) * (m.n_actions + 1), s),
+                "one alpha set per action",
+            ),
+            (lambda m, s: solve_sets(m, s, algorithm="alg3"), "unknown algorithm 'alg3'"),
+        ],
+        ids=["wrong-set-count", "unknown-algorithm"],
+    )
+    def test_refuses_bad_arguments(self, run, fragment):
+        m = pbvi_toy()
+        with pytest.raises(SolverFailure, match=fragment):
+            run(m, toy_sample(m))
+
     def test_agrees_with_plain_backup_for_three_sweeps(self):
         m = pbvi_toy()
         samp = toy_sample(m)

@@ -15,6 +15,8 @@ from wpomdp.kalman import (
 )
 from wpomdp.measures import make_measure
 from wpomdp.model import certify, estimate_drift_beta, validate_reward_bound
+from wpomdp.sampling import reachability_tree
+from wpomdp.value_iteration import solve_vi
 
 
 class TestSpecValidation:
@@ -176,3 +178,23 @@ class TestFilterConcentration:
         # reaches the classical steady-state posterior spread for
         # gain 0.5, process std 1, observation std 0.5
         assert abs(stds[-1] - 0.4494) < 5e-3
+
+
+class TestTwoSidedReward:
+    def test_a_callable_reward_is_tabulated_and_solved(self):
+        # -|x| + 3 g_a x: unbounded on both sides as the grid widens
+        gains = KalmanSpec().gains
+
+        def fn(x, a):
+            return -np.abs(x) + 3.0 * gains[a] * x
+
+        m = build_model(KalmanSpec(grid_step=0.2, reward_fn=fn))
+        pts = m.state_grid.points
+        for a in range(m.n_actions):
+            assert m.reward[a].tobytes() == np.asarray(fn(pts, a), dtype=float).tobytes()
+        assert (m.reward.min(), m.reward.max()) == (-20.0, 4.0)
+        assert certify(m).gamma < 1.0
+        mu0 = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+        res = solve_vi(m, reachability_tree(m, mu0, depth=1, cap=60), epsilon=0.05)
+        assert res.converged
+        assert len(set(res.selector.actions)) > 1

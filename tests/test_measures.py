@@ -437,6 +437,55 @@ class TestWeighting:
             weighted_norm([], [], WeightFunction(0.0, 1.0))
 
 
+_PAIR = np.array([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "make, error, fragment",
+    [
+        (lambda: StateGrid(np.array([])), DimensionMismatch, "nonempty 1-D"),
+        (lambda: StateGrid(_PAIR, EUCLIDEAN_1D, np.zeros((2, 2))), MetricKindMismatch, "1-D mode"),
+        (lambda: StateGrid(_PAIR, EXPLICIT_TABLE), MetricKindMismatch, "needs a table"),
+        (lambda: StateGrid(_PAIR, EXPLICIT_TABLE, np.zeros((3, 3))), DimensionMismatch, "shape"),
+        (
+            lambda: StateGrid(_PAIR, EXPLICIT_TABLE, -(1.0 - np.eye(2))),
+            MetricKindMismatch,
+            "nonnegative",
+        ),
+        (lambda: StateGrid(_PAIR, DISCRETE, np.zeros((2, 2))), MetricKindMismatch, "discrete"),
+        (lambda: StateGrid(np.zeros(2), DISCRETE), DimensionMismatch, "distinct"),
+        (lambda: DiscreteMeasure(StateGrid(_PAIR), [1.0]), DimensionMismatch, "1 weights"),
+        (lambda: LipschitzFn(StateGrid(_PAIR), [0.0]), DimensionMismatch, "2-point grid"),
+        (
+            lambda: w1_lp(dirac(StateGrid(_PAIR), 0), dirac(StateGrid(_PAIR, DISCRETE), 0)),
+            MetricKindMismatch,
+            "euclidean_1d vs discrete",
+        ),
+        (
+            lambda: weighted_norm([1.0, 2.0], [dirac(StateGrid(_PAIR), 0)], WeightFunction(0, 1)),
+            DimensionMismatch,
+            "one value per belief",
+        ),
+        (lambda: solve_transport([1.0], [1.0], np.zeros((2, 2))), DimensionMismatch, "cost shape"),
+        (
+            lambda: solve_transport([1.5, -0.5], [1.0], np.zeros((2, 1))),
+            NonPositiveMass,
+            "negative mass",
+        ),
+        (lambda: solve_transport([0.0], [0.0], np.zeros((1, 1))), NonPositiveMass, "positive"),
+    ],
+    ids=[
+        "grid-empty", "grid-1d-table", "grid-table-missing", "grid-table-shape",
+        "grid-table-negative", "grid-discrete-table", "grid-discrete-repeats",
+        "measure-length", "lipschitz-length", "w1-lp-kinds", "weighted-norm-length",
+        "transport-cost-shape", "transport-negative-mass", "transport-zero-mass",
+    ],
+)
+def test_refuses_malformed_input(make, error, fragment):
+    with pytest.raises(error, match=fragment):
+        make()
+
+
 # --------------------------------------------------------------------------
 # Lipschitz functions and integration
 # --------------------------------------------------------------------------

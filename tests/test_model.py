@@ -57,6 +57,30 @@ class TestQuadrature:
             ObservationQuadrature(np.array([0.0, 1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "make, error, fragment",
+    [
+        (lambda: ObservationQuadrature([], []), DimensionMismatch, "at least one node"),
+        (
+            lambda: ObservationQuadrature([0.0, np.nan], [1.0, 1.0]),
+            ModelValidationError,
+            "nodes must be finite",
+        ),
+        (lambda: tiny_model(actions=()), DimensionMismatch, "at least one action"),
+        (lambda: tiny_model(trans=np.full((1, 3, 3), 1 / 3)), DimensionMismatch, "transition"),
+        (
+            lambda: tiny_model(obs_density=np.array([[[-1.0], [1.0]]])),
+            ModelValidationError,
+            "observation density",
+        ),
+    ],
+    ids=["quadrature-empty", "quadrature-nan", "no-actions", "trans-shape", "negative-density"],
+)
+def test_refuses_malformed_model(make, error, fragment):
+    with pytest.raises(error, match=fragment):
+        make()
+
+
 class TestModelValidation:
     def test_valid_model_loads(self):
         m = tiny_model()

@@ -22,7 +22,15 @@ from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update, obs_marginal
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec
-from wpomdp.measures import DISCRETE, EXPLICIT_TABLE, StateGrid, make_measure, w1, w1_lp
+from wpomdp.measures import (
+    DISCRETE,
+    EXPLICIT_TABLE,
+    DiscreteMeasure,
+    StateGrid,
+    make_measure,
+    w1,
+    w1_lp,
+)
 from wpomdp.sampling import (
     _GATHER_BYTES,
     DEDUP_W1_TOL,
@@ -236,8 +244,7 @@ class TestBeliefDistances:
         for r in rows[1:]:
             grown.add(r)
         assert len(grown) == len(stacked) == len(rows)
-        if stacked.emb is not None:
-            np.testing.assert_array_equal(grown.emb, stacked.emb)
+        np.testing.assert_array_equal(grown.emb, stacked.emb)
         for q in (queries, rows):
             idx, dist = stacked.knn(q, len(rows))
             got_idx, got_dist = grown.knn(q, len(rows))
@@ -450,10 +457,9 @@ class TestTableSearch:
         rows = rows[rng.integers(0, kept, kept)]  # repeats: ties
         q = np.concatenate([random_rows(g, queries, rng), rows[:1]])
         geom = BeliefDistances(g, rows)
-        want = np.array([[w1_lp(make_measure(g, a), b) for b in geom.beliefs] for a in q])
-        want_kept = np.array(
-            [[w1_lp(make_measure(g, b.weights), c) for c in geom.beliefs] for b in geom.beliefs]
-        )
+        kept_mu = [DiscreteMeasure(g, b) for b in rows]
+        want = np.array([[w1_lp(make_measure(g, a), b) for b in kept_mu] for a in q])
+        want_kept = np.array([[w1_lp(make_measure(g, b), c) for c in kept_mu] for b in rows])
         calls = []
 
         def counted(mu, nu):
@@ -475,6 +481,28 @@ class TestTableSearch:
         assert near == [bool(d.min() < tol) for d in want for tol in (DEDUP_W1_TOL, 0.1)]
         assert block.tobytes() == want_kept[1:].tobytes()
 
+    def test_a_kept_row_is_read_as_it_was_added(self):
+        # a kept row is not renormalised: one whose float sum is not
+        # exactly 1 keeps its bits, and every search reads it as kept
+        rng = np.random.default_rng(11)
+        g = random_grid("table", 4, rng)
+        rows = random_rows(g, 3, rng)
+        rows[1] *= 1 + 1e-12
+        assert rows[1].sum() != 1.0
+        geom = BeliefDistances(g, rows[:1])
+        for r in rows[1:]:
+            geom.add(r)
+        assert geom.emb.tobytes() == rows.tobytes()
+        q = np.concatenate([random_rows(g, 3, rng), rows])
+        kept_mu = [DiscreteMeasure(g, b) for b in rows]
+        want = np.array([[w1_lp(make_measure(g, a), b) for b in kept_mu] for a in q])
+        idx, dist = geom.knn(q, 3)
+        order = np.argsort(want, axis=1, kind="stable")
+        np.testing.assert_array_equal(idx, order)
+        assert dist.tobytes() == np.take_along_axis(want, order, axis=1).tobytes()
+        assert geom.block(slice(None), slice(None)).tobytes() == want[3:].tobytes()
+        assert [geom.within(a, 0.1) for a in q] == [bool(d.min() < 0.1) for d in want]
+
 
 class TestKnn:
     """``BeliefDistances.knn`` against a stable sort of the full block."""
@@ -495,7 +523,7 @@ class TestKnn:
         # repeated beliefs tie exactly, inside the top k and at its boundary
         picks = rng.integers(0, len(base), int(rng.integers(1, 6 if table else 30)))
         sample = user_sample([make_measure(g, base[i]) for i in picks])
-        geom = BeliefDistances(g, sample.weight_matrix(), sample.beliefs)
+        geom = BeliefDistances(g, sample.weight_matrix())
         queries = np.concatenate([
             random_rows(g, int(rng.integers(1, 3 if table else 40)), rng),
             sample.weight_matrix()[:4],

@@ -366,7 +366,6 @@ class TestTableLipEstimate:
         m, s = drift_tree() if name == "line" else TestPrecompute.case("discrete")
         W = s.weight_matrix()
         geom = BeliefDistances(s.grid, W)
-        assert geom.emb is not None
         res = solve_vi(m, s, epsilon=1e-2)
         nbytes = {"one": 1, "few": 8 * 3 * s.n, "default": value_iteration._SLOPE_BLOCK_BYTES}
         with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes[rows]):
@@ -513,7 +512,7 @@ class TestExplicitTableSolve:
         assert [start for start, _ in pre.pairs] == [0]  # one block: both orientations
 
         W = s.weight_matrix()
-        geom = BeliefDistances(s.grid, W, s.beliefs)
+        geom = BeliefDistances(s.grid, W)
         d = dense_dists(geom, W)
         assert geom.block(slice(2, 4), slice(1, None)).tobytes() == d[2:4, 1:].tobytes()
         assert geom.block(slice(4, None), slice(0, 3)).tobytes() == d[4:, :3].tobytes()
@@ -953,3 +952,8 @@ class TestAnchorPolicy:
         s = toy_sample(m, ps=(1.0, 0.0))
         with pytest.raises(DimensionMismatch):
             NearestAnchorPolicy(m.state_grid, s.weight_matrix(), [0])
+
+    def test_refuses_an_explicit_table(self):
+        grid = StateGrid(np.arange(2.0), EXPLICIT_TABLE, 1.0 - np.eye(2))
+        with pytest.raises(DimensionMismatch, match="embeddable metric"):
+            NearestAnchorPolicy(grid, np.eye(2), [0, 1])
