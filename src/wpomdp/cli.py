@@ -5,8 +5,9 @@ writes CSV artifacts into an output directory, and is deterministic
 given its flags -- including the parallelism degree, which never changes
 any emitted byte.
 
-Exit codes: 0 success, 1 model or assumption failure (one machine-
-readable ``error:`` line on stderr), 2 usage error.
+Every subcommand creates its output directory before any other work.
+Exit codes: 0 success, 1 model or assumption failure or unusable path
+(one machine-readable ``error:`` line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ __all__ = ["main"]
 
 def _out_dir(args) -> Path:
     # flag wins; the environment override covers the directory only
-    d = args.out_dir or os.environ.get("WPOMDP_OUT_DIR") or "."
-    p = Path(d)
+    p = Path(args.out_dir or os.environ.get("WPOMDP_OUT_DIR") or ".")
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -76,6 +76,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve_vi(args) -> int:
+    out = _out_dir(args)
     model, mu0 = _load(args)
     sample = _sample(model, mu0, args)
     res = solve_vi(
@@ -85,7 +86,6 @@ def cmd_solve_vi(args) -> int:
         max_iters=args.max_iters,
         parallel=args.parallel,
     )
-    out = _out_dir(args)
     serialize.write_convergence_csv(
         out / "convergence.csv", res.sup_diffs, _bounds_column(res.constants, res.iterations)
     )
@@ -98,6 +98,7 @@ def cmd_solve_vi(args) -> int:
 
 
 def cmd_solve_sets(args) -> int:
+    out = _out_dir(args)
     model, mu0 = _load(args)
     sample = _sample(model, mu0, args)
     res = solve_sets(
@@ -107,7 +108,6 @@ def cmd_solve_sets(args) -> int:
         max_iters=args.max_iters,
         algorithm=args.algorithm,
     )
-    out = _out_dir(args)
     serialize.write_alphas_csv(out / "alphas.csv", res.sets)
     serialize.write_convergence_csv(
         out / "convergence.csv", res.sup_diffs, _bounds_column(res.constants, res.iterations)
@@ -127,6 +127,7 @@ def cmd_solve_sets(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    out = _out_dir(args)
     model, mu0 = _load(args)
     rng = np.random.default_rng(args.seed)
     mu = mu0
@@ -140,7 +141,7 @@ def cmd_filter(args) -> int:
         mean = float(pts @ mu.weights)
         std = float(np.sqrt(max(pts**2 @ mu.weights - mean**2, 0.0)))
         records.append((t, a, step.node_index, probs[step.node_index], mean, std))
-    serialize.write_filter_csv(_out_dir(args) / "filter.csv", records)
+    serialize.write_filter_csv(out / "filter.csv", records)
     print(f"filter: {args.steps} steps replayed")
     return 0
 
@@ -148,6 +149,7 @@ def cmd_filter(args) -> int:
 def cmd_rollout(args) -> int:
     # the horizon defaults to one the certificate picks, never negative
     check_rollout_size(args.horizon or 0, args.n_paths)
+    out = _out_dir(args)
     model, mu0 = _load(args)
     sample = _sample(model, mu0, args)
     res = solve_vi(
@@ -169,7 +171,7 @@ def cmd_rollout(args) -> int:
         args.n_paths,
         seed=args.seed,
     )
-    serialize.write_rollout_csv(_out_dir(args) / "rollout.csv", mean, err, args.n_paths, horizon)
+    serialize.write_rollout_csv(out / "rollout.csv", mean, err, args.n_paths, horizon)
     print(
         f"rollout: {mean:.6g} +- {err:.2g} over {args.n_paths} paths "
         f"(value at start {res.value.values[0]:.6g}, bound {res.error_bound:.3g})"
@@ -178,6 +180,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    out = _out_dir(args)
     model, mu0 = _load(args)
     sample = _sample(model, mu0, args)
     vi = solve_vi(
@@ -195,9 +198,7 @@ def cmd_compare(args) -> int:
         algorithm=args.algorithm,
     )
     combined = vi.error_bound + st.error_bound
-    serialize.write_diff_csv(
-        _out_dir(args) / "diff.csv", vi.value.values, st.table.values, combined
-    )
+    serialize.write_diff_csv(out / "diff.csv", vi.value.values, st.table.values, combined)
     worst = float(np.abs(vi.value.values - st.table.values).max())
     print(f"compare: max |vi - sets| = {worst:.6g}, combined bound {combined:.6g}")
     return 0 if worst <= combined else 1
@@ -206,6 +207,7 @@ def cmd_compare(args) -> int:
 def cmd_example(args) -> int:
     if args.which != "kalman":
         raise BeliefSpaceError(f"unknown example {args.which!r}")
+    out = Path(args.out) if args.out else _out_dir(args) / "kalman_model.json"
     if args.spec is None:
         spec = KalmanSpec()
     else:
@@ -217,7 +219,6 @@ def cmd_example(args) -> int:
     model = build_model(spec)
     pts = model.state_grid.points
     init = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-    out = Path(args.out) if args.out else _out_dir(args) / "kalman_model.json"
     serialize.save_model(model, out, init_belief=init)
     print(f"example kalman: wrote {out} ({model.n_states} states, "
           f"{model.n_actions} actions, {model.n_obs} nodes)")
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BeliefSpaceError as e:
+    except (BeliefSpaceError, OSError) as e:  # OSError: an unusable file path
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,9 @@ class EmptySample(BeliefSpaceError):
 
 
 class SolverFailure(BeliefSpaceError):
-    """The transportation solver did not terminate cleanly (indicates a bug)."""
+    """A refused solver setting (``max_iters``, ``epsilon``, ``parallel``,
+    ``algorithm``, the q-set count), an exceeded LP or memory budget, a
+    non-finite conjugate, or a transport solve that did not terminate (a bug)."""
 
 
 # --- model construction / certification -----------------------------------

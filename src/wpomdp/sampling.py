@@ -127,12 +127,13 @@ class BeliefDistances:
     explicit table a distance is one transport solve: exact, but only meant
     for desk-size models.  :meth:`knn` and :meth:`within` share one
     prune-then-verify search: a lower bound on W1 picks the pairs that get
-    an exact distance.  Three bound objects give it: on the 1-D metric the
-    gap of embedding row sums, in a window of the kept beliefs sorted by
-    sum (kept current by :meth:`add` with one sorted insert); on the
-    discrete metric a sum over column blocks, whose kept sums :meth:`add`
-    extends; on an explicit table the bound 0, so a search solves one LP
-    per pair.
+    an exact distance.  Two bound kinds give it: on the 1-D metric
+    :class:`_KeyBound`, the gap of embedding row sums, in a window of the
+    kept beliefs sorted by sum (kept current by :meth:`add` with one sorted
+    insert); elsewhere :class:`_DenseBound`, a matrix of lower bounds: on
+    the discrete metric a sum over column blocks, whose kept sums
+    :meth:`add` extends, and on an explicit table zeros, so a search
+    solves one LP per pair.
     """
 
     def __init__(self, grid, rows: np.ndarray):
@@ -225,8 +226,8 @@ class BeliefDistances:
         if kind == EUCLIDEAN_1D:
             return _KeyBound(q, self._index)
         if kind == DISCRETE:
-            return _BlockBound(q, self._sums, self._index[0])
-        return _TableBound(len(q), len(self))
+            return _DenseBound(*_block_bound(q, self._sums, self._index[0]))
+        return _DenseBound(np.zeros((len(q), len(self))), np.float64(0.0))
 
     def _exact(self, q, r: np.ndarray, j: np.ndarray) -> np.ndarray:
         """W1 from query row ``q[r[i]]`` (:func:`_embed_rows`) to kept belief ``j[i]``.
@@ -237,12 +238,14 @@ class BeliefDistances:
         differences, so its bits do not depend on the pairs listed with it.
         On an explicit table one ``w1_lp(make_measure(grid, q[r[i]]),
         DiscreteMeasure(grid, emb[j[i]]))`` call per pair: the query is
-        normalised, the kept row is read as it was kept.
+        normalised once per row the call lists, the kept row is read as it
+        was kept.
         """
         if self.grid.metric_kind == EXPLICIT_TABLE:
-            g, pairs = self.grid, zip(r.tolist(), j.tolist())
+            g, r = self.grid, r.tolist()
+            mu = {a: make_measure(g, q[a]) for a in dict.fromkeys(r)}
             return np.fromiter(
-                (w1_lp(make_measure(g, q[a]), DiscreteMeasure(g, self.emb[b])) for a, b in pairs),
+                (w1_lp(mu[a], DiscreteMeasure(g, self.emb[b])) for a, b in zip(r, j.tolist())),
                 float, len(j),
             )
         cols = self.emb.shape[1]
@@ -308,29 +311,16 @@ class _KeyBound:
         return i, self.order[rank]
 
 
-class _BlockBound:
-    """Discrete search bound: L1 between sums over contiguous column blocks.
+class _DenseBound:
+    """Search bound from an (m, kept) matrix ``lb`` of lower bounds on W1.
 
-    Every discrete row sums to 1/2, so a key would have to be another
-    projection; on 2 to 40 states and about 300 beliefs this bound left as
-    few exact distances per query as a ramp projection key, or up to 145
-    times fewer.  Block sums map L1 to L1 with Lipschitz constant 1; the
-    kept beliefs' sums, ``sums`` (blocks, kept), are the search's own
-    (:func:`_block_sums`), so only the query rows are reduced here.
-    Rounding slack: with S as in :class:`_KeyBound`, a computed bound is
-    within (cols + blocks)*eps*S of its exact value, so a computed distance
-    <= tau has a computed bound <= tau + (2*cols + blocks + 1)*eps*S, which
-    4*(cols + blocks)*eps*S covers.
+    A computed distance <= tau has a computed bound <= tau + ``slack``, a
+    numpy scalar.  The discrete metric fills ``lb`` from column-block sums
+    (:func:`_block_bound`); an explicit table passes zeros and slack 0.
     """
 
-    def __init__(self, q: np.ndarray, sums: np.ndarray, norm: float):
-        self.lb = np.zeros((len(q), sums.shape[1]))
-        tmp = np.empty_like(self.lb)
-        for qc, ec in zip(_block_sums(q).T[:, :, None], sums):  # (m, 1) - (kept,)
-            np.subtract(qc, ec, out=tmp)
-            self.lb += np.abs(tmp, out=tmp)
-        scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
-        self.slack = 4 * (q.shape[1] + len(sums)) * np.finfo(float).eps * scale
+    def __init__(self, lb: np.ndarray, slack: np.floating):
+        self.lb, self.slack = lb, slack
         self.seed = None  # (query, kept) of the seeds
 
     def seeds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,26 +341,27 @@ class _BlockBound:
         return np.nonzero(keep)
 
 
-class _TableBound:
-    """Explicit-table search bound: 0, which prunes nothing.
+def _block_bound(q: np.ndarray, sums: np.ndarray, norm: float) -> tuple[np.ndarray, np.floating]:
+    """Discrete (lb, slack) of :class:`_DenseBound`: L1 between column-block sums.
 
-    The seeds are the first k kept beliefs, and every other kept belief is
-    near at any reach.  A tighter bound changes only this class.
+    Every discrete row sums to 1/2, so a key would have to be another
+    projection; on 2 to 40 states and about 300 beliefs this bound left as
+    few exact distances per query as a ramp projection key, or up to 145
+    times fewer.  Block sums map L1 to L1 with Lipschitz constant 1; the
+    kept beliefs' sums, ``sums`` (blocks, kept), are the search's own
+    (:func:`_block_sums`), so only the query rows are reduced here.
+    Rounding slack: with S as in :class:`_KeyBound`, a computed bound is
+    within (cols + blocks)*eps*S of its exact value, so a computed distance
+    <= tau has a computed bound <= tau + (2*cols + blocks + 1)*eps*S, which
+    4*(cols + blocks)*eps*S covers.
     """
-
-    def __init__(self, m: int, kept: int):
-        self.m, self.kept = m, kept
-        self.k = 0  # seeds per query, kept beliefs [0, k)
-
-    def seeds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first k kept beliefs of each query, 1 <= k <= kept."""
-        self.k = k
-        return np.repeat(np.arange(self.m), k), np.tile(np.arange(k), self.m)
-
-    def near(self, reach) -> tuple[np.ndarray, np.ndarray]:
-        """(query, kept) of every non-seed pair, whatever ``reach``."""
-        rest = np.arange(self.k, self.kept)
-        return np.repeat(np.arange(self.m), len(rest)), np.tile(rest, self.m)
+    lb = np.zeros((len(q), sums.shape[1]))
+    tmp = np.empty_like(lb)
+    for qc, ec in zip(_block_sums(q).T[:, :, None], sums):  # (m, 1) - (kept,)
+        np.subtract(qc, ec, out=tmp)
+        lb += np.abs(tmp, out=tmp)
+    scale = np.abs(q).sum(axis=1).max(initial=0.0) + norm
+    return lb, 4 * (q.shape[1] + len(sums)) * np.finfo(float).eps * scale
 
 
 def _block_sums(emb: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
 )
 from .filtering import bayes_step, possible_nodes
-from .measures import DISCRETE, EXPLICIT_TABLE, DiscreteMeasure
+from .measures import EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure
 from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
 from .sampling import (
     _GATHER_BYTES,
@@ -262,7 +262,7 @@ def _physical_memory() -> int | None:
 
 
 def _precompute_bytes(
-    B: int, A: int, J: int, K: int, n: int, workers: int, discrete: bool
+    B: int, A: int, J: int, K: int, n: int, workers: int, dense: bool
 ) -> int:
     """Leading terms of the bytes :class:`_Precomputed` holds at its peak.
 
@@ -273,17 +273,17 @@ def _precompute_bytes(
     4 * B^2), one slope block's mask or square copy, its (row, column)
     index pairs and gather buffers, and per k-NN worker three
     (_KNN_CHUNK, n) blocks (rows and their gathers, or rows, embedding and
-    index arrays) and the exact step's gather buffers.  On
-    the ``discrete`` metric each worker's search step also holds a
-    (_KNN_CHUNK, B) float bound, and where that bound prunes nothing every
-    (query, kept) pair is a candidate: two indices, a distance, their
-    three concatenations and the sort order, 64 bytes a pair in all.
+    index arrays) and the exact step's gather buffers.  With a ``dense``
+    bound (off the 1-D metric) each worker's search step also holds a
+    (_KNN_CHUNK, B) float bound and its mask, and where it prunes nothing
+    every (query, kept) pair is a candidate: two indices, a distance,
+    their three concatenations and the sort order, 64 bytes a pair.
     """
     idx = np.min_scalar_type(B - 1).itemsize
     kept = B * A * J * (K * (idx + 8) + 8) + 16 * B * n + 24 * B * J
     blocks = sum(8 * (e - s) * (B - s) for s, e in _row_blocks(B))
     step = 3 * max(_SLOPE_BLOCK_BYTES, 8 * B) + max(_GATHER_BYTES, 16 * n)
-    search = 64 * _KNN_CHUNK * B if discrete else 0
+    search = 64 * _KNN_CHUNK * B if dense else 0
     return kept + blocks + step + workers * (24 * _KNN_CHUNK * n + _GATHER_BYTES + search)
 
 
@@ -329,8 +329,8 @@ class _Precomputed:
         geom = BeliefDistances(sample.grid, W)
         if sample.grid.metric_kind == EXPLICIT_TABLE:
             check_lp_budget((B * A * J + B) * B, sample.grid.n)
-        discrete = sample.grid.metric_kind == DISCRETE
-        need = _precompute_bytes(B, A, J, K, model.n_states, parallel, discrete)
+        dense = sample.grid.metric_kind != EUCLIDEAN_1D
+        need = _precompute_bytes(B, A, J, K, model.n_states, parallel, dense)
         have = _physical_memory()
         if have is not None and need > have:
             raise SolverFailure(

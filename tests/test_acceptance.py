@@ -30,7 +30,13 @@ from wpomdp.conjugate import (
     zero_alpha_set,
 )
 from wpomdp.filtering import bayes_update, obs_marginal, predict
-from wpomdp.kalman import build_model, choose_weight, reference_spec, tv_continuity_report
+from wpomdp.kalman import (
+    KalmanSpec,
+    build_model,
+    choose_weight,
+    reference_spec,
+    tv_continuity_report,
+)
 from wpomdp.measures import (
     DISCRETE,
     LipschitzFn,
@@ -61,12 +67,15 @@ def _contraction_ratios(sup_diffs, burn_in: int = 3) -> np.ndarray:
     return num[keep] / den[keep]
 
 
+def _centred_start(model):
+    pts = model.state_grid.points
+    return make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+
+
 @pytest.fixture(scope="module")
 def kalman_ref():
     model = build_model(reference_spec())
-    pts = model.state_grid.points
-    mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-    return model, mu0
+    return model, _centred_start(model)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +93,27 @@ def pbvi_vi():
     toy = pbvi_toy()
     sample = reachability_tree(toy, uniform_belief(toy), depth=3)
     return toy, sample, solve_vi(toy, sample, epsilon=EPS_REF)
+
+
+def _two_sided(x, a):
+    # -|x| + 3 g_a x: a reward unbounded on both sides as the grid widens
+    return -np.abs(x) + 3.0 * KalmanSpec().gains[a] * x
+
+
+# belief-dependent instances: the policy depends on the belief, unlike the
+# reference model's, where VI picks one action everywhere
+BELIEF_DEPENDENT = {
+    "drift": KalmanSpec(drift=1.0, grid_step=0.2),
+    "two_sided": KalmanSpec(grid_step=0.2, reward_fn=_two_sided),
+    "drift_two_sided": KalmanSpec(drift=1.0, grid_step=0.2, reward_fn=_two_sided),
+}
+
+
+@pytest.fixture(scope="module", params=list(BELIEF_DEPENDENT))
+def belief_dependent_vi(request):
+    model = build_model(BELIEF_DEPENDENT[request.param])
+    sample = reachability_tree(model, _centred_start(model), depth=2, cap=300)
+    return request.param, sample, solve_vi(model, sample, epsilon=EPS_REF, parallel=4)
 
 
 def test_c01_wasserstein_oracle_equivalence():
@@ -212,6 +242,28 @@ def test_c05_apriori_bound_honesty(kalman_ref_vi, pbvi_vi):
     _report(5, ok, detail)
 
 
+def test_c04_on_belief_dependent_instances(belief_dependent_vi):
+    name, sample, vi = belief_dependent_vi
+    ratio = float(_contraction_ratios(vi.sup_diffs).max())
+    cap = vi.constants.gamma + 0.02
+    counts = np.bincount(vi.selector.actions, minlength=3)
+    ok = ratio <= cap and (counts > 0).sum() > 1
+    _report(
+        4,
+        ok,
+        f"{name}: ratio {ratio:.4f} <= {cap:.4f}; {sample.n} beliefs, "
+        f"actions {'/'.join(map(str, counts))} (more than one used)",
+    )
+
+
+def test_c05_on_belief_dependent_instances(belief_dependent_vi):
+    name, _, vi = belief_dependent_vi
+    bound = vi.constants.apriori_bound(vi.iterations)
+    last = vi.sup_diffs[-1]
+    ok = bound <= EPS_REF and last <= bound
+    _report(5, ok, f"{name}: bound {bound:.3g} <= eps {EPS_REF:g}, last sweep diff {last:.2e} <= bound")
+
+
 def test_c06_set_backup_matches_classical_pbvi():
     m = pbvi_toy()
     probs = (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0)
@@ -256,6 +308,17 @@ def test_c07_cross_solver_agreement(kalman_ref):
         ok,
         f"toy gap {toy_gap:.2e} <= {toy_comb:.2e}; reference gap {gap:.2e} <= {comb:.2e}",
     )
+
+
+def test_c07_on_the_drift_instance():
+    # cap 600: at cap 300 the gap is 4.3 times the combined bound
+    model = build_model(BELIEF_DEPENDENT["drift"])
+    sample = reachability_tree(model, _centred_start(model), depth=2, cap=600)
+    vi = solve_vi(model, sample, epsilon=0.05, parallel=4)
+    st = solve_sets(model, sample, epsilon=0.05, algorithm="alg1")
+    gap = float(np.abs(vi.value.values - st.table.values).max())
+    comb = vi.error_bound + st.error_bound
+    _report(7, gap <= comb, f"drift: gap {gap:.2e} <= {comb:.2e} ({sample.n} beliefs)")
 
 
 def test_c08_envelope_convexity_and_lipschitz():
@@ -346,8 +409,7 @@ def test_c10_policy_value_realism(kalman_ref):
     # grid is exercised by the solver criteria, the simulator cost here
     # scales with states x anchors x horizon
     model = build_model(reference_spec(grid_step=0.2))
-    pts = model.state_grid.points
-    mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+    mu0 = _centred_start(model)
     sample = reachability_tree(model, mu0, depth=2, cap=300)
     vi = solve_vi(model, sample, epsilon=eps, parallel=4)
     c = vi.constants

@@ -383,6 +383,26 @@ class TestFlagsRefusedBeforeTheTree:
         assert err.startswith("error: DimensionMismatch: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cmd", ["solve-vi", "solve-sets", "rollout", "compare", "filter"])
+    def test_out_dir_under_a_file(self, cmd, toy_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [cmd, "--model", str(toy_file), "--out-dir", str(blocker / "sub")]
+        if cmd != "filter":
+            argv += ["--depth", "1", "--cap", "5"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_example_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "m.json"
+        assert main(["example", "kalman", "--out", str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestFilter:
     def test_trace_layout(self, kalman_file, tmp_path):

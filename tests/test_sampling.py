@@ -504,6 +504,35 @@ class TestTableSearch:
         assert [geom.within(a, 0.1) for a in q] == [bool(d.min() < 0.1) for d in want]
 
 
+class TestTableQueries:
+    """Explicit tables: a search normalises each query row once per exact step."""
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_one_query_measure_per_row(self, k):
+        rng = np.random.default_rng(4)
+        g = random_grid("table", 4, rng)
+        rows = random_rows(g, 5, rng)
+        q = random_rows(g, 3, rng)
+        geom = BeliefDistances(g, rows)
+        calls = []
+
+        def counted(grid, w):
+            calls.append(1)
+            return make_measure(grid, w)
+
+        with mock.patch.object(sampling, "make_measure", counted):
+            geom.knn(q, k)
+            # with k < kept the zero bound leaves every row a second
+            # exact step, over its non-seed pairs
+            assert len(calls) == len(q) * (1 if k >= len(rows) else 2)
+            calls.clear()
+            geom.within(q[0], 0.1)
+            assert len(calls) == 1
+            calls.clear()
+            geom.block(slice(1, 4), slice(None))
+            assert len(calls) == 3
+
+
 class TestKnn:
     """``BeliefDistances.knn`` against a stable sort of the full block."""
 

@@ -38,6 +38,7 @@ from wpomdp.filtering import (
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec
 from wpomdp.measures import (
     DISCRETE,
+    EUCLIDEAN_1D,
     EXPLICIT_TABLE,
     LipschitzFn,
     StateGrid,
@@ -584,6 +585,15 @@ def dirichlet_sample():
     return m, user_sample([make_measure(m.state_grid, w) for w in rng.dirichlet(np.ones(40), 300)])
 
 
+def lattice_tree():
+    """A cap-10 tree on a 4 x 4 lattice under the Manhattan table metric."""
+    cells = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+    table = np.abs(cells[:, None, :] - cells[None, :, :]).sum(axis=2)
+    m = random_finite_model(6, n_states=16, n_actions=2, n_obs=2)
+    m = dataclasses.replace(m, state_grid=StateGrid(np.arange(16.0), EXPLICIT_TABLE, table))
+    return m, reachability_tree(m, uniform_belief(m), depth=2, cap=10)
+
+
 def k_major(a):
     return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
@@ -722,8 +732,8 @@ class TestMemoryCheck:
 
     @pytest.mark.parametrize(
         "case, parallel",
-        [(drift_tree, 1), (drift_tree, 2), (dirichlet_sample, 2)],
-        ids=["1", "2", "discrete"],
+        [(drift_tree, 1), (drift_tree, 2), (dirichlet_sample, 2), (lattice_tree, 2)],
+        ids=["1", "2", "discrete", "table"],
     )
     def test_estimate_covers_the_arrays_kept(self, case, parallel):
         m, s = case()
@@ -735,8 +745,8 @@ class TestMemoryCheck:
         finally:
             tracemalloc.stop()
         B, A, J = pre.node_probs.shape
-        discrete = m.state_grid.metric_kind == DISCRETE
-        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states, parallel, discrete) >= peak
+        dense = m.state_grid.metric_kind != EUCLIDEAN_1D
+        assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states, parallel, dense) >= peak
 
 
 class TestSolveVi:
