@@ -348,6 +348,40 @@ class TestTransportSimplex:
         assert np.array_equal(plan, want_plan)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
 
+    def test_pivots_and_bits_at_the_benchmark_size(self):
+        """Full 16 x 16 supports on the 4 x 4 Manhattan lattice, the size of
+        every LP of the benchmark's explicit-table solve: the same pivot
+        count and the same plan and value bits as the rebuilding simplex.
+        40 Dirichlet pairs, then 20 pairs of masses on a 1/32 lattice, whose
+        flows tie on the cycle."""
+        cells = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
+        cost = np.abs(cells[:, None, :] - cells[None, :, :]).sum(axis=2)
+        rng = np.random.default_rng(16)
+        counts = set()
+        for t in range(60):
+            if t < 40:
+                supply, demand = rng.dirichlet(np.ones(16)), rng.dirichlet(np.ones(16))
+            else:
+                supply, demand = (1 + rng.multinomial(16, np.ones(16) / 16, 2)) / 32
+            lo, hi = 0, 64  # bisection bounds: each pair takes about 20 rounds
+            want_plan, want_value = oracles.solve_transport_reference(
+                supply, demand, cost, max_pivots=hi
+            )
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    oracles.solve_transport_reference(supply, demand, cost, max_pivots=mid)
+                    hi = mid
+                except SolverFailure:
+                    lo = mid
+            counts.add(hi)
+            with pytest.raises(SolverFailure):
+                solve_transport(supply, demand, cost, max_pivots=hi - 1)
+            plan, value = solve_transport(supply, demand, cost, max_pivots=hi)
+            assert plan.tobytes() == want_plan.tobytes()
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert len(counts) > 5
+
 
 # --------------------------------------------------------------------------
 # Kantorovich-Rubinstein duality

@@ -47,7 +47,13 @@ from wpomdp.measures import (
     weighted_norm,
 )
 from wpomdp.model import PomdpModel, certify
-from wpomdp.sampling import BeliefDistances, check_lp_budget, reachability_tree, user_sample
+from wpomdp.sampling import (
+    _KNN_CHUNK,
+    BeliefDistances,
+    check_lp_budget,
+    reachability_tree,
+    user_sample,
+)
 from wpomdp.synthetic import (
     absorbing_unit_reward_toy,
     finite_obs_quadrature,
@@ -536,7 +542,8 @@ class TestExplicitTableSolve:
         monkeypatch.setattr(sampling, "w1_lp", no_lp)
         with pytest.raises(SolverFailure, match="120,000 transport solves") as err:
             solve_vi(tab, s, epsilon=1e-2)
-        # one solve on 81 states took a median of 14.4 ms
+        # one solve on 81 states took a median of 8.7 to 11.9 ms; the
+        # estimate prices it at 0.43 ms * (81 / 16)^2 = 11.0 ms
         assert float(re.search(r"at ([\d.]+) ms each", str(err.value)).group(1)) >= 10.0
 
     def test_tree_stops_at_the_lp_budget(self, monkeypatch):
@@ -747,6 +754,30 @@ class TestMemoryCheck:
         B, A, J = pre.node_probs.shape
         dense = m.state_grid.metric_kind != EUCLIDEAN_1D
         assert _precompute_bytes(B, A, J, len(pre.nn_idx), m.n_states, parallel, dense) >= peak
+
+    def test_a_table_is_charged_the_dense_search_step(self, monkeypatch):
+        """An explicit table searches with the dense bound, so the estimate
+        charges each worker's (_KNN_CHUNK, B) search step at 64 bytes a pair.
+        The estimate stops the precompute before any LP."""
+        m, s = lattice_tree()
+        calls = []
+
+        class Charged(Exception):
+            pass
+
+        def charge(*args):
+            calls.append(args)
+            raise Charged
+
+        monkeypatch.setattr(value_iteration, "_precompute_bytes", charge)
+        with pytest.raises(Charged):
+            precompute(m, s, 2)
+        [(B, A, J, K, n, workers, dense)] = calls
+        assert (B, A, J, n, workers, dense) == (s.n, 2, 2, 16, 2, True)
+        step = _precompute_bytes(B, A, J, K, n, workers, True) - _precompute_bytes(
+            B, A, J, K, n, workers, False
+        )
+        assert step == workers * 64 * _KNN_CHUNK * B
 
 
 class TestSolveVi:
