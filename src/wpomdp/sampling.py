@@ -46,23 +46,17 @@ _GATHER_BYTES = 1 << 20
 # Explicit-table metrics solve one pure-Python transportation LP per
 # (belief, kept belief) pair.  The 1,355 solves of the benchmark's
 # explicit-table VI (full supports of 16 states on its 4 x 4 lattice),
-# timed one by one with perf_counter on a shared 2-core x86-64 VM, took a
-# median of 0.26 ms each when the host was quiet and 0.66 ms when it ran
-# everything about 2.5x slower, under the simplex that kept its plan as a
-# nested list and masked the basic cells by zeroing them on every pivot.
-# Timed alternately with that simplex in one process, the flat-slot
-# simplex took a median of 0.26 ms against 0.40 ms (1.55x less) in one
-# host state and 0.46 ms against 0.70 ms (1.52x) in a busier one, so the
-# slower figure becomes 0.66 / 1.55 = 0.43 ms, and the estimate uses it:
-# 100k solves is about 45 s at that size.  A solve grows about with the
-# square of the state count: on full supports over 4 x 4, 6 x 6 and 9 x 9
-# Manhattan lattices the medians were 0.23, 1.27 and 8.7 ms in the first
-# host state and 0.28, 1.52 and 11.9 ms in the second (20 solves each),
-# and 0.43 ms * (n_states / 16)^2 is within 2x of all six.  Past this the
-# tree and the VI precompute fail up front instead of running for hours
-# on a large sample.
+# timed one by one with perf_counter on a shared 2-core x86-64 VM while it
+# ran everything about 2.5x slower than when quiet, took a median of
+# 0.46 ms each; the estimate uses that slow-host figure: 100k solves is
+# about 46 s at that size.  A solve grows about with the square of the
+# state count: on full supports over 4 x 4, 6 x 6 and 9 x 9 Manhattan
+# lattices the slow-host medians were 0.28, 1.52 and 11.9 ms (20 solves
+# each), and 0.46 ms * (n_states / 16)^2 (0.46, 2.6 and 11.8 ms) is within
+# 2x of all three.  Past this the tree and the VI precompute fail up front
+# instead of running for hours on a large sample.
 MAX_TABLE_LP_SOLVES = 100_000
-_LP_SOLVE_S = 0.43e-3
+_LP_SOLVE_S = 0.46e-3
 
 
 @dataclass(eq=False)
@@ -415,19 +409,14 @@ def _first_k(seed_idx, seed_dist, rows, idx, dist) -> tuple[np.ndarray, np.ndarr
     Row i's candidates are its k seeds, (``seed_idx[i]``, ``seed_dist[i]``)
     of the (m, k) seed blocks, and the extra triples (``rows``, ``idx``,
     ``dist``) with ``rows`` == i.  A row with no extra and no tied seed
-    distances is ordered by one stable argsort of its seed distances, or
-    left as it is at k = 1; the others go through one three-key lexsort of
-    all their candidates.
+    distances is ordered by one stable argsort of its seed distances; the
+    others go through one three-key lexsort of all their candidates.
     """
     m, k = seed_dist.shape
-    if k == 1:  # a lone seed needs no sort and has no tie
-        out_idx, out_dist = seed_idx.copy(), seed_dist.copy()
-        slow = np.zeros(m, dtype=bool)
-    else:
-        order = seed_dist.argsort(axis=1, kind="stable")
-        at = np.arange(m)[:, None]
-        out_idx, out_dist = seed_idx[at, order], seed_dist[at, order]
-        slow = (out_dist[:, 1:] == out_dist[:, :-1]).any(axis=1)
+    order = seed_dist.argsort(axis=1, kind="stable")
+    at = np.arange(m)[:, None]
+    out_idx, out_dist = seed_idx[at, order], seed_dist[at, order]
+    slow = (out_dist[:, 1:] == out_dist[:, :-1]).any(axis=1)
     slow[rows] = True
     redo = np.flatnonzero(slow)
     if len(redo):

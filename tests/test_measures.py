@@ -353,12 +353,15 @@ class TestTransportSimplex:
         every LP of the benchmark's explicit-table solve: the same pivot
         count and the same plan and value bits as the rebuilding simplex.
         40 Dirichlet pairs, then 20 pairs of masses on a 1/32 lattice, whose
-        flows tie on the cycle."""
+        flows tie on the cycle, then 20 such pairs with the metric scaled
+        by 0.1: its reduced costs are rounded, so a potential that starts
+        anywhere but 0 changes them and with them the pivots."""
         cells = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float)
-        cost = np.abs(cells[:, None, :] - cells[None, :, :]).sum(axis=2)
+        table = np.abs(cells[:, None, :] - cells[None, :, :]).sum(axis=2)
         rng = np.random.default_rng(16)
         counts = set()
-        for t in range(60):
+        for t in range(80):
+            cost = table if t < 60 else 0.1 * table
             if t < 40:
                 supply, demand = rng.dirichlet(np.ones(16)), rng.dirichlet(np.ones(16))
             else:

@@ -609,39 +609,8 @@ class TestKnn:
                     )
 
 
-def first_k_case(rng, m, kept, k, levels, extras=True):
-    """``_first_k``'s inputs for m rows over ``kept`` beliefs, ``levels``
-    distinct distances; with ``extras`` each row has k to ``kept``
-    candidates, else exactly its k seeds."""
-    dists = rng.random(levels)
-    seed_idx, seed_dist, rows, idx, dist = [], [], [], [], []
-    for i in range(m):
-        cand = rng.permutation(kept)[:rng.integers(k, kept + 1) if extras else k]
-        d = rng.choice(dists, len(cand))
-        seed_idx.append(cand[:k])
-        seed_dist.append(d[:k])
-        rows += [i] * (len(cand) - k)
-        idx += list(cand[k:])
-        dist += list(d[k:])
-    seed_idx, seed_dist, dist = np.array(seed_idx), np.array(seed_dist), np.array(dist)
-    rows, idx = np.array(rows, dtype=np.intp), np.array(idx, dtype=np.intp)
-    shuffle = rng.permutation(len(rows))  # extras come in any row order
-    return seed_idx, seed_dist, rows[shuffle], idx[shuffle], dist[shuffle]
-
-
-def assert_first_k_is_one_lexsort(seed_idx, seed_dist, rows, idx, dist):
-    m, k = seed_dist.shape
-    got = _first_k(seed_idx, seed_dist, rows, idx, dist)
-    want = first_k_lexsort(
-        m, k, np.concatenate([np.repeat(np.arange(m), k), rows]),
-        np.concatenate([seed_dist.ravel(), dist]), np.concatenate([seed_idx.ravel(), idx]),
-    )
-    np.testing.assert_array_equal(got[0], want[0])
-    assert got[1].tobytes() == want[1].tobytes()
-
-
 class TestFirstK:
-    """``_first_k``'s seed-block fast paths against one lexsort of every triple."""
+    """``_first_k``'s seed-block fast path against one lexsort of every triple."""
 
     @settings(deadline=None, max_examples=200, derandomize=True)
     @given(
@@ -656,17 +625,26 @@ class TestFirstK:
     def test_equals_one_lexsort(self, m, kept_k, levels, seed):
         kept, k = kept_k
         rng = np.random.default_rng(seed)
-        assert_first_k_is_one_lexsort(*first_k_case(rng, m, kept, k, levels))
-
-    @pytest.mark.parametrize("extras", [False, True], ids=["seeds-only", "extras"])
-    @pytest.mark.parametrize("levels", [1, 50])
-    def test_one_nearest(self, extras, levels):
-        """k = 1 keeps each lone seed unsorted; a row with extras, tied to
-        its seed or not, still goes through the lexsort."""
-        rng = np.random.default_rng(levels)
-        case = first_k_case(rng, 300, 8, 1, levels, extras)
-        assert (len(case[2]) > 0) == extras
-        assert_first_k_is_one_lexsort(*case)
+        dists = rng.random(levels)
+        seed_idx, seed_dist, rows, idx, dist = [], [], [], [], []
+        for i in range(m):
+            cand = rng.permutation(kept)[:rng.integers(k, kept + 1)]
+            d = rng.choice(dists, len(cand))
+            seed_idx.append(cand[:k])
+            seed_dist.append(d[:k])
+            rows += [i] * (len(cand) - k)
+            idx += list(cand[k:])
+            dist += list(d[k:])
+        seed_idx, seed_dist, dist = np.array(seed_idx), np.array(seed_dist), np.array(dist)
+        rows, idx = np.array(rows, dtype=np.intp), np.array(idx, dtype=np.intp)
+        shuffle = rng.permutation(len(rows))  # extras come in any row order
+        got = _first_k(seed_idx, seed_dist, rows[shuffle], idx[shuffle], dist[shuffle])
+        want = first_k_lexsort(
+            m, k, np.concatenate([np.repeat(np.arange(m), k), rows]),
+            np.concatenate([seed_dist.ravel(), dist]), np.concatenate([seed_idx.ravel(), idx]),
+        )
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def centred_belief(model):
