@@ -24,10 +24,11 @@ from . import serialize
 from .conjugate import solve_sets
 from .errors import BeliefSpaceError, ModelValidationError
 from .filtering import obs_marginal, sample_transition
-from .kalman import KalmanSpec, build_model
+from .kalman import KalmanSpec, build_model, start_belief
 from .measures import make_measure
 from .model import certify, check_stop_rule
 from .sampling import reachability_tree
+from .synthetic import uniform_belief
 from .value_iteration import (
     check_parallel,
     check_rollout_size,
@@ -46,27 +47,37 @@ def _out_dir(args) -> Path:
     return p
 
 
-def _initial_belief(model, init_weights):
-    if init_weights is None:
-        return make_measure(model.state_grid, np.ones(model.n_states))
-    return make_measure(model.state_grid, init_weights)
-
-
 def _load(args):
     model, init = serialize.load_model(args.model)
-    return model, _initial_belief(model, init)
+    return model, uniform_belief(model) if init is None else make_measure(model.state_grid, init)
 
 
-def _sample(model, mu0, args):
+def _setup(args):
+    """Output directory, model and start belief, then the sample: the refusal order."""
+    out = _out_dir(args)
+    model, mu0 = _load(args)
     # the solvers refuse these too, but only after the tree is built
     check_stop_rule(args.epsilon, args.max_iters)
     if "parallel" in args:
         check_parallel(args.parallel)
-    return reachability_tree(model, mu0, depth=args.depth, cap=args.cap)
+    return out, model, mu0, reachability_tree(model, mu0, depth=args.depth, cap=args.cap)
 
 
-def _bounds_column(constants, n_iters):
-    return [constants.apriori_bound(t + 1) for t in range(n_iters)]
+def _solve_vi(model, sample, args):
+    return solve_vi(
+        model, sample, epsilon=args.epsilon, max_iters=args.max_iters, parallel=args.parallel
+    )
+
+
+def _solve_sets(model, sample, args):
+    return solve_sets(
+        model, sample, epsilon=args.epsilon, max_iters=args.max_iters, algorithm=args.algorithm
+    )
+
+
+def _write_convergence(out, res):
+    bounds = [res.constants.apriori_bound(t + 1) for t in range(res.iterations)]
+    serialize.write_convergence_csv(out / "convergence.csv", res.sup_diffs, bounds)
 
 
 def cmd_validate(args) -> int:
@@ -76,19 +87,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve_vi(args) -> int:
-    out = _out_dir(args)
-    model, mu0 = _load(args)
-    sample = _sample(model, mu0, args)
-    res = solve_vi(
-        model,
-        sample,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        parallel=args.parallel,
-    )
-    serialize.write_convergence_csv(
-        out / "convergence.csv", res.sup_diffs, _bounds_column(res.constants, res.iterations)
-    )
+    out, model, _, sample = _setup(args)
+    res = _solve_vi(model, sample, args)
+    _write_convergence(out, res)
     serialize.write_values_csv(out / "values.csv", res.value.values, res.selector.actions)
     print(
         f"solve-vi: {sample.n} beliefs, {res.iterations} iterations, "
@@ -98,20 +99,10 @@ def cmd_solve_vi(args) -> int:
 
 
 def cmd_solve_sets(args) -> int:
-    out = _out_dir(args)
-    model, mu0 = _load(args)
-    sample = _sample(model, mu0, args)
-    res = solve_sets(
-        model,
-        sample,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        algorithm=args.algorithm,
-    )
+    out, model, _, sample = _setup(args)
+    res = _solve_sets(model, sample, args)
     serialize.write_alphas_csv(out / "alphas.csv", res.sets)
-    serialize.write_convergence_csv(
-        out / "convergence.csv", res.sup_diffs, _bounds_column(res.constants, res.iterations)
-    )
+    _write_convergence(out, res)
     # winner ids index the flattened union in emitted (alphas.csv) order
     scores = np.hstack(
         [sample.weight_matrix() @ aset.values.T for aset in res.sets]
@@ -128,9 +119,8 @@ def cmd_solve_sets(args) -> int:
 
 def cmd_filter(args) -> int:
     out = _out_dir(args)
-    model, mu0 = _load(args)
+    model, mu = _load(args)
     rng = np.random.default_rng(args.seed)
-    mu = mu0
     records = []
     pts = model.state_grid.points
     for t in range(args.steps):
@@ -149,27 +139,13 @@ def cmd_filter(args) -> int:
 def cmd_rollout(args) -> int:
     # the horizon defaults to one the certificate picks, never negative
     check_rollout_size(args.horizon or 0, args.n_paths)
-    out = _out_dir(args)
-    model, mu0 = _load(args)
-    sample = _sample(model, mu0, args)
-    res = solve_vi(
-        model,
-        sample,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        parallel=args.parallel,
-    )
-    c = res.constants
+    out, model, mu0, sample = _setup(args)
+    res = _solve_vi(model, sample, args)
     horizon = args.horizon
     if horizon is None:
-        horizon = c.iterations_for(args.epsilon / 10.0)  # tail below eps/10
+        horizon = res.constants.iterations_for(args.epsilon / 10.0)  # tail below eps/10
     mean, err = rollout_estimate(
-        model,
-        selector_policy(res),
-        mu0,
-        horizon,
-        args.n_paths,
-        seed=args.seed,
+        model, selector_policy(res), mu0, horizon, args.n_paths, seed=args.seed
     )
     serialize.write_rollout_csv(out / "rollout.csv", mean, err, args.n_paths, horizon)
     print(
@@ -180,23 +156,9 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
-    model, mu0 = _load(args)
-    sample = _sample(model, mu0, args)
-    vi = solve_vi(
-        model,
-        sample,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        parallel=args.parallel,
-    )
-    st = solve_sets(
-        model,
-        sample,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        algorithm=args.algorithm,
-    )
+    out, model, _, sample = _setup(args)
+    vi = _solve_vi(model, sample, args)
+    st = _solve_sets(model, sample, args)
     combined = vi.error_bound + st.error_bound
     serialize.write_diff_csv(out / "diff.csv", vi.value.values, st.table.values, combined)
     worst = float(np.abs(vi.value.values - st.table.values).max())
@@ -205,21 +167,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if args.which != "kalman":
-        raise BeliefSpaceError(f"unknown example {args.which!r}")
     out = Path(args.out) if args.out else _out_dir(args) / "kalman_model.json"
-    if args.spec is None:
-        spec = KalmanSpec()
-    else:
-        try:
-            spec = KalmanSpec(**json.loads(Path(args.spec).read_text()))
-        except (OSError, ValueError, TypeError) as e:
-            # unreadable file, malformed JSON, unknown or mistyped field
-            raise ModelValidationError(f"cannot use spec file {args.spec}: {e}") from e
+    try:  # no spec file is the empty spec
+        spec = KalmanSpec(**({} if args.spec is None else json.loads(Path(args.spec).read_text())))
+    except (OSError, ValueError, TypeError) as e:
+        # unreadable file, malformed JSON, unknown or mistyped field
+        raise ModelValidationError(f"cannot use spec file {args.spec}: {e}") from e
     model = build_model(spec)
-    pts = model.state_grid.points
-    init = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-    serialize.save_model(model, out, init_belief=init)
+    serialize.save_model(model, out, init_belief=start_belief(model))
     print(f"example kalman: wrote {out} ({model.n_states} states, "
           f"{model.n_actions} actions, {model.n_obs} nodes)")
     return 0

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DriftDerivationFailed, GridTooCoarse, ModelValidationError
-from .measures import StateGrid, WeightFunction
+from .measures import DiscreteMeasure, StateGrid, WeightFunction, make_measure
 from .model import ObservationQuadrature, PomdpModel, TvProbeReport, probe_q_tv_continuity
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "choose_weight",
     "tv_continuity_report",
     "reference_spec",
+    "start_belief",
 ]
 
 # raw transition-row mass may deviate from 1 by at most this much before
@@ -123,6 +124,11 @@ def reference_spec(grid_step: float = 0.1) -> KalmanSpec:
     return KalmanSpec(grid_step=grid_step)
 
 
+def start_belief(model: PomdpModel) -> DiscreteMeasure:
+    """The N(0, 2^2) belief on the model's line grid, the one ``wpomdp example`` writes."""
+    return make_measure(model.state_grid, np.exp(-0.5 * (model.state_grid.points / 2.0) ** 2))
+
+
 def _gaussian_density(y: np.ndarray, mean: np.ndarray, std: float) -> np.ndarray:
     z = (y - mean) / std
     return np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
@@ -137,13 +143,19 @@ def _transition_rows(spec: KalmanSpec, points: np.ndarray) -> np.ndarray:
     return rows * spec.grid_step
 
 
-def _midpoint_quadrature(lo: float, hi: float, n: int) -> ObservationQuadrature:
-    """Composite midpoint nodes: uniform spacing keeps Gaussian mass
-    errors orders of magnitude below the model-load tolerance, which
-    clustered high-order nodes do not at this node count."""
+def _observations(spec: KalmanSpec, points: np.ndarray) -> tuple[ObservationQuadrature, np.ndarray]:
+    """Quadrature and (n, n_obs) densities of observations centred on the state.
+
+    Composite midpoint nodes over the state range padded by ``obs_pad_stds``
+    deviations: uniform spacing keeps Gaussian mass errors orders of magnitude
+    below the model-load tolerance, which clustered high-order nodes do not at
+    this node count."""
+    pad = spec.obs_pad_stds * spec.obs_std
+    lo, hi, n = float(points.min()) - pad, float(points.max()) + pad, spec.n_obs_nodes
     h = (hi - lo) / n
     nodes = lo + h * (np.arange(n) + 0.5)
-    return ObservationQuadrature(nodes, np.full(n, h))
+    quad = ObservationQuadrature(nodes, np.full(n, h))
+    return quad, _gaussian_density(nodes[None, :], points[:, None], spec.obs_std)
 
 
 def choose_weight(spec: KalmanSpec) -> tuple[float, float, float]:
@@ -208,12 +220,7 @@ def build_model(spec: KalmanSpec) -> PomdpModel:
 
     k, _, _ = choose_weight(spec)
 
-    # observations are centred on the state, under every action
-    pad = spec.obs_pad_stds * spec.obs_std
-    quad = _midpoint_quadrature(
-        float(points.min()) - pad, float(points.max()) + pad, spec.n_obs_nodes
-    )
-    dens = _gaussian_density(quad.nodes[None, :], points[:, None], spec.obs_std)
+    quad, dens = _observations(spec, points)  # the same under every action
     obs = np.repeat(dens[None, :, :], spec.n_actions, axis=0)
 
     reward = np.stack([spec.reward_at(points, a) for a in range(spec.n_actions)])
@@ -247,19 +254,13 @@ def tv_continuity_report(spec: KalmanSpec) -> tuple[TvProbeReport, ...]:
     for x0 in _TV_ANCHORS:
         points = np.concatenate([[x0], x0 + deltas[::-1]])  # ascending
         n = len(points)
-        pad = spec.obs_pad_stds * spec.obs_std
-        quad = _midpoint_quadrature(
-            float(points.min()) - pad, float(points.max()) + pad, spec.n_obs_nodes
-        )
-        obs = _gaussian_density(
-            quad.nodes[None, :], points[:, None], spec.obs_std
-        )[None, :, :]
+        quad, dens = _observations(spec, points)
         probe = PomdpModel(
             state_grid=StateGrid(points),
             actions=("probe",),
             obs_quadrature=quad,
             trans=np.eye(n)[None, :, :],
-            obs_density=obs,
+            obs_density=dens[None, :, :],
             reward=np.zeros((1, n)),
             discount=spec.discount,
             weight=WeightFunction(x0=float(x0), k=1.0),

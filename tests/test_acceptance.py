@@ -35,6 +35,7 @@ from wpomdp.kalman import (
     build_model,
     choose_weight,
     reference_spec,
+    start_belief,
     tv_continuity_report,
 )
 from wpomdp.measures import (
@@ -67,15 +68,10 @@ def _contraction_ratios(sup_diffs, burn_in: int = 3) -> np.ndarray:
     return num[keep] / den[keep]
 
 
-def _centred_start(model):
-    pts = model.state_grid.points
-    return make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-
-
 @pytest.fixture(scope="module")
 def kalman_ref():
     model = build_model(reference_spec())
-    return model, _centred_start(model)
+    return model, start_belief(model)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +108,7 @@ BELIEF_DEPENDENT = {
 @pytest.fixture(scope="module", params=list(BELIEF_DEPENDENT))
 def belief_dependent_vi(request):
     model = build_model(BELIEF_DEPENDENT[request.param])
-    sample = reachability_tree(model, _centred_start(model), depth=2, cap=300)
+    sample = reachability_tree(model, start_belief(model), depth=2, cap=300)
     return request.param, sample, solve_vi(model, sample, epsilon=EPS_REF, parallel=4)
 
 
@@ -313,7 +309,7 @@ def test_c07_cross_solver_agreement(kalman_ref):
 def test_c07_on_the_drift_instance():
     # cap 600: at cap 300 the gap is 4.3 times the combined bound
     model = build_model(BELIEF_DEPENDENT["drift"])
-    sample = reachability_tree(model, _centred_start(model), depth=2, cap=600)
+    sample = reachability_tree(model, start_belief(model), depth=2, cap=600)
     vi = solve_vi(model, sample, epsilon=0.05, parallel=4)
     st = solve_sets(model, sample, epsilon=0.05, algorithm="alg1")
     gap = float(np.abs(vi.value.values - st.table.values).max())
@@ -409,7 +405,7 @@ def test_c10_policy_value_realism(kalman_ref):
     # grid is exercised by the solver criteria, the simulator cost here
     # scales with states x anchors x horizon
     model = build_model(reference_spec(grid_step=0.2))
-    mu0 = _centred_start(model)
+    mu0 = start_belief(model)
     sample = reachability_tree(model, mu0, depth=2, cap=300)
     vi = solve_vi(model, sample, epsilon=eps, parallel=4)
     c = vi.constants

@@ -17,8 +17,9 @@ import pytest
 
 from wpomdp import cli, value_iteration
 from wpomdp.cli import main
-from wpomdp.kalman import KalmanSpec
+from wpomdp.kalman import KalmanSpec, start_belief
 from wpomdp.model import certify
+from wpomdp.sampling import reachability_tree
 from wpomdp.serialize import load_model, save_model
 from wpomdp.synthetic import pbvi_toy, revealing_toy
 
@@ -71,6 +72,7 @@ class TestExample:
         assert init is not None
         # bell-shaped start: peaked at the middle of the grid
         assert int(np.argmax(init)) == model.n_states // 2
+        assert init.tobytes() == start_belief(model).weights.tobytes()
 
     def test_reports_shape(self, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -402,6 +404,43 @@ class TestFlagsRefusedBeforeTheTree:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not target.parent.exists()
+
+
+class TestOneSetUp:
+    @pytest.mark.parametrize(
+        "cmd, solvers",
+        [
+            ("solve-vi", ["solve_vi"]),
+            ("solve-sets", ["solve_sets"]),
+            ("rollout", ["solve_vi"]),
+            ("compare", ["solve_vi", "solve_sets"]),
+        ],
+    )
+    def test_one_tree_feeds_every_solver(self, cmd, solvers, revealing_file, tmp_path, monkeypatch):
+        trees, solved = [], []
+
+        def tree(*args, **kwargs):
+            trees.append(reachability_tree(*args, **kwargs))
+            return trees[-1]
+
+        def recorded(solver):
+            def solve(model, sample, **kwargs):
+                solved.append((solver.__name__, sample))
+                return solver(model, sample, **kwargs)
+
+            return solve
+
+        monkeypatch.setattr(cli, "reachability_tree", tree)
+        monkeypatch.setattr(cli, "solve_vi", recorded(cli.solve_vi))
+        monkeypatch.setattr(cli, "solve_sets", recorded(cli.solve_sets))
+        argv = [cmd, "--model", str(revealing_file), "--out-dir", str(tmp_path),
+                "--depth", "2", "--epsilon", "0.05"]
+        if cmd == "rollout":
+            argv += ["--horizon", "3", "--n-paths", "20"]
+        assert main(argv) == 0
+        assert len(trees) == 1
+        assert [name for name, _ in solved] == solvers
+        assert all(sample is trees[0] for _, sample in solved)
 
 
 class TestFilter:

@@ -11,6 +11,7 @@ from wpomdp.kalman import (
     build_model,
     choose_weight,
     reference_spec,
+    start_belief,
     tv_continuity_report,
 )
 from wpomdp.measures import make_measure
@@ -134,6 +135,13 @@ class TestBuildModel:
         assert nodes.min() > -10.5 and nodes.max() < 10.5
         assert_allclose(np.diff(nodes), nodes[1] - nodes[0], atol=1e-12)
 
+    @pytest.mark.parametrize("step", [0.1, 1.0])
+    def test_start_belief_is_the_centred_normal(self, step):
+        m = build_model(reference_spec(grid_step=step))
+        pts = m.state_grid.points
+        want = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+        assert start_belief(m).weights.tobytes() == want.weights.tobytes()
+
     def test_certificate_across_resolutions(self):
         for step in (0.2, 0.1, 0.05):
             spec = reference_spec(grid_step=step)
@@ -194,7 +202,6 @@ class TestTwoSidedReward:
             assert m.reward[a].tobytes() == np.asarray(fn(pts, a), dtype=float).tobytes()
         assert (m.reward.min(), m.reward.max()) == (-20.0, 4.0)
         assert certify(m).gamma < 1.0
-        mu0 = make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-        res = solve_vi(m, reachability_tree(m, mu0, depth=1, cap=60), epsilon=0.05)
+        res = solve_vi(m, reachability_tree(m, start_belief(m), depth=1, cap=60), epsilon=0.05)
         assert res.converged
         assert len(set(res.selector.actions)) > 1

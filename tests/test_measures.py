@@ -385,6 +385,34 @@ class TestTransportSimplex:
             assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert len(counts) > 5
 
+    def test_signed_zero_masses_give_the_reference_bits(self):
+        """Masses of -0.0 make a cycle's smallest flow -0.0 too: the entering
+        cell must still carry +0.0, as in the rebuilding simplex.  The first
+        problem is one where it matters, then 100 small integer problems with
+        zeros of either sign."""
+        problems = [
+            (
+                [2.0, 3.0, 1.0, 3.0],
+                [-0.0, 3.0, 2.0, 4.0],
+                np.array([[0, 0, 1, 2], [2, 2, 0, 0], [0, 0, 3, 2], [3, 1, 3, 3]], dtype=float),
+            )
+        ]
+        rng = np.random.default_rng(0)
+        while len(problems) < 101:
+            m, n = rng.integers(1, 6, 2)
+            supply = rng.integers(0, 4, m).astype(float)
+            if supply.sum() == 0:
+                continue
+            demand = rng.multinomial(int(supply.sum()), np.ones(n) / n).astype(float)
+            for masses in (supply, demand):
+                masses[(masses == 0) & (rng.random(len(masses)) < 0.5)] = -0.0
+            problems.append((supply, demand, rng.integers(0, 4, (m, n)).astype(float)))
+        for supply, demand, cost in problems:
+            want_plan, want_value = oracles.solve_transport_reference(supply, demand, cost)
+            plan, value = solve_transport(supply, demand, cost)
+            assert plan.tobytes() == want_plan.tobytes()
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+
 
 # --------------------------------------------------------------------------
 # Kantorovich-Rubinstein duality

@@ -21,7 +21,7 @@ from oracles import (
 from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
 from wpomdp.filtering import bayes_update, obs_marginal
-from wpomdp.kalman import KalmanSpec, build_model, reference_spec
+from wpomdp.kalman import KalmanSpec, build_model, reference_spec, start_belief
 from wpomdp.measures import (
     DISCRETE,
     EXPLICIT_TABLE,
@@ -181,7 +181,7 @@ class TestReachabilityTree:
     def test_equals_the_dense_dedup_oracle(self, instance, depth, cap):
         drift = KalmanSpec(drift=1.0, grid_step=0.2)
         m = build_model(reference_spec() if instance == "reference" else drift)
-        mu0 = centred_belief(m)
+        mu0 = start_belief(m)
         got = reachability_tree(m, mu0, depth=depth, cap=cap)
         want = reachability_tree_dense(m, mu0, depth, cap=cap)
         assert got.truncated == (depth == 3)
@@ -647,12 +647,6 @@ class TestFirstK:
         assert got[1].tobytes() == want[1].tobytes()
 
 
-def centred_belief(model):
-    """The N(0, 2^2) belief on the model's line grid."""
-    pts = model.state_grid.points
-    return make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-
-
 class TestSortedKnn:
     """The 1-D sorted-key search where the row-sum keys tie or mislead.
 
@@ -721,7 +715,7 @@ class TestKnnWork:
 
     def test_mean_exact_distances_per_query(self, monkeypatch):
         model = build_model(KalmanSpec(drift=1.0, grid_step=0.2))
-        mu0 = centred_belief(model)
+        mu0 = start_belief(model)
         sample = reachability_tree(model, mu0, depth=2, cap=300)
         work = {"queries": 0, "exact": 0}
         knn, exact = BeliefDistances.knn, BeliefDistances._exact

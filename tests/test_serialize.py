@@ -8,7 +8,7 @@ import pytest
 
 from wpomdp.conjugate import AlphaSet
 from wpomdp.errors import ModelValidationError
-from wpomdp.kalman import KalmanSpec, build_model, reference_spec
+from wpomdp.kalman import KalmanSpec, build_model, reference_spec, start_belief
 from wpomdp.measures import (
     EXPLICIT_TABLE,
     StateGrid,
@@ -53,8 +53,7 @@ def table_model():
 def reference_with_belief():
     """The reference Kalman model and the initial belief ``example`` writes."""
     m = build_model(reference_spec())
-    pts = m.state_grid.points
-    return m, make_measure(m.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
+    return m, start_belief(m)
 
 
 def loaded_arrays(path):

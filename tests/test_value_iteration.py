@@ -35,7 +35,7 @@ from wpomdp.filtering import (
     obs_marginal,
     possible_nodes,
 )
-from wpomdp.kalman import KalmanSpec, build_model, reference_spec
+from wpomdp.kalman import KalmanSpec, build_model, reference_spec, start_belief
 from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,
@@ -573,9 +573,7 @@ class TestExplicitTableSolve:
 
 def centred_tree(model, cap):
     """Depth-2 tree from an N(0, 2^2) belief on a line grid."""
-    pts = model.state_grid.points
-    mu0 = make_measure(model.state_grid, np.exp(-0.5 * (pts / 2.0) ** 2))
-    return reachability_tree(model, mu0, depth=2, cap=cap)
+    return reachability_tree(model, start_belief(model), depth=2, cap=cap)
 
 
 def drift_tree():
