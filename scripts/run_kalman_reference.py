@@ -79,13 +79,13 @@ def run(args) -> int:
     model = build_model(spec)
     consts = certify(model)
     print(f"certificate:\n{consts}")
-    serialize.save_model(model, out / "model.json")
+    mu0 = start_belief(model)
+    serialize.save_model(model, out / "model.json", init_belief=mu0)
 
     for report in tv_continuity_report(spec):
         gaps = np.array2string(np.asarray(report.tv_gaps), precision=3)
         print(f"tv probe: gaps {gaps} monotone={report.is_monotone_decreasing()}")
 
-    mu0 = start_belief(model)
     t0 = time.perf_counter()
     sample = reachability_tree(model, mu0, depth=args.depth, cap=args.beliefs)
     print(f"sample: {sample.n} beliefs ({sample.provenance}), "

@@ -66,7 +66,12 @@ def save_model(model: PomdpModel, path, init_belief=None) -> None:
 
 
 def load_model(path) -> tuple[PomdpModel, np.ndarray | None]:
-    """Read a model JSON; returns (model, init belief weights or None)."""
+    """Read a model JSON; returns (model, init belief weights or None).
+
+    A file that cannot be read, a missing or mistyped field, or an
+    ``init_belief`` that is no belief on the states raises
+    :class:`~wpomdp.errors.ModelValidationError`.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
@@ -94,13 +99,18 @@ def load_model(path) -> tuple[PomdpModel, np.ndarray | None]:
                 x0=float(doc["weight"]["x0"]), k=float(doc["weight"]["k"])
             ),
         )
+        init = doc.get("init_belief")
+        init = None if init is None else np.asarray(init, dtype=float)
     except KeyError as e:
         raise ModelValidationError(f"model file {path} is missing field {e}") from e
     except (AttributeError, TypeError, ValueError) as e:
         # a field, or the whole document, of the wrong JSON type
         raise ModelValidationError(f"model file {path} has a malformed field: {e}") from e
-    init = doc.get("init_belief")
-    return model, None if init is None else np.asarray(init, dtype=float)
+    if init is not None and not (init.shape == (model.n_states,) and np.isfinite(init).all()
+                                 and (init >= 0).all() and init.sum() > 0):
+        raise ModelValidationError(f"model file {path}: init_belief must be one finite, "
+                                   "nonnegative weight per state with a positive total")
+    return model, init
 
 
 def _fmt(x) -> str:

@@ -3,18 +3,15 @@ and Monte Carlo policy evaluation.
 
 Values live on a fixed :class:`~wpomdp.sampling.BeliefSample`.  Posteriors
 of sampled beliefs generally leave the sample, so backups need a
-generalizer; two are provided:
+generalizer.  There is one: the McShane lower extension of the table,
+max_i (v_i - L * W1(mu, b_i)), over the K nearest sample points b_i, with
+L the table's slope.  On a sample closed under filtering (every posterior
+coincides with a sample point) it runs with K = 1 at slope 0, which is the
+exact lookup of that point's value.
 
-* exact-sample lookup, valid when the sample is closed under filtering
-  (every posterior coincides with a sample point), and
-* a nearest-neighbour rule with Lipschitz correction,
-  max_i (v_i - L * W1(mu, b_i)), the McShane-style lower extension of the
-  table.
-
-``solve_vi`` precomputes all posterior geometry once, takes the exact
-lookup exactly when the sample turns out closed, and runs a sweep as a few
-contiguous element-wise passes per neighbour rank.  The per-belief reference form of the same
-operator lives with the test oracles.
+``solve_vi`` precomputes all posterior geometry once and runs a sweep as a
+few contiguous element-wise passes per neighbour rank.  The per-belief
+reference form of the same operator lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -54,7 +51,8 @@ __all__ = [
     "selector_policy",
 ]
 
-# distances below this are "the same belief" for exact-sample lookup
+# distances below this are "the same belief": the closed-sample test and
+# the slope's separated pairs
 _EXACT_MATCH_TOL = 1e-9
 
 # sample points the McShane extension maximises over, per posterior
@@ -208,51 +206,6 @@ def _split(pool: ThreadPoolExecutor | None, fn, parts: list) -> list:
     return [fn(parts[0])] + [f.result() for f in rest]
 
 
-def _nearest_in_sample(
-    geom: BeliefDistances,
-    pred: np.ndarray,
-    dens: np.ndarray,
-    lam: np.ndarray,
-    b: np.ndarray,
-    j: np.ndarray,
-    idx_out: np.ndarray,
-    dist_out: np.ndarray,
-    pool: ThreadPoolExecutor | None,
-) -> None:
-    """k nearest sample points of each (b, j) posterior of one action.
-
-    The posterior of (b, j) is ``pred[b] * dens.T[j] / lam[b, j]``, built
-    one chunk of ``_KNN_CHUNK`` posteriors at a time inside the chunk's worker,
-    so no (B * J, n) block of every posterior is ever held.  The first k
-    by (distance, index) go to ``idx_out[:, b, j]`` and
-    ``dist_out[:, b, j]``, K-major, with k = ``len(idx_out)``.  Each chunk
-    is row-independent and writes its own entries, so the result is
-    byte-identical for every worker count; ``pool`` runs the chunks when
-    there are several (None: this thread does).  Equal distances are
-    ordered by index (an unordered partition would leave them in any
-    order); the solve reads nothing that depends on that order: McShane takes the max
-    over all k, and the exact lookup reads only the nearest point, whose
-    distance is at most ``_EXACT_MATCH_TOL`` and so cannot tie with a
-    second point under the sample's dedup tolerance.
-    """
-    dens_t = np.ascontiguousarray(dens.T)
-    spans = range(0, len(b), _KNN_CHUNK)
-
-    def work(s):
-        bs, js = b[s:s + _KNN_CHUNK], j[s:s + _KNN_CHUNK]
-        rows = pred[bs] * dens_t[js]
-        rows /= lam[bs, js][:, None]
-        idx, dist = geom.knn(rows, len(idx_out))
-        idx_out[:, bs, js] = idx.T
-        dist_out[:, bs, js] = dist.T
-
-    if pool is not None and len(spans) > 1:
-        list(pool.map(work, spans))
-    else:
-        for s in spans:
-            work(s)
-
-
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform does not say."""
     try:
@@ -348,14 +301,25 @@ class _Precomputed:
         phi = model.obs_quadrature.weights
         for a in range(A):
             pred = W @ model.trans[a]  # (B, n)
+            dens_t = np.ascontiguousarray(model.obs_density[a].T)  # (J, n)
             lam = pred @ model.obs_density[a]  # (B, J)
             live = possible_nodes(lam)
             self.node_probs[:, a, :] = np.where(live, phi[None, :] * lam, 0.0)
             b, j = np.nonzero(live)
-            _nearest_in_sample(
-                geom, pred, model.obs_density[a], lam, b, j,
-                self.nn_idx[:, :, a], self.nn_dist[:, :, a], pool,
-            )
+
+            def knn(s):
+                # The (b, j) posteriors pred[b] * dens[:, j] / lam[b, j] are built
+                # one chunk at a time, so no block of every posterior is held.
+                # Rows are independent and ties go to the lower index, so no bit
+                # depends on the chunks or the worker count.
+                bs, js = b[s:s + _KNN_CHUNK], j[s:s + _KNN_CHUNK]
+                rows = pred[bs] * dens_t[js]
+                rows /= lam[bs, js][:, None]
+                idx, dist = geom.knn(rows, K)
+                self.nn_idx[:, bs, a, js] = idx.T
+                self.nn_dist[:, bs, a, js] = dist.T
+
+            list((pool.map if pool else map)(knn, range(0, len(b), _KNN_CHUNK)))
 
         self.closed = bool(
             (np.where(self.node_probs > 0, self.nn_dist[0], 0.0) <= _EXACT_MATCH_TOL).all()
@@ -425,9 +389,10 @@ def solve_vi(
     reduction or an exact max, so the worker count never changes a result
     bit.
 
-    Posteriors read the value of their sample point when every posterior
-    lies in the sample (a closed sample), and the McShane extension over
-    their ``_K_NEIGHBORS`` nearest sample points otherwise.
+    Posteriors read the McShane extension over their ``_K_NEIGHBORS``
+    nearest sample points.  When every posterior lies in the sample (a
+    closed sample) it runs over the nearest one alone at slope 0, which
+    is the exact lookup of that point's value.
     """
     check_stop_rule(epsilon, max_iters)
     check_parallel(parallel)
@@ -440,16 +405,15 @@ def solve_vi(
         sup_diffs = []
         q = pre.reward.copy()  # the zero-sweep greedy actions, if we never iterate
         post_vals, tmp, scaled = np.empty((3,) + pre.node_probs.shape)
+        # closed: the slope stays 0.0, and v - 0.0 * d has the bits of v (-0.0 too)
+        k = 1 if pre.closed else len(pre.nn_idx)
 
         def backup(span):
             """Rows [s, e) of ``q``: the posterior values, then their expectation."""
             s, e = span
             vals, buf = post_vals[s:e], tmp[s:e]
-            if pre.closed:
-                v.take(pre.nn_idx[0, s:e], out=vals, mode="clip")
-            else:
-                _mcshane(v, lip_hat, pre.nn_idx[:, s:e], pre.nn_dist[:, s:e], vals, buf,
-                         scaled[s:e])
+            _mcshane(v, lip_hat, pre.nn_idx[:k, s:e], pre.nn_dist[:k, s:e], vals, buf,
+                     scaled[s:e])
             np.multiply(pre.node_probs[s:e], vals, out=buf)
             q[s:e] = pre.reward[s:e] + model.discount * buf.sum(axis=-1)
 

@@ -403,25 +403,28 @@ def test_c10_policy_value_realism(kalman_ref):
 
     # rollout realism on the certified coarse grid; the fine reference
     # grid is exercised by the solver criteria, the simulator cost here
-    # scales with states x anchors x horizon
-    model = build_model(reference_spec(grid_step=0.2))
-    mu0 = start_belief(model)
-    sample = reachability_tree(model, mu0, depth=2, cap=300)
-    vi = solve_vi(model, sample, epsilon=eps, parallel=4)
-    c = vi.constants
-    horizon = c.iterations_for(eps / 10.0)
-    assert c.r_bar * c.gamma ** (horizon + 1) / (1.0 - c.gamma) < eps / 10.0
-    mean, err = rollout_estimate(
-        model, selector_policy(vi), mu0, horizon, 10_000, seed=1
-    )
-    results.append((abs(mean - vi.value.values[0]), 3.0 * err + 2.0 * eps))
+    # scales with states x anchors x horizon.  The drift instance passes
+    # at cap 600, not at cap 300, where the McShane extension's low bias
+    # puts VI 12 stderr below the Monte Carlo value.
+    for spec, cap in ((reference_spec(grid_step=0.2), 300), (BELIEF_DEPENDENT["drift"], 600)):
+        model = build_model(spec)
+        mu0 = start_belief(model)
+        sample = reachability_tree(model, mu0, depth=2, cap=cap)
+        vi = solve_vi(model, sample, epsilon=eps, parallel=4)
+        c = vi.constants
+        horizon = c.iterations_for(eps / 10.0)
+        assert c.r_bar * c.gamma ** (horizon + 1) / (1.0 - c.gamma) < eps / 10.0
+        mean, err = rollout_estimate(
+            model, selector_policy(vi), mu0, horizon, 10_000, seed=1
+        )
+        results.append((abs(mean - vi.value.values[0]), 3.0 * err + 2.0 * eps))
 
     ok = all(diff <= allow for diff, allow in results)
     detail = "; ".join(
         f"|mc - value| {diff:.4g} <= 3 stderr + 2 eps = {allow:.4g}"
         for diff, allow in results
     )
-    _report(10, ok, f"toy then reference: {detail} (1e4 paths each)")
+    _report(10, ok, f"toy, reference, then drift: {detail} (1e4 paths each)")
 
 
 def test_c11_kalman_assumption_certification():

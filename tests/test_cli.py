@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -214,6 +215,18 @@ class TestValidate:
         p.write_text("{not json")
         assert main(["validate", "--model", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_start_belief_is_a_one_line_error(self, tmp_path, capsys):
+        # make_measure would clamp -0.5 to 0 and solve from the Dirac at state 1
+        p = tmp_path / "revealing.json"
+        save_model(revealing_toy(), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), "init_belief": [-0.5, 1.5]}))
+        rc = main(["solve-vi", "--model", str(p), "--out-dir", str(tmp_path / "out"),
+                   "--depth", "1", "--cap", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelValidationError: ") and err.count("\n") == 1
+        assert "init_belief" in err
 
 
 class TestUsageErrors:

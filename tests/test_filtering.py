@@ -368,15 +368,24 @@ class TestOneLikelihoodRule:
                     with pytest.raises(ZeroLikelihood):
                         bayes_step(m, pred, [a], [j])
 
-        query = value_iteration._nearest_in_sample
-        with mock.patch.object(value_iteration, "_nearest_in_sample", wraps=query) as spy:
+        # the precompute queries, in (a, j) order, the posterior of each
+        # possible node and nothing else
+        queried, knn = [], sampling.BeliefDistances.knn
+
+        def spy(self, rows, k):
+            queried.extend(rows.copy())
+            return knn(self, rows, k)
+
+        with mock.patch.object(sampling.BeliefDistances, "knn", spy):
             pre = value_iteration._Precomputed(m, user_sample([mu0]), 1)
-        queried = np.zeros_like(want)
-        for a, c in enumerate(spy.call_args_list):
-            b, j = c.args[4], c.args[5]
-            assert (b == 0).all()
-            queried[a, j] = True
-        np.testing.assert_array_equal(queried, want)
+        posteriors = []
+        for a, j in np.argwhere(want):
+            pred = predict(m, mu0, a).weights
+            post = pred * m.obs_density[a][:, j]
+            posteriors.append(post / post.sum())
+        assert len(queried) == len(posteriors)
+        for row, post in zip(queried, posteriors):
+            assert_allclose(row, post, rtol=1e-12, atol=0.0)
         assert (pre.node_probs[0][~want] == 0.0).all()
         assert (pre.node_probs[0][want] > 0.0).all()
 

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from wpomdp.kalman import start_belief
+from wpomdp.serialize import load_model
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,7 +53,10 @@ def test_run_kalman_reference(tmp_path):
     # check reads the one VI table the script solves
     values = [row.split(",")[1] for row in lines["values.csv"][1:]]
     assert [row.split(",")[1] for row in lines["diff.csv"][1:]] == values
-    assert (out / "model.json").is_file()
+    # the model file carries the start belief, so `wpomdp compare --model`
+    # grows the same tree
+    model, init = load_model(out / "model.json")
+    assert init.tobytes() == start_belief(model).weights.tobytes()
 
 
 def test_run_kalman_reference_refuses_flags_before_any_work(tmp_path):

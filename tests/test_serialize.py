@@ -164,6 +164,19 @@ class TestModelRoundTrip:
             load_model(p)
         assert str(p) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "init",
+        [[0.5, 0.5], [0.5, 0.25, 0.25, 0.0], [float("nan"), 1.0, 0.0],
+         [float("inf"), 1.0, 0.0], [-0.5, 1.0, 0.5], [0.0, 0.0, 0.0]],
+        ids=["too_short", "too_long", "nan", "inf", "negative", "zero_total"],
+    )
+    def test_init_belief_that_is_no_belief_reported(self, init, tmp_path):
+        p = tmp_path / "tab.json"
+        save_model(table_model(), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), "init_belief": init}))
+        with pytest.raises(ModelValidationError, match="init_belief must be one finite"):
+            load_model(p)
+
 
 class TestModelFileLayout:
     """``save_model`` writes one compact line; any JSON layout loads."""

@@ -630,6 +630,23 @@ class TestSweepKernel:
         # width, so only the zero's sign may differ.
         assert (out == want).all()
 
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([(1, 1, 1), (2, 3, 4), (7, 3, 33)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_one_neighbour_at_slope_zero_is_the_lookup(self, n, shape, seed):
+        # the closed-sample backup: v - 0.0 * d keeps every bit of v, the
+        # sign of -0.0 included, which == cannot see
+        rng = np.random.default_rng(seed)
+        v = rng.choice([0.0, -0.0, -1.5, 2.0, 0.25, -0.25], size=n)
+        idx = rng.integers(0, n, size=(1,) + shape)
+        dist = rng.choice([0.0, 1e-10, 0.5, 2.0], size=(1,) + shape)
+        out, tmp, scaled = np.empty((3,) + shape)
+        _mcshane(v, 0.0, idx, dist, out, tmp, scaled)
+        np.testing.assert_array_equal(out.view(np.int64), v.take(idx[0]).view(np.int64))
+
     @pytest.mark.parametrize("case", ["pbvi_open", "revealing_closed", "drift_open"])
     def test_solve_has_the_bits_of_the_broadcast_loop(self, case):
         if case == "drift_open":
