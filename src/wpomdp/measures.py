@@ -88,6 +88,8 @@ class StateGrid:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 1 or len(self.points) == 0:
             raise DimensionMismatch("grid needs a nonempty 1-D point array")
+        if not np.isfinite(self.points).all():
+            raise DimensionMismatch("grid points must be finite")
         if self.metric_kind not in _METRIC_KINDS:
             raise MetricKindMismatch(f"unknown metric kind {self.metric_kind!r}")
         if self.metric_kind == EUCLIDEAN_1D:
@@ -185,8 +187,8 @@ def make_measure(grid: StateGrid, weights: Sequence[float]) -> DiscreteMeasure:
     """Normalise raw weights into a probability measure on ``grid``.
 
     Negative entries are clamped to zero (rounding noise from filtering is
-    the expected source, at the -1e-15 scale); a nonpositive total after
-    clamping raises :class:`NonPositiveMass`.
+    the expected source, at the -1e-15 scale); a total after clamping that
+    is not positive, or that overflows, raises :class:`NonPositiveMass`.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (grid.n,):
@@ -194,9 +196,10 @@ def make_measure(grid: StateGrid, weights: Sequence[float]) -> DiscreteMeasure:
     if not np.isfinite(w).all():
         raise NonPositiveMass("weights must be finite")
     w = np.where(w < 0, 0.0, w)
-    total = w.sum()
-    if total <= 0:
-        raise NonPositiveMass("total mass is not positive")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not 0 < total < np.inf:
+        raise NonPositiveMass("total mass is not positive and finite")
     out = DiscreteMeasure(grid, w / total)
     out.weights.flags.writeable = False
     return out
@@ -216,8 +219,8 @@ class WeightFunction:
     k: float
 
     def __post_init__(self):
-        if not (self.k > 0 and np.isfinite(self.k)):
-            raise NonPositiveMass("weight slope k must be positive and finite")
+        if not (self.k > 0 and np.isfinite(self.k) and np.isfinite(self.x0)):
+            raise NonPositiveMass("weight slope k must be positive and finite, anchor x0 finite")
 
     def values_on(self, grid: StateGrid) -> np.ndarray:
         return 1.0 + self.k * grid.distance_to(self.x0)

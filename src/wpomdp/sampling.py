@@ -389,13 +389,14 @@ def _window(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return i, np.arange(len(i)) + (start - count.cumsum() + count).repeat(count)
 
 
-def check_lp_budget(solves: int, n_states: int) -> None:
-    """Refuse explicit-table work that would take ``solves`` transport solves.
+def check_lp_budget(grid, solves: int) -> None:
+    """Refuse explicit-table work on ``grid`` that would take ``solves`` transport solves.
 
-    The time estimate scales the per-solve figure by (n_states / 16)^2.
+    Embedded metrics solve no LP and pass.  The time estimate scales the
+    per-solve figure by (n_states / 16)^2.
     """
-    if solves > MAX_TABLE_LP_SOLVES:
-        per_solve = _LP_SOLVE_S * (n_states / 16) ** 2
+    if grid.metric_kind == EXPLICIT_TABLE and solves > MAX_TABLE_LP_SOLVES:
+        per_solve = _LP_SOLVE_S * (grid.n / 16) ** 2
         raise SolverFailure(
             f"the explicit-table metric needs {solves:,} transport solves "
             f"(about {solves * per_solve / 60:,.1f} min at {per_solve * 1e3:.2f} ms "
@@ -476,9 +477,8 @@ def reachability_tree(
             for a in range(model.n_actions):
                 for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
                     post = bayes_update(model, mu, a, int(j))
-                    if model.state_grid.metric_kind == EXPLICIT_TABLE:
-                        solves += len(kept)
-                        check_lp_budget(solves, kept.grid.n)
+                    solves += len(kept)
+                    check_lp_budget(kept.grid, solves)
                     if kept.within(post.weights, DEDUP_W1_TOL):
                         continue
                     if len(beliefs) >= cap:

@@ -106,10 +106,13 @@ def load_model(path) -> tuple[PomdpModel, np.ndarray | None]:
     except (AttributeError, TypeError, ValueError) as e:
         # a field, or the whole document, of the wrong JSON type
         raise ModelValidationError(f"model file {path} has a malformed field: {e}") from e
-    if init is not None and not (init.shape == (model.n_states,) and np.isfinite(init).all()
-                                 and (init >= 0).all() and init.sum() > 0):
-        raise ModelValidationError(f"model file {path}: init_belief must be one finite, "
-                                   "nonnegative weight per state with a positive total")
+    if init is not None:
+        with np.errstate(over="ignore"):
+            total = init.sum()
+        if not (init.shape == (model.n_states,) and np.isfinite(init).all()
+                and (init >= 0).all() and 0 < total < np.inf):
+            raise ModelValidationError(f"model file {path}: init_belief must be one finite, "
+                                       "nonnegative weight per state, with a finite positive total")
     return model, init
 
 

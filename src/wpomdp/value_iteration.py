@@ -126,60 +126,33 @@ def _row_blocks(B: int):
         s = e
 
 
-def _separated_pairs(block, B: int) -> list[tuple[int, np.ndarray]]:
-    """Row blocks (s, D[s:e, s:]) of the separated sample pairs i < j.
+def _slope_parts(block, B: int, parts: int) -> list[list[tuple[int, np.ndarray]]]:
+    """The separated sample pairs i < j as row blocks, dealt out to ``parts`` workers.
 
     ``block(rows, cols)`` gives a new array of the W1 block between the
-    sample points ``rows`` and ``cols`` (slices).  Entry (i, j), i < j,
-    holds the smaller of its two ordered distances above
-    ``_EXACT_MATCH_TOL``, and inf where neither is; the diagonal and below
-    hold inf, so the quotient max of :func:`_table_lip_estimate` is the
-    max over every separated ordered pair.  Each block is masked in
-    place, and its square D[s:e, s:e] takes the minimum with its
-    transpose.  That changes no bit on an embedded metric, whose blocks
-    are bitwise symmetric, and an explicit table's sample is one block
-    (its LP budget admits fewer beliefs than the first block's rows),
-    whose square is all of D.  No (B, B) array is ever held beyond that.
-    """
-    out = []
-    for s, e in _row_blocks(B):
-        up = block(slice(s, e), slice(s, B))
-        np.putmask(up, up <= _EXACT_MATCH_TOL, np.inf)
-        sq = up[:, :e - s]
-        np.minimum(sq, sq.T.copy(), out=sq)
-        sq[np.tri(e - s, dtype=bool)] = np.inf
-        out.append((s, up))
-    return out
+    sample points ``rows`` and ``cols`` (slices).  Each row block [s, e)
+    of :func:`_row_blocks` is built once as D[s:e, s:] and masked in
+    place: entry (i, j), i < j, holds the smaller of its two ordered
+    distances above ``_EXACT_MATCH_TOL``, and inf where neither is; the
+    diagonal and below hold inf.  Its square D[s:e, s:e] takes the
+    minimum with its transpose.  That changes no bit on an embedded
+    metric, whose blocks are bitwise symmetric, and an explicit table's
+    sample is one block (its LP budget admits fewer beliefs than the
+    first block's rows), whose square is all of D.
 
-
-def _table_lip_estimate(values: np.ndarray, blocks) -> float:
-    """Largest |dv| / W1 over separated sample pairs (0 when there are none).
-
-    ``blocks`` are row blocks (s, D[s:e, s:]) as :func:`_separated_pairs`
-    and :func:`_slope_parts` give them.  Each separated pair makes the
-    subtraction and division of the pair-by-pair form |v_i - v_j| / d_ij,
-    every other entry gives 0, and the max is exact, so the result has the
-    bits of that form.
-    """
-    best = np.empty(len(blocks))
-    for t, (s, d) in enumerate(blocks):
-        q = np.subtract(values[s:s + len(d), None], values[None, s:])
-        best[t] = np.divide(np.abs(q, out=q), d, out=q).max()
-    return float(best.max())
-
-
-def _slope_parts(blocks, parts: int) -> list[list[tuple[int, np.ndarray]]]:
-    """The rows of every slope block, dealt out to ``parts`` workers.
-
-    Each block's rows are cut into ``parts`` runs of about equal upper
-    triangle entries.  A run of rows [r, r2) of the block starting at s
-    becomes the block (r, D[r:r2, r:]): the columns [s, r) it drops hold
-    inf (they are below the diagonal) and give 0 in
-    :func:`_table_lip_estimate`, so the max over every part is exact.
-    Parts with no rows are left out.
+    Each block's rows are then cut into ``parts`` runs of about equal
+    upper triangle entries, and a run [r, r2) becomes the view
+    (r, D[r:r2, r:]): the columns [s, r) it drops hold inf, so the max of
+    :func:`_table_lip_estimate` over every part is exact.  Parts with no
+    rows are left out, and no (B, B) array is ever held.
     """
     out = [[] for _ in range(parts)]
-    for s, d in blocks:
+    for s, e in _row_blocks(B):
+        d = block(slice(s, e), slice(s, B))
+        np.putmask(d, d <= _EXACT_MATCH_TOL, np.inf)
+        sq = d[:, :e - s]
+        np.minimum(sq, sq.T.copy(), out=sq)
+        sq[np.tri(e - s, dtype=bool)] = np.inf
         entries = np.cumsum(d.shape[1] - np.arange(len(d)))
         share = entries[-1] * np.arange(1, parts) / parts
         cuts = [0, *np.searchsorted(entries, share), len(d)]
@@ -187,6 +160,22 @@ def _slope_parts(blocks, parts: int) -> list[list[tuple[int, np.ndarray]]]:
             if hi > lo:
                 part.append((s + lo, d[lo:hi, lo:]))
     return [part for part in out if part]
+
+
+def _table_lip_estimate(values: np.ndarray, blocks) -> float:
+    """Largest |dv| / W1 over separated sample pairs (0 when there are none).
+
+    ``blocks`` are row blocks (s, D[s:e, s:]), as one part of
+    :func:`_slope_parts`, the one builder of the slope's pairs, gives
+    them.  Each separated pair makes the subtraction and division of the
+    pair-by-pair form |v_i - v_j| / d_ij, every other entry gives 0, and
+    the max is exact, so the result has the bits of that form.
+    """
+    best = np.empty(len(blocks))
+    for t, (s, d) in enumerate(blocks):
+        q = np.subtract(values[s:s + len(d), None], values[None, s:])
+        best[t] = np.divide(np.abs(q, out=q), d, out=q).max()
+    return float(best.max())
 
 
 def _spans(n: int, parts: int) -> list[tuple[int, int]]:
@@ -251,10 +240,11 @@ class _Precomputed:
     a quarter of the bytes of ``intp``, up to 65,536 beliefs).  Only the
     nodes :func:`~wpomdp.filtering.possible_nodes` admits have a
     posterior: the others are never queried, and their ``node_probs``,
-    ``nn_idx`` and ``nn_dist`` entries are 0.  ``pairs`` holds
-    the separated sample pairs for the McShane slope estimate as row
-    blocks of their upper triangle (:func:`_separated_pairs`), about
-    4 * B^2 bytes, computed block by block so no (B, B) array is held.
+    ``nn_idx`` and ``nn_dist`` entries are 0.  ``slopes`` holds the
+    separated sample pairs for the McShane slope estimate, as row blocks
+    of their upper triangle already dealt out to the ``parallel``
+    workers of a sweep (:func:`_slope_parts`): about 4 * B^2 bytes,
+    computed block by block so no (B, B) array is held.
 
     ``pool`` runs the k-NN chunks (None: this thread does).
     :func:`solve_vi` opens one pool of ``parallel`` threads for the
@@ -280,8 +270,7 @@ class _Precomputed:
         K = min(_K_NEIGHBORS, B)
         W = sample.weight_matrix()
         geom = BeliefDistances(sample.grid, W)
-        if sample.grid.metric_kind == EXPLICIT_TABLE:
-            check_lp_budget((B * A * J + B) * B, sample.grid.n)
+        check_lp_budget(sample.grid, (B * A * J + B) * B)
         dense = sample.grid.metric_kind != EUCLIDEAN_1D
         need = _precompute_bytes(B, A, J, K, model.n_states, parallel, dense)
         have = _physical_memory()
@@ -296,7 +285,7 @@ class _Precomputed:
         self.node_probs = np.empty((B, A, J))
         self.nn_idx = np.zeros((K, B, A, J), dtype=np.min_scalar_type(B - 1))
         self.nn_dist = np.zeros((K, B, A, J))
-        self.pairs = _separated_pairs(geom.block, B)
+        self.slopes = _slope_parts(geom.block, B, parallel)
 
         phi = model.obs_quadrature.weights
         for a in range(A):
@@ -418,7 +407,6 @@ def solve_vi(
             q[s:e] = pre.reward[s:e] + model.discount * buf.sum(axis=-1)
 
         spans = _spans(sample.n, parallel)
-        slopes = _slope_parts(pre.pairs, parallel)
         t = 0
         while t < min(t_star, max_iters):
             _split(pool, backup, spans)
@@ -429,7 +417,8 @@ def solve_vi(
             if not pre.closed:
                 # never let the correction slope shrink between sweeps: keeps
                 # the effective operator stationary once the estimate settles
-                lip_hat = max(lip_hat, *_split(pool, lambda p: _table_lip_estimate(v, p), slopes))
+                per_part = _split(pool, lambda p: _table_lip_estimate(v, p), pre.slopes)
+                lip_hat = max(lip_hat, *per_part)
 
     table = TabulatedValue(sample, v)
     selector = Selector(sample, tuple(int(i) for i in q.argmax(axis=1)))

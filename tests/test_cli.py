@@ -229,6 +229,45 @@ class TestValidate:
         assert "init_belief" in err
 
 
+    def test_overflowing_start_belief_is_a_one_line_error(self, tmp_path, capsys):
+        # each weight is finite, but their total is not
+        p = tmp_path / "revealing.json"
+        save_model(revealing_toy(), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), "init_belief": [1e308, 1e308]}))
+        rc = main(["solve-vi", "--model", str(p), "--out-dir", str(tmp_path / "out"),
+                   "--depth", "1", "--cap", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelValidationError: ") and err.count("\n") == 1
+        assert "init_belief" in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve-vi"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["weight"].update(x0=float("inf")),
+            lambda doc: doc["weight"].update(x0=float("nan")),
+            lambda doc: doc["states"]["points"].__setitem__(-1, float("inf")),
+        ],
+        ids=["anchor_inf", "anchor_nan", "grid_point_inf"],
+    )
+    def test_non_finite_model_number_is_a_one_line_error(
+        self, edit, command, kalman_file, tmp_path, capsys
+    ):
+        # json reads and writes Infinity and NaN
+        doc = json.loads(kalman_file.read_text())
+        edit(doc)
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc))
+        argv = [command, "--model", str(p)]
+        if command == "solve-vi":
+            argv += ["--out-dir", str(tmp_path / "out"), "--depth", "1", "--cap", "5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as exc:

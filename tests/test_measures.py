@@ -97,6 +97,13 @@ class TestStateGrid:
         with pytest.raises(TypeError):
             StateGrid(np.arange(3.0), DISCRETE, _pairwise=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("kind", [EUCLIDEAN_1D, DISCRETE, EXPLICIT_TABLE])
+    def test_points_must_be_finite(self, kind, bad):
+        table = 1.0 - np.eye(3) if kind == EXPLICIT_TABLE else None
+        with pytest.raises(DimensionMismatch, match="finite"):
+            StateGrid(np.array([0.0, 1.0, bad]), kind, table)
+
     def test_index_of_requires_exact_point(self):
         g = line_grid(0.0, 0.5, 1.0)
         assert g.index_of(0.5) == 1
@@ -126,6 +133,11 @@ class TestMakeMeasure:
     def test_nonfinite_rejected(self, grid02):
         with pytest.raises(NonPositiveMass):
             make_measure(grid02, [1.0, np.nan, 0.0])
+
+    def test_overflowing_total_rejected(self):
+        # each weight is finite, but their sum is not: no silent [0, 0]
+        with pytest.raises(NonPositiveMass, match="finite"):
+            make_measure(line_grid(0.0, 1.0), [1e308, 1e308])
 
     def test_length_mismatch(self, grid02):
         with pytest.raises(DimensionMismatch):
@@ -488,6 +500,11 @@ class TestWeighting:
             WeightFunction(0.0, 0.0)
         with pytest.raises(NonPositiveMass):
             WeightFunction(0.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_anchor_must_be_finite(self, bad):
+        with pytest.raises(NonPositiveMass, match="x0"):
+            WeightFunction(bad, 1.0)
 
     def test_weighted_norm_examples(self):
         g = line_grid(0.0, 2.0)

@@ -167,8 +167,8 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize(
         "init",
         [[0.5, 0.5], [0.5, 0.25, 0.25, 0.0], [float("nan"), 1.0, 0.0],
-         [float("inf"), 1.0, 0.0], [-0.5, 1.0, 0.5], [0.0, 0.0, 0.0]],
-        ids=["too_short", "too_long", "nan", "inf", "negative", "zero_total"],
+         [float("inf"), 1.0, 0.0], [-0.5, 1.0, 0.5], [0.0, 0.0, 0.0], [1e308, 1e308, 0.0]],
+        ids=["too_short", "too_long", "nan", "inf", "negative", "zero_total", "total_overflows"],
     )
     def test_init_belief_that_is_no_belief_reported(self, init, tmp_path):
         p = tmp_path / "tab.json"

@@ -72,7 +72,7 @@ from wpomdp.value_iteration import (
     _precompute_bytes,
     _Precomputed,
     _row_blocks,
-    _separated_pairs,
+    _slope_parts,
     _table_lip_estimate,
     rollout_estimate,
     selector_policy,
@@ -354,7 +354,7 @@ class TestTableLipEstimate:
         d[rng.uniform(size=(n, n)) < 0.1] = 5e-10  # not separated
         if symmetric:
             d = np.triu(d, 1) + np.triu(d, 1).T
-        got = _table_lip_estimate(values, _separated_pairs(lambda r, c: d[r, c].copy(), n))
+        got = _table_lip_estimate(values, _slope_parts(lambda r, c: d[r, c].copy(), n, 1)[0])
         assert got == table_lip_estimate_dense(values, d)
 
     def test_equals_the_dense_form_on_a_solved_tree(self):
@@ -363,7 +363,7 @@ class TestTableLipEstimate:
         geom = BeliefDistances(s.grid, s.weight_matrix())
         d = dense_dists(geom, s.weight_matrix())
         v = solve_vi(m, s, epsilon=1e-2).value.values
-        got = _table_lip_estimate(v, _separated_pairs(geom.block, s.n))
+        got = _table_lip_estimate(v, _slope_parts(geom.block, s.n, 1)[0])
         assert got == table_lip_estimate_dense(v, d) > 0.0
 
     @pytest.mark.parametrize("rows", ["one", "few", "default"])
@@ -376,7 +376,7 @@ class TestTableLipEstimate:
         res = solve_vi(m, s, epsilon=1e-2)
         nbytes = {"one": 1, "few": 8 * 3 * s.n, "default": value_iteration._SLOPE_BLOCK_BYTES}
         with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes[rows]):
-            one = _separated_pairs(geom.block, s.n)
+            one = _slope_parts(geom.block, s.n, 1)[0]
         v = res.value.values
         want = table_lip_estimate_dense(v, dense_dists(geom, W))
         assert want > 0.0
@@ -399,7 +399,7 @@ class TestTableLipEstimate:
         # 1 row per block, 3 rows in the first block, or one block
         nbytes = {"one": 1, "few": 8 * 3 * n, "all": 8 * n * n}[rows]
         with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes):
-            blocks = _separated_pairs(lambda r, c: d[r, c].copy(), n)
+            blocks = _slope_parts(lambda r, c: d[r, c].copy(), n, 1)[0]
         covered = 0
         for start, block in blocks:  # consecutive rows, each block to the last column
             assert start == covered and block.shape[1] == n - start
@@ -412,13 +412,45 @@ class TestTableLipEstimate:
         got = _table_lip_estimate(values, blocks)
         assert np.float64(got).tobytes() == np.float64(table_lip_estimate_dense(values, d)).tobytes()
 
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 40), st.sampled_from(["one", "few", "all"]),
+           st.integers(0, 2**32 - 1))
+    def test_parts_deal_out_every_row_of_every_block(self, parts, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n).round(1)
+        d = rng.uniform(0.0, 2.0, (n, n))
+        d[rng.uniform(size=(n, n)) < 0.2] = 0.0
+        if rows != "all":  # as on the embedded metrics, the only ones that split
+            d = np.triu(d, 1) + np.triu(d, 1).T
+        nbytes = {"one": 1, "few": 8 * 3 * n, "all": 8 * n * n}[rows]
+        with mock.patch.object(value_iteration, "_SLOPE_BLOCK_BYTES", nbytes):
+            whole = _slope_parts(lambda r, c: d[r, c].copy(), n, 1)[0]
+            dealt = _slope_parts(lambda r, c: d[r, c].copy(), n, parts)
+        assert 1 <= len(dealt) <= parts and all(dealt)  # no part is empty
+        runs = sorted((run for part in dealt for run in part), key=lambda run: run[0])
+        at = 0
+        for start, block in whole:  # each block's runs: consecutive, disjoint, covering
+            covered = start
+            while covered < start + len(block):
+                r, x = runs[at]
+                assert r == covered and x.shape == (len(x), n - r)
+                assert x.tobytes() == block[r - start:r - start + len(x), r - start:].tobytes()
+                covered += len(x)
+                at += 1
+            assert covered == start + len(block)
+        assert at == len(runs)
+        got = max(_table_lip_estimate(values, part) for part in dealt)
+        assert np.float64(got).tobytes() == np.float64(table_lip_estimate_dense(values, d)).tobytes()
+
     def test_an_explicit_table_sample_is_one_block(self):
         # only a one-block sample sees both orientations of every pair, and
         # an explicit table's blocks need not be symmetric: the LP budget
         # (A = J = 1 admits the most beliefs) must stay below the first split
+        grid = StateGrid(np.arange(16.0), EXPLICIT_TABLE, 1.0 - np.eye(16))
+
         def admitted(B):
             try:
-                check_lp_budget((B * 1 * 1 + B) * B, 16)
+                check_lp_budget(grid, (B * 1 * 1 + B) * B)
             except SolverFailure:
                 return False
             return True
@@ -516,7 +548,7 @@ class TestExplicitTableSolve:
         pre = precompute(tab, s, 1)
         B, A, J = pre.node_probs.shape
         assert len(calls) == (B * A * J + B) * B  # each ordered pair solved once
-        assert [start for start, _ in pre.pairs] == [0]  # one block: both orientations
+        assert [start for start, _ in pre.slopes[0]] == [0]  # one block: both orientations
 
         W = s.weight_matrix()
         geom = BeliefDistances(s.grid, W)
@@ -526,7 +558,7 @@ class TestExplicitTableSolve:
         sep = np.where(d > 1e-9, d, np.inf)
         want = np.minimum(sep, sep.T)
         want[np.tri(B, dtype=bool)] = np.inf
-        for start, block in pre.pairs:
+        for start, block in pre.slopes[0]:
             assert block.tobytes() == want[start:start + len(block), start:].tobytes()
 
     def test_budget_error_prices_solves_by_the_state_count(self, monkeypatch):
