@@ -5,9 +5,15 @@ writes CSV artifacts into an output directory, and is deterministic
 given its flags -- including the parallelism degree, which never changes
 any emitted byte.
 
-Every subcommand creates its output directory before any other work.
-Exit codes: 0 success, 1 model or assumption failure or unusable path
-(one machine-readable ``error:`` line on stderr), 2 usage error.
+Every subcommand creates its output directory before any other work; a
+solving one then reads the model and refuses every bad flag value before
+it builds a sample.  Exit codes: 0 success, 1 model or assumption failure
+or unusable path (one machine-readable ``error:`` line on stderr), 2
+usage error.
+
+The steps in ``__all__`` are public: the reference script composes them
+on the model file it writes, so its CSVs are the bytes these subcommands
+write on that file.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .filtering import obs_marginal, sample_transition
 from .kalman import KalmanSpec, build_model, start_belief
 from .measures import make_measure
 from .model import certify, check_stop_rule
-from .sampling import reachability_tree
+from .sampling import check_tree_size, reachability_tree
 from .synthetic import uniform_belief
 from .value_iteration import (
     check_parallel,
@@ -37,10 +43,23 @@ from .value_iteration import (
     solve_vi,
 )
 
-__all__ = ["main"]
+__all__ = ["check_flags", "out_dir", "write_example", "setup", "vi_step", "sets_step",
+           "write_vi", "write_diff", "rollout_step", "report_errors", "main"]
 
 
-def _out_dir(args) -> Path:
+def check_flags(args) -> None:
+    """Refuse every flag value a later step refuses; the solvers, the rollout
+    and the tree check them too, but only once they run.  ``parallel`` and
+    the rollout's flags are checked where the caller's parser has them."""
+    check_stop_rule(args.epsilon, args.max_iters)
+    if "parallel" in args:
+        check_parallel(args.parallel)
+    if "n_paths" in args:  # a missing horizon is the certificate's, never negative
+        check_rollout_size(args.horizon or 0, args.n_paths)
+    check_tree_size(args.depth, args.cap)
+
+
+def out_dir(args) -> Path:
     # flag wins; the environment override covers the directory only
     p = Path(args.out_dir or os.environ.get("WPOMDP_OUT_DIR") or ".")
     p.mkdir(parents=True, exist_ok=True)
@@ -52,24 +71,28 @@ def _load(args):
     return model, uniform_belief(model) if init is None else make_measure(model.state_grid, init)
 
 
-def _setup(args):
-    """Output directory, model and start belief, then the sample: the refusal order."""
-    out = _out_dir(args)
+def write_example(spec: KalmanSpec, path):
+    """The model file ``example`` writes: the built model and its start belief."""
+    model = build_model(spec)
+    serialize.save_model(model, path, init_belief=start_belief(model))
+    return model
+
+
+def setup(args):
+    """Output directory, model and start belief, flag checks, then the tree: the refusal order."""
+    out = out_dir(args)
     model, mu0 = _load(args)
-    # the solvers refuse these too, but only after the tree is built
-    check_stop_rule(args.epsilon, args.max_iters)
-    if "parallel" in args:
-        check_parallel(args.parallel)
+    check_flags(args)
     return out, model, mu0, reachability_tree(model, mu0, depth=args.depth, cap=args.cap)
 
 
-def _solve_vi(model, sample, args):
+def vi_step(model, sample, args):
     return solve_vi(
         model, sample, epsilon=args.epsilon, max_iters=args.max_iters, parallel=args.parallel
     )
 
 
-def _solve_sets(model, sample, args):
+def sets_step(model, sample, args):
     return solve_sets(
         model, sample, epsilon=args.epsilon, max_iters=args.max_iters, algorithm=args.algorithm
     )
@@ -80,6 +103,31 @@ def _write_convergence(out, res):
     serialize.write_convergence_csv(out / "convergence.csv", res.sup_diffs, bounds)
 
 
+def write_vi(out, res) -> None:
+    """``convergence.csv`` (each sweep's sup-difference and a-priori bound) and ``values.csv``."""
+    _write_convergence(out, res)
+    serialize.write_values_csv(out / "values.csv", res.value.values, res.selector.actions)
+
+
+def write_diff(out, vi, st) -> tuple[float, float]:
+    """``diff.csv`` of the two routes' tables; returns the largest gap and the combined bound."""
+    combined = vi.error_bound + st.error_bound
+    serialize.write_diff_csv(out / "diff.csv", vi.value.values, st.table.values, combined)
+    return float(np.abs(vi.value.values - st.table.values).max()), combined
+
+
+def rollout_step(out, model, mu0, vi, args) -> tuple[float, float, int]:
+    """``rollout.csv`` of the VI policy from ``mu0``; returns mean, stderr and horizon."""
+    horizon = args.horizon
+    if horizon is None:
+        horizon = vi.constants.iterations_for(args.epsilon / 10.0)  # tail below eps/10
+    mean, err = rollout_estimate(
+        model, selector_policy(vi), mu0, horizon, args.n_paths, seed=args.seed
+    )
+    serialize.write_rollout_csv(out / "rollout.csv", mean, err, args.n_paths, horizon)
+    return mean, err, horizon
+
+
 def cmd_validate(args) -> int:
     model, _ = _load(args)
     print(certify(model))
@@ -87,10 +135,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve_vi(args) -> int:
-    out, model, _, sample = _setup(args)
-    res = _solve_vi(model, sample, args)
-    _write_convergence(out, res)
-    serialize.write_values_csv(out / "values.csv", res.value.values, res.selector.actions)
+    out, model, _, sample = setup(args)
+    res = vi_step(model, sample, args)
+    write_vi(out, res)
     print(
         f"solve-vi: {sample.n} beliefs, {res.iterations} iterations, "
         f"bound {res.error_bound:.6g}, converged={res.converged}"
@@ -99,8 +146,8 @@ def cmd_solve_vi(args) -> int:
 
 
 def cmd_solve_sets(args) -> int:
-    out, model, _, sample = _setup(args)
-    res = _solve_sets(model, sample, args)
+    out, model, _, sample = setup(args)
+    res = sets_step(model, sample, args)
     serialize.write_alphas_csv(out / "alphas.csv", res.sets)
     _write_convergence(out, res)
     # winner ids index the flattened union in emitted (alphas.csv) order
@@ -118,7 +165,7 @@ def cmd_solve_sets(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    out = _out_dir(args)
+    out = out_dir(args)
     model, mu = _load(args)
     rng = np.random.default_rng(args.seed)
     records = []
@@ -137,17 +184,9 @@ def cmd_filter(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    # the horizon defaults to one the certificate picks, never negative
-    check_rollout_size(args.horizon or 0, args.n_paths)
-    out, model, mu0, sample = _setup(args)
-    res = _solve_vi(model, sample, args)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = res.constants.iterations_for(args.epsilon / 10.0)  # tail below eps/10
-    mean, err = rollout_estimate(
-        model, selector_policy(res), mu0, horizon, args.n_paths, seed=args.seed
-    )
-    serialize.write_rollout_csv(out / "rollout.csv", mean, err, args.n_paths, horizon)
+    out, model, mu0, sample = setup(args)
+    res = vi_step(model, sample, args)
+    mean, err, _ = rollout_step(out, model, mu0, res, args)
     print(
         f"rollout: {mean:.6g} +- {err:.2g} over {args.n_paths} paths "
         f"(value at start {res.value.values[0]:.6g}, bound {res.error_bound:.3g})"
@@ -156,25 +195,20 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out, model, _, sample = _setup(args)
-    vi = _solve_vi(model, sample, args)
-    st = _solve_sets(model, sample, args)
-    combined = vi.error_bound + st.error_bound
-    serialize.write_diff_csv(out / "diff.csv", vi.value.values, st.table.values, combined)
-    worst = float(np.abs(vi.value.values - st.table.values).max())
+    out, model, _, sample = setup(args)
+    worst, combined = write_diff(out, vi_step(model, sample, args), sets_step(model, sample, args))
     print(f"compare: max |vi - sets| = {worst:.6g}, combined bound {combined:.6g}")
     return 0 if worst <= combined else 1
 
 
 def cmd_example(args) -> int:
-    out = Path(args.out) if args.out else _out_dir(args) / "kalman_model.json"
+    out = Path(args.out) if args.out else out_dir(args) / "kalman_model.json"
     try:  # no spec file is the empty spec
         spec = KalmanSpec(**({} if args.spec is None else json.loads(Path(args.spec).read_text())))
     except (OSError, ValueError, TypeError) as e:
         # unreadable file, malformed JSON, unknown or mistyped field
         raise ModelValidationError(f"cannot use spec file {args.spec}: {e}") from e
-    model = build_model(spec)
-    serialize.save_model(model, out, init_belief=start_belief(model))
+    model = write_example(spec, out)
     print(f"example kalman: wrote {out} ({model.n_states} states, "
           f"{model.n_actions} actions, {model.n_obs} nodes)")
     return 0
@@ -242,13 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def report_errors(fn, args) -> int:
+    """``fn(args)``; a package error or an unusable file path is one ``error:`` line and exit 1."""
     try:
-        return args.fn(args)
-    except (BeliefSpaceError, OSError) as e:  # OSError: an unusable file path
+        return fn(args)
+    except (BeliefSpaceError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return report_errors(args.fn, args)
 
 
 if __name__ == "__main__":

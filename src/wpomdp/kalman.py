@@ -52,6 +52,10 @@ _TV_FLOOR = 1e-3
 _NUMBER_TYPES = {"float": numbers.Real, "int": numbers.Integral}
 
 
+def _is_finite(v, kind) -> bool:
+    return not isinstance(v, bool) and isinstance(v, kind) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class KalmanSpec:
     """Scalar description of the linear-Gaussian control problem.
@@ -78,8 +82,10 @@ class KalmanSpec:
     def __post_init__(self):
         for f in fields(self):
             v, kind = getattr(self, f.name), _NUMBER_TYPES.get(f.type)
-            if kind and (isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v)):
+            if kind and not _is_finite(v, kind):
                 raise ModelValidationError(f"{f.name} must be a finite {f.type}, not {v!r}")
+        if not all(_is_finite(g, numbers.Real) for g in self.gains):
+            raise ModelValidationError(f"gains must all be finite floats, not {self.gains!r}")
         if len(self.gains) == 0:
             raise ModelValidationError("need at least one action gain")
         if self.feedback_sup >= 1.0:

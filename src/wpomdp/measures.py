@@ -74,9 +74,9 @@ class StateGrid:
         modes they are only identifiers.
     metric_kind : one of ``euclidean_1d``, ``discrete``, ``explicit_table``.
     distance_table : required (n, n) symmetric matrix when
-        ``metric_kind == "explicit_table"``; validated for zero diagonal,
-        positive off-diagonal entries, symmetry and the triangle inequality
-        on construction.
+        ``metric_kind == "explicit_table"``; validated for finite entries,
+        zero diagonal, positive off-diagonal entries, symmetry and the
+        triangle inequality on construction.
     """
 
     points: np.ndarray
@@ -104,6 +104,8 @@ class StateGrid:
             n = len(self.points)
             if t.shape != (n, n):
                 raise DimensionMismatch("distance table shape mismatch")
+            if not np.isfinite(t).all():
+                raise DimensionMismatch("distance table entries must be finite")
             if not np.allclose(t, t.T, atol=1e-12) or (np.diag(t) != 0).any():
                 raise MetricKindMismatch("table must be symmetric with zero diagonal")
             if (t < 0).any():

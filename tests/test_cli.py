@@ -19,10 +19,11 @@ import pytest
 from wpomdp import cli, value_iteration
 from wpomdp.cli import main
 from wpomdp.kalman import KalmanSpec, start_belief
+from wpomdp.measures import EXPLICIT_TABLE, StateGrid
 from wpomdp.model import certify
 from wpomdp.sampling import reachability_tree
 from wpomdp.serialize import load_model, save_model
-from wpomdp.synthetic import pbvi_toy, revealing_toy
+from wpomdp.synthetic import pbvi_toy, random_finite_model, revealing_toy
 
 
 def read_csv(path):
@@ -125,6 +126,20 @@ class TestExample:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"gains": [NaN, 0.5]}', '{"gains": [false, 0.5]}', '{"gains": ["x", 0.5]}'],
+        ids=["nan", "bool", "str"],
+    )
+    def test_mistyped_gain_is_a_one_line_error(self, text, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)  # json reads NaN
+        rc = main(["example", "kalman", "--out", str(tmp_path / "m.json"), "--spec", str(spec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelValidationError: ") and err.count("\n") == 1
+        assert "gains" in err
         assert not (tmp_path / "m.json").exists()
 
 
@@ -266,6 +281,21 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
+
+    def test_infinite_table_entry_is_a_one_line_error(self, tmp_path, capsys):
+        # a 3-point explicit table, saved, with one entry set to Infinity
+        model = random_finite_model(0, n_states=3, n_actions=2, n_obs=2)
+        table = np.abs(np.arange(3.0)[:, None] - np.arange(3.0)[None, :])
+        grid = StateGrid(np.arange(3.0), EXPLICIT_TABLE, table)
+        p = tmp_path / "table.json"
+        save_model(dataclasses.replace(model, state_grid=grid), p)
+        doc = json.loads(p.read_text())
+        doc["states"]["distance_table"][0][2] = float("inf")
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: DimensionMismatch: distance table entries must be finite\n"
 
 
 class TestUsageErrors:

@@ -55,11 +55,17 @@ class TestSpecValidation:
             ("n_obs_nodes", 2.5), ("n_obs_nodes", 33.0), ("n_obs_nodes", True),
             ("reward_fn", 3), ("drift", "x"), ("grid_lo", None), ("obs_pad_stds", "5"),
             ("drift", float("nan")), ("obs_std", float("inf")),
+            # each gain is checked like a scalar field
+            ("gains", (float("nan"), 0.5)), ("gains", (float("inf"),)), ("gains", (False, 0.5)),
+            ("gains", (True,)), ("gains", ("x", 0.5)), ("gains", (None,)), ("gains", "ab"),
         ],
     )
     def test_mistyped_fields(self, field, value):
         with pytest.raises(ModelValidationError, match=field):
             KalmanSpec(**{field: value})
+
+    def test_integer_gains_accepted(self):
+        assert KalmanSpec(gains=[0, 0.5]).feedback_sup == 0.5
 
     def test_default_tables(self):
         spec = reference_spec()

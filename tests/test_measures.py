@@ -80,6 +80,14 @@ class TestStateGrid:
         with pytest.raises(MetricKindMismatch):
             StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_table_entries_must_be_finite(self, entry):
+        # an infinite pair passes symmetry, diagonal, positivity and the
+        # triangle inequality, and a NaN one would fail as asymmetric
+        t = np.array([[0.0, 1.0, entry], [1.0, 0.0, entry], [entry, entry, 0.0]])
+        with pytest.raises(DimensionMismatch, match="finite"):
+            StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
+
     def test_valid_table_accepted(self):
         t = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         g = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
