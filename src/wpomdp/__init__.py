@@ -7,18 +7,12 @@ from .measures import (
     EUCLIDEAN_1D,
     EXPLICIT_TABLE,
     DiscreteMeasure,
-    LipschitzFn,
     StateGrid,
     WeightFunction,
     dirac,
-    integrate,
-    kr_dual_gap,
     make_measure,
     tilde_w,
-    w1,
-    w1_1d,
     w1_lp,
-    weighted_norm,
 )
 from .model import (
     CertifiedConstants,
@@ -38,7 +32,7 @@ from .filtering import (
     predict,
     sample_transition,
 )
-from .sampling import BeliefSample, reachability_tree, user_sample
+from .sampling import BeliefSample, reachability_tree, user_sample, w1
 from .value_iteration import (
     Selector,
     TabulatedValue,

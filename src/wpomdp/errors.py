@@ -27,10 +27,6 @@ class NonPositiveMass(BeliefSpaceError):
     """Weights sum to zero/negative, or an atom is significantly negative."""
 
 
-class NotOneLipschitz(BeliefSpaceError):
-    """A test function exceeds the unit Lipschitz budget."""
-
-
 class EmptySample(BeliefSpaceError):
     """A belief collection that must be nonempty is empty."""
 

@@ -53,7 +53,11 @@ _NUMBER_TYPES = {"float": numbers.Real, "int": numbers.Integral}
 
 
 def _is_finite(v, kind) -> bool:
-    return not isinstance(v, bool) and isinstance(v, kind) and math.isfinite(v)
+    """Whether ``v`` is a non-bool ``kind`` number that a float holds finitely."""
+    try:
+        return not isinstance(v, bool) and isinstance(v, kind) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
-"""Finitely supported measures on metric state grids and W1 machinery.
+"""Finitely supported measures on metric state grids, and their W1 parts.
 
 Beliefs are probability measures whose atoms sit on a fixed ``StateGrid``.
 Three metric modes are supported: points on the real line with d(x,y)=|x-y|,
 the 0/1 discrete metric, and an explicit symmetric distance table.  On top
 of that the module provides
 
-* the order-1 Wasserstein distance -- closed form on the line as the L1
-  distance between CDF embeddings (:func:`cdf_embedding`), transportation
-  simplex otherwise,
-* dual gaps ``int f dmu - int f dnu`` for (approximately) 1-Lipschitz test
-  functions, giving the sup-side of Kantorovich-Rubinstein duality,
-* affine weight functions w(x) = 1 + k*d(x0, x), their lifts
-  ``tilde_w(mu) = int w dmu`` to belief space, and the induced weighted
-  supremum norm used by every convergence certificate in the package.
+* affine weight functions w(x) = 1 + k*d(x0, x) and their lifts
+  ``tilde_w(mu) = int w dmu`` to belief space, the denominators of the
+  weighted supremum norm behind every convergence certificate,
+* the Lipschitz constants of grid functions (:func:`lipschitz_constants`),
+* the pieces of the order-1 Wasserstein distance: the CDF embedding on the
+  line (:func:`cdf_embedding`), whose L1 distance is W1, and the
+  transportation simplex (:func:`w1_lp`), which the explicit-table metric
+  solves.  The one W1 entry point, :func:`wpomdp.sampling.w1`, runs the
+  package's distance kernel, ``BeliefDistances``.
 
 Measures are deliberately dense (one weight per grid point); the support is
 simply the set of strictly positive entries.  Arrays are treated as
@@ -22,35 +23,23 @@ immutable once a measure is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySample,
-    MetricKindMismatch,
-    NonPositiveMass,
-    NotOneLipschitz,
-)
+from .errors import DimensionMismatch, MetricKindMismatch, NonPositiveMass
 from .transport import solve_transport
 
 __all__ = [
     "StateGrid",
     "DiscreteMeasure",
     "WeightFunction",
-    "LipschitzFn",
     "lipschitz_constants",
     "make_measure",
     "dirac",
     "cdf_embedding",
-    "w1_1d",
     "w1_lp",
-    "w1",
-    "kr_dual_gap",
     "tilde_w",
-    "weighted_norm",
-    "integrate",
 ]
 
 EUCLIDEAN_1D = "euclidean_1d"
@@ -58,9 +47,6 @@ DISCRETE = "discrete"
 EXPLICIT_TABLE = "explicit_table"
 
 _METRIC_KINDS = (EUCLIDEAN_1D, DISCRETE, EXPLICIT_TABLE)
-
-# Lipschitz budget slack for dual test functions
-_LIP_SLACK = 1e-9
 
 
 @dataclass(eq=False)
@@ -177,13 +163,6 @@ class DiscreteMeasure:
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0)
 
-    def mean(self) -> float:
-        return float(np.dot(self.grid.points, self.weights))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot((self.grid.points - m) ** 2, self.weights))
-
 
 def make_measure(grid: StateGrid, weights: Sequence[float]) -> DiscreteMeasure:
     """Normalise raw weights into a probability measure on ``grid``.
@@ -228,44 +207,9 @@ class WeightFunction:
         return 1.0 + self.k * grid.distance_to(self.x0)
 
 
-class LipschitzFn:
-    """Grid-sampled test function with its certified Lipschitz constant.
-
-    In 1-D mode off-grid evaluation is linear interpolation with constant
-    extrapolation beyond the ends, which never increases the Lipschitz
-    constant.  In the finite-metric modes only exact grid points can be
-    evaluated.
-    """
-
-    __slots__ = ("grid", "values", "lip_const")
-
-    def __init__(self, grid: StateGrid, values: Sequence[float]):
-        self.grid = grid
-        v = np.asarray(values, dtype=float)
-        if v.shape != (grid.n,):
-            raise DimensionMismatch(f"{v.shape} values on a {grid.n}-point grid")
-        if not np.isfinite(v).all():
-            raise DimensionMismatch("function values must be finite")
-        self.values = v
-        self.values.flags.writeable = False
-        self.lip_const = float(lipschitz_constants(grid, v))
-
-    def eval_at(self, xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if self.grid.metric_kind == EUCLIDEAN_1D:
-            return np.interp(xs, self.grid.points, self.values)
-        # finite-metric grids may be unsorted, so match points exactly
-        hits = np.isclose(xs[:, None], self.grid.points[None, :], rtol=0, atol=1e-12)
-        if not hits.any(axis=1).all():
-            raise DimensionMismatch("off-grid evaluation needs the 1-D metric")
-        return self.values[np.argmax(hits, axis=1)]
-
-    def __call__(self, x: float) -> float:
-        return float(self.eval_at([x])[0])
-
-    @classmethod
-    def from_callable(cls, grid: StateGrid, fn: Callable[[float], float]) -> "LipschitzFn":
-        return cls(grid, [fn(x) for x in grid.points])
+def tilde_w(wf: WeightFunction, mu: DiscreteMeasure) -> float:
+    """Lift of the state weight to belief space: int w dmu (always >= 1)."""
+    return float(np.dot(wf.values_on(mu.grid), mu.weights))
 
 
 def lipschitz_constants(grid: StateGrid, rows: np.ndarray) -> np.ndarray:
@@ -293,105 +237,26 @@ def lipschitz_constants(grid: StateGrid, rows: np.ndarray) -> np.ndarray:
 # Wasserstein-1 distances
 # --------------------------------------------------------------------------
 
-def _support_atoms(mu: DiscreteMeasure):
-    idx = mu.support
-    return mu.grid.points[idx], mu.weights[idx], idx
-
-
 def cdf_embedding(points: np.ndarray, weight_rows: np.ndarray) -> np.ndarray:
     """Cell-width-scaled CDFs of weight rows (last axis) on increasing 1-D
     ``points``: the L1 distance of two embedded rows is their W1."""
     return np.cumsum(weight_rows, axis=-1)[..., :-1] * np.diff(points)
 
 
-def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Closed-form W1 on the line: L1 between the CDF embeddings.
-
-    The grids may differ as long as both are ``euclidean_1d``; both
-    measures are embedded on the union of their grids.
-    """
-    if mu.grid.metric_kind != EUCLIDEAN_1D or nu.grid.metric_kind != EUCLIDEAN_1D:
-        raise MetricKindMismatch("w1_1d needs the 1-D euclidean metric")
-    z = np.union1d(mu.grid.points, nu.grid.points)
-    rows = np.zeros((2, len(z)))
-    rows[0, np.searchsorted(z, mu.grid.points)] = mu.weights
-    rows[1, np.searchsorted(z, nu.grid.points)] = nu.weights
-    e_mu, e_nu = cdf_embedding(z, rows)
-    return float(np.abs(e_mu - e_nu).sum())
-
-
 def w1_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """W1 via the transportation simplex over the support atoms.
 
-    Works for every metric kind.  For the finite metrics both measures must
-    live on the same grid; in 1-D mode cross-grid pairs are allowed because
-    |x - y| is defined between arbitrary atoms.
+    Works for every metric kind; both measures must live on one grid.  The
+    cost is the grid's :meth:`StateGrid.pairwise` block between the two
+    supports.
     """
     if mu.grid.metric_kind != nu.grid.metric_kind:
         raise MetricKindMismatch(
             f"{mu.grid.metric_kind} vs {nu.grid.metric_kind}"
         )
-    xs_m, wm, im = _support_atoms(mu)
-    xs_n, wn, jn = _support_atoms(nu)
-    if mu.grid.metric_kind == EUCLIDEAN_1D:
-        cost = np.abs(xs_m[:, None] - xs_n[None, :])
-    else:
-        if not mu.grid.same_points(nu.grid):
-            raise MetricKindMismatch("finite-metric measures must share a grid")
-        cost = mu.grid.pairwise()[np.ix_(im, jn)]
-    _, value = solve_transport(wm, wn, cost)
+    if not mu.grid.same_points(nu.grid):
+        raise MetricKindMismatch("measures must share a grid")
+    im, jn = mu.support, nu.support
+    cost = mu.grid.pairwise()[np.ix_(im, jn)]
+    _, value = solve_transport(mu.weights[im], nu.weights[jn], cost)
     return value
-
-
-def w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Dispatcher: closed form on the line, transportation solver otherwise."""
-    if mu.grid.metric_kind == EUCLIDEAN_1D and nu.grid.metric_kind == EUCLIDEAN_1D:
-        return w1_1d(mu, nu)
-    return w1_lp(mu, nu)
-
-
-def kr_dual_gap(mu: DiscreteMeasure, nu: DiscreteMeasure, f: LipschitzFn) -> float:
-    """``int f dmu - int f dnu`` for a 1-Lipschitz candidate.
-
-    Raises :class:`NotOneLipschitz` when the certified constant exceeds
-    1 + 1e-9.  By duality the result is a lower bound on W1(mu, nu).
-    """
-    if f.lip_const > 1.0 + _LIP_SLACK:
-        raise NotOneLipschitz(f"lip const {f.lip_const:.12g} exceeds 1")
-    return integrate(f, mu) - integrate(f, nu)
-
-
-# --------------------------------------------------------------------------
-# weighted norms and integrals
-# --------------------------------------------------------------------------
-
-def tilde_w(wf: WeightFunction, mu: DiscreteMeasure) -> float:
-    """Lift of the state weight to belief space: int w dmu (always >= 1)."""
-    return float(np.dot(wf.values_on(mu.grid), mu.weights))
-
-
-def weighted_norm(
-    values: Sequence[float],
-    beliefs: Sequence[DiscreteMeasure],
-    wf: WeightFunction,
-) -> float:
-    """sup_i |values_i| / tilde_w(beliefs_i) over a belief sample."""
-    values = np.asarray(values, dtype=float)
-    beliefs = list(beliefs)
-    if len(beliefs) == 0:
-        raise EmptySample("weighted norm over an empty belief sample")
-    if values.shape != (len(beliefs),):
-        raise DimensionMismatch("one value per belief required")
-    denom = np.array([tilde_w(wf, b) for b in beliefs])
-    return float(np.max(np.abs(values) / denom))
-
-
-def integrate(f: LipschitzFn, mu: DiscreteMeasure) -> float:
-    """``int f dmu``; cross-grid integration interpolates in 1-D mode."""
-    if f.grid.same_points(mu.grid):
-        return float(np.dot(f.values, mu.weights))
-    if f.grid.metric_kind == EUCLIDEAN_1D and mu.grid.metric_kind == EUCLIDEAN_1D:
-        xs, w, _ = _support_atoms(mu)
-        return float(np.dot(f.eval_at(xs), w))
-    raise DimensionMismatch("cross-grid integration needs the 1-D metric")
-

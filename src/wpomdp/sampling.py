@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySample, SolverFailure
+from .errors import DimensionMismatch, EmptySample, MetricKindMismatch, SolverFailure
 from .filtering import bayes_update, obs_marginal, possible_nodes
 from .measures import (
     DISCRETE, EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure, cdf_embedding, make_measure, w1_lp,
@@ -26,6 +26,7 @@ __all__ = [
     "reachability_tree",
     "check_tree_size",
     "check_lp_budget",
+    "w1",
     "DEDUP_W1_TOL",
     "MAX_TABLE_LP_SOLVES",
 ]
@@ -262,6 +263,18 @@ class BeliefDistances:
             np.subtract(hs, gs, out=gs)
             np.abs(gs, out=gs).sum(axis=1, out=out[s:s + step])
         return out
+
+
+def w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """W1 between two measures on one grid: :meth:`BeliefDistances.block` on the pair.
+
+    So every W1 the package computes comes from one kernel per metric,
+    :meth:`BeliefDistances._exact`.  Measures on different grids are refused.
+    """
+    if not mu.grid.same_points(nu.grid):
+        raise MetricKindMismatch("measures must share a grid")
+    pair = BeliefDistances(mu.grid, np.stack([mu.weights, nu.weights]))
+    return float(pair.block(slice(0, 1), slice(1, 2))[0, 0])
 
 
 class _KeyBound:

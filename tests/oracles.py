@@ -26,12 +26,10 @@ from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,
     DiscreteMeasure,
-    LipschitzFn,
     cdf_embedding,
-    integrate,
     lipschitz_constants,
     make_measure,
-    w1,
+    tilde_w,
     w1_lp,
 )
 from wpomdp.model import certify
@@ -257,6 +255,48 @@ def solve_transport_reference(supply, demand, cost, *, max_pivots: int | None = 
 
 def tv_distance(weights_a, weights_b):
     return 0.5 * float(np.abs(np.asarray(weights_a) - np.asarray(weights_b)).sum())
+
+
+# --------------------------------------------------------------------------
+# W1, Lipschitz constants and weighted norms by their textbook formulas
+# --------------------------------------------------------------------------
+
+def w1(mu, nu):
+    """W1 of two measures on one grid, by each metric's own formula.
+
+    Line: the L1 distance of the CDFs, |cumsum(mu - nu)[:-1] * diff(x)|_1.
+    Discrete: total variation.  Explicit table: the transport LP.
+    """
+    grid = mu.grid
+    if not grid.same_points(nu.grid):
+        raise DimensionMismatch("the W1 oracle needs measures on one grid")
+    if grid.metric_kind == EUCLIDEAN_1D:
+        cdf_gap = np.cumsum(mu.weights - nu.weights)[:-1]
+        return float(np.abs(cdf_gap * np.diff(grid.points)).sum())
+    if grid.metric_kind == DISCRETE:
+        return tv_distance(mu.weights, nu.weights)
+    return w1_lp(mu, nu)
+
+
+def lip_const_bruteforce(grid, f):
+    """max |f_i - f_j| / min(d_ij, d_ji) over every pair of distinct points."""
+    pw = grid.pairwise()
+    best = 0.0
+    for i, j in itertools.combinations(range(grid.n), 2):
+        best = max(best, abs(f[i] - f[j]) / min(pw[i, j], pw[j, i]))
+    return best
+
+
+def weighted_norm(values, beliefs, wf):
+    """sup_i |values_i| / tilde_w(beliefs_i) over a belief sample."""
+    values = np.asarray(values, dtype=float)
+    beliefs = list(beliefs)
+    if len(beliefs) == 0:
+        raise EmptySample("weighted norm over an empty belief sample")
+    if values.shape != (len(beliefs),):
+        raise DimensionMismatch("one value per belief required")
+    denom = np.array([tilde_w(wf, b) for b in beliefs])
+    return float(np.max(np.abs(values) / denom))
 
 
 # --------------------------------------------------------------------------
@@ -626,14 +666,14 @@ def greedy_selector(model, value, value_eval):
 
 
 # --------------------------------------------------------------------------
-# per-belief Fenchel conjugates of single functions
+# per-belief Fenchel conjugates of single functions (one value per grid point)
 # --------------------------------------------------------------------------
 
 def conjugate_rho_loop(f, value_eval, sample):
     """Empirical conjugate: max over sampled mu of int f dmu - value(mu)."""
     best = -np.inf
     for mu in sample.beliefs:
-        best = max(best, integrate(f, mu) - value_eval(mu))
+        best = max(best, float(np.dot(f, mu.weights)) - value_eval(mu))
     return float(best)
 
 
@@ -643,7 +683,8 @@ def second_conjugate_loop(mu, candidate_fns, value_eval, sample):
     if len(candidate_fns) == 0:
         raise EmptySample("second conjugate needs candidate functions")
     return max(
-        integrate(f, mu) - conjugate_rho_loop(f, value_eval, sample) for f in candidate_fns
+        float(np.dot(f, mu.weights)) - conjugate_rho_loop(f, value_eval, sample)
+        for f in candidate_fns
     )
 
 
@@ -652,7 +693,7 @@ def normalize_null_level_loop(f, value_eval, sample):
     rho = conjugate_rho_loop(f, value_eval, sample)
     if not np.isfinite(rho):
         raise SolverFailure("conjugate is not finite over the sample")
-    return LipschitzFn(f.grid, f.values - rho)
+    return f - rho
 
 
 # --------------------------------------------------------------------------

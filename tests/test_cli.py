@@ -115,9 +115,12 @@ class TestExample:
         "text",
         [
             '{"reward_fn": 3}', '{"obs_mean": "x"}', '{"n_obs_nodes": 2.5}',
-            '{"n_obs_nodes": 33.0}', '{"drift": "x"}',
+            '{"n_obs_nodes": 33.0}', '{"drift": "x"}', '{"drift": 1%s}' % ("0" * 400),
         ],
-        ids=["reward_fn_int", "obs_mean", "n_obs_nodes_fraction", "n_obs_nodes_float", "drift_str"],
+        ids=[
+            "reward_fn_int", "obs_mean", "n_obs_nodes_fraction", "n_obs_nodes_float", "drift_str",
+            "drift_401_digits",
+        ],
     )
     def test_mistyped_spec_field_is_a_one_line_error(self, text, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -129,8 +132,12 @@ class TestExample:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
-        "text", ['{"gains": [NaN, 0.5]}', '{"gains": [false, 0.5]}', '{"gains": ["x", 0.5]}'],
-        ids=["nan", "bool", "str"],
+        "text",
+        [
+            '{"gains": [NaN, 0.5]}', '{"gains": [false, 0.5]}', '{"gains": ["x", 0.5]}',
+            '{"gains": [1%s, 0.1]}' % ("0" * 400),
+        ],
+        ids=["nan", "bool", "str", "401_digits"],
     )
     def test_mistyped_gain_is_a_one_line_error(self, text, tmp_path, capsys):
         spec = tmp_path / "spec.json"

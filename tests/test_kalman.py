@@ -58,6 +58,9 @@ class TestSpecValidation:
             # each gain is checked like a scalar field
             ("gains", (float("nan"), 0.5)), ("gains", (float("inf"),)), ("gains", (False, 0.5)),
             ("gains", (True,)), ("gains", ("x", 0.5)), ("gains", (None,)), ("gains", "ab"),
+            # an int too large for a float is not finite
+            pytest.param("drift", 10**400, id="drift-401-digits"),
+            pytest.param("gains", (10**400, 0.1), id="gains-401-digits"),
         ],
     )
     def test_mistyped_fields(self, field, value):

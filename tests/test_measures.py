@@ -1,4 +1,4 @@
-"""Measure layer: W1 distances, duality, weights, Lipschitz integration."""
+"""Measure layer: W1 distances, duality, weights, Lipschitz constants."""
 
 import dataclasses
 
@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from wpomdp.conjugate import AlphaSet
 from wpomdp.errors import (
     DimensionMismatch,
     EmptySample,
     MetricKindMismatch,
     NonPositiveMass,
-    NotOneLipschitz,
     SolverFailure,
 )
 from wpomdp.measures import (
@@ -22,20 +22,15 @@ from wpomdp.measures import (
     EUCLIDEAN_1D,
     EXPLICIT_TABLE,
     DiscreteMeasure,
-    LipschitzFn,
     StateGrid,
     WeightFunction,
     dirac,
-    integrate,
-    kr_dual_gap,
+    lipschitz_constants,
     make_measure,
     tilde_w,
-    w1,
-    w1_1d,
     w1_lp,
-    weighted_norm,
 )
-from wpomdp.sampling import _embed_rows
+from wpomdp.sampling import BeliefDistances, _embed_rows, w1
 from wpomdp.transport import solve_transport
 
 
@@ -156,39 +151,61 @@ class TestMakeMeasure:
         with pytest.raises(ValueError):
             mu.weights[0] = 0.3
 
-    def test_moments(self):
-        mu = make_measure(line_grid(0.0, 2.0), [0.5, 0.5])
-        assert_allclose(mu.mean(), 1.0)
-        assert_allclose(mu.variance(), 1.0)
-
 
 # --------------------------------------------------------------------------
 # Wasserstein-1
 # --------------------------------------------------------------------------
 
 class TestW1OneD:
+    """``w1`` on the line: the kernel's L1 of CDF embeddings."""
+
     def test_dirac_pair(self, grid02):
-        assert_allclose(w1_1d(dirac(grid02, 0), dirac(grid02, 1)), 1.0)
+        assert_allclose(w1(dirac(grid02, 0), dirac(grid02, 1)), 1.0)
 
     def test_identity(self, grid02):
         mu = make_measure(grid02, [0.2, 0.3, 0.5])
-        assert w1_1d(mu, mu) == 0.0
+        assert w1(mu, mu) == 0.0
 
     def test_split_pair_against_middle_dirac(self, grid02):
         # frozen from the brute-force 2x1 transportation LP: both half-masses
         # travel distance 1
         mu = make_measure(grid02, [0.5, 0.0, 0.5])
-        assert_allclose(w1_1d(mu, dirac(grid02, 1)), 1.0)
+        assert_allclose(w1(mu, dirac(grid02, 1)), 1.0)
 
     def test_cross_grid_supports(self):
+        """Supports on two different line grids are refused by both W1
+        routes, not embedded on the union of the grids."""
         mu = dirac(line_grid(0.0), 0)
         nu = dirac(line_grid(2.5), 0)
-        assert_allclose(w1_1d(mu, nu), 2.5)
+        for dist in (w1, w1_lp):
+            with pytest.raises(MetricKindMismatch, match="share a grid"):
+                dist(mu, nu)
 
     def test_rejects_finite_metric(self):
+        """A line measure and a discrete one have no common grid."""
         g = StateGrid(np.arange(2.0), metric_kind=DISCRETE)
         with pytest.raises(MetricKindMismatch):
-            w1_1d(dirac(g, 0), dirac(g, 1))
+            w1(dirac(line_grid(0.0, 1.0), 0), dirac(g, 1))
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.sampled_from(["line", "discrete", "table", "point"]), st.integers(0, 2**32 - 1))
+    def test_has_the_bits_of_the_kernel_block(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 if kind == "point" else int(rng.integers(2, 7))
+        if kind == "discrete":
+            g = StateGrid(np.arange(float(n)), DISCRETE)
+        elif kind == "table":
+            t = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) ** 0.5
+            g = StateGrid(np.arange(float(n)), EXPLICIT_TABLE, t)
+        else:
+            g = StateGrid(np.cumsum(0.05 + rng.random(n)))
+        rows = rng.dirichlet(np.ones(n), 2) * (rng.random((2, n)) < 0.8)
+        rows[:, 0] += 1e-3
+        mu, nu = make_measure(g, rows[0]), make_measure(g, rows[1])
+        want = BeliefDistances(g, np.stack([mu.weights, nu.weights])).block(
+            slice(0, 1), slice(1, 2)
+        )[0, 0]
+        assert np.float64(w1(mu, nu)).tobytes() == want.tobytes()
 
 
 class TestW1Lp:
@@ -438,20 +455,21 @@ class TestTransportSimplex:
 # Kantorovich-Rubinstein duality
 # --------------------------------------------------------------------------
 
+def dual_gap(f, mu, nu):
+    """int f dmu - int f dnu for a grid function ``f`` (one value per point)."""
+    return float(np.dot(f, mu.weights)) - float(np.dot(f, nu.weights))
+
+
 class TestKrDualGap:
     def test_constant_function_gives_zero(self, grid02):
-        f = LipschitzFn(grid02, [2.0, 2.0, 2.0])
+        f = np.array([2.0, 2.0, 2.0])
         mu = make_measure(grid02, [0.2, 0.5, 0.3])
-        assert_allclose(kr_dual_gap(mu, dirac(grid02, 0), f), 0.0, atol=1e-15)
+        assert_allclose(dual_gap(f, mu, dirac(grid02, 0)), 0.0, atol=1e-15)
 
     def test_identity_function_attains_dirac_distance(self, grid02):
-        f = LipschitzFn(grid02, grid02.points)
-        assert_allclose(kr_dual_gap(dirac(grid02, 1), dirac(grid02, 0), f), 1.0)
-
-    def test_rejects_steep_function(self, grid02):
-        f = LipschitzFn(grid02, [0.0, 2.0, 0.0])
-        with pytest.raises(NotOneLipschitz):
-            kr_dual_gap(dirac(grid02, 0), dirac(grid02, 1), f)
+        f = grid02.points
+        assert lipschitz_constants(grid02, f) == 1.0
+        assert_allclose(dual_gap(f, dirac(grid02, 1), dirac(grid02, 0)), 1.0)
 
     def test_weak_duality_random(self):
         rng = np.random.default_rng(23)
@@ -460,8 +478,8 @@ class TestKrDualGap:
             mu = make_measure(g, rng.dirichlet(np.ones(5)))
             nu = make_measure(g, rng.dirichlet(np.ones(5)))
             vals = rng.uniform(-3.0, 3.0, 5)
-            f = LipschitzFn(g, vals / max(LipschitzFn(g, vals).lip_const, 1.0))
-            assert kr_dual_gap(mu, nu, f) <= w1_lp(mu, nu) + 1e-9
+            f = vals / max(lipschitz_constants(g, vals), 1.0)
+            assert dual_gap(f, mu, nu) <= w1_lp(mu, nu) + 1e-9
 
     def test_piecewise_linear_candidates_attain_optimum(self):
         """Strong duality on small supports.
@@ -518,13 +536,13 @@ class TestWeighting:
         g = line_grid(0.0, 2.0)
         wf = WeightFunction(0.0, 1.0)
         beliefs = [dirac(g, 0), dirac(g, 1)]  # tilde_w = 1, 3
-        assert_allclose(weighted_norm([0.0, 0.0], beliefs, wf), 0.0)
-        assert_allclose(weighted_norm([3.0], [dirac(g, 0)], wf), 3.0)
-        assert_allclose(weighted_norm([2.0, 6.0], beliefs, wf), 2.0)
+        assert_allclose(oracles.weighted_norm([0.0, 0.0], beliefs, wf), 0.0)
+        assert_allclose(oracles.weighted_norm([3.0], [dirac(g, 0)], wf), 3.0)
+        assert_allclose(oracles.weighted_norm([2.0, 6.0], beliefs, wf), 2.0)
 
     def test_weighted_norm_empty_sample(self):
         with pytest.raises(EmptySample):
-            weighted_norm([], [], WeightFunction(0.0, 1.0))
+            oracles.weighted_norm([], [], WeightFunction(0.0, 1.0))
 
 
 _PAIR = np.array([0.0, 1.0])
@@ -545,14 +563,16 @@ _PAIR = np.array([0.0, 1.0])
         (lambda: StateGrid(_PAIR, DISCRETE, np.zeros((2, 2))), MetricKindMismatch, "discrete"),
         (lambda: StateGrid(np.zeros(2), DISCRETE), DimensionMismatch, "distinct"),
         (lambda: DiscreteMeasure(StateGrid(_PAIR), [1.0]), DimensionMismatch, "1 weights"),
-        (lambda: LipschitzFn(StateGrid(_PAIR), [0.0]), DimensionMismatch, "2-point grid"),
+        (lambda: AlphaSet(StateGrid(_PAIR), [[0.0]]), DimensionMismatch, "2-point grid"),
         (
             lambda: w1_lp(dirac(StateGrid(_PAIR), 0), dirac(StateGrid(_PAIR, DISCRETE), 0)),
             MetricKindMismatch,
             "euclidean_1d vs discrete",
         ),
         (
-            lambda: weighted_norm([1.0, 2.0], [dirac(StateGrid(_PAIR), 0)], WeightFunction(0, 1)),
+            lambda: oracles.weighted_norm(
+                [1.0, 2.0], [dirac(StateGrid(_PAIR), 0)], WeightFunction(0, 1)
+            ),
             DimensionMismatch,
             "one value per belief",
         ),
@@ -577,91 +597,56 @@ def test_refuses_malformed_input(make, error, fragment):
 
 
 # --------------------------------------------------------------------------
-# Lipschitz functions and integration
+# Lipschitz constants and integrals of grid functions
 # --------------------------------------------------------------------------
 
 class TestLipschitzFn:
     def test_lip_const_1d_uses_adjacent_gaps(self):
         g = line_grid(0.0, 1.0, 3.0)
-        f = LipschitzFn(g, [0.0, 2.0, 2.5])
-        assert_allclose(f.lip_const, 2.0)
+        assert_allclose(lipschitz_constants(g, [0.0, 2.0, 2.5]), 2.0)
 
     def test_lip_const_discrete(self):
         g = StateGrid(np.arange(3.0), metric_kind=DISCRETE)
-        f = LipschitzFn(g, [0.0, 5.0, 1.0])
-        assert_allclose(f.lip_const, 5.0)
+        assert_allclose(lipschitz_constants(g, [0.0, 5.0, 1.0]), 5.0)
 
     def test_lip_const_table(self):
         t = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         g = StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
-        f = LipschitzFn(g, [0.0, 0.5, 3.0])
-        assert_allclose(f.lip_const, 2.5)  # |3-0.5| / d(1,2)
-
-    def test_interpolation_and_extrapolation(self):
-        g = line_grid(0.0, 2.0)
-        f = LipschitzFn(g, [0.0, 4.0])
-        assert_allclose(f.eval_at([1.0]), [2.0])
-        # constant beyond the grid ends
-        assert_allclose(f.eval_at([-5.0, 7.0]), [0.0, 4.0])
-
-    def test_finite_metric_requires_exact_points(self):
-        g = StateGrid(np.arange(3.0), metric_kind=DISCRETE)
-        f = LipschitzFn(g, [1.0, 2.0, 3.0])
-        assert_allclose(f.eval_at([2.0, 0.0]), [3.0, 1.0])
-        with pytest.raises(DimensionMismatch):
-            f.eval_at([0.5])
-
-    def test_from_callable(self):
-        g = line_grid(-1.0, 0.0, 2.0)
-        f = LipschitzFn.from_callable(g, abs)
-        assert_allclose(f.values, [1.0, 0.0, 2.0])
-        assert_allclose(f.lip_const, 1.0)
+        assert_allclose(lipschitz_constants(g, [0.0, 0.5, 3.0]), 2.5)  # |3-0.5| / d(1,2)
 
     def test_nonfinite_values_rejected(self, grid02):
+        # grid functions live in alpha sets, which refuse them
         with pytest.raises(DimensionMismatch):
-            LipschitzFn(grid02, [0.0, np.inf, 1.0])
+            AlphaSet(grid02, [[0.0, np.inf, 1.0]])
 
 
 class TestIntegrate:
+    """int f dmu of a grid function ``f`` is ``f @ mu.weights``."""
+
     def test_constant(self, grid02):
-        f = LipschitzFn(grid02, [4.0, 4.0, 4.0])
         mu = make_measure(grid02, [0.3, 0.3, 0.4])
-        assert_allclose(integrate(f, mu), 4.0)
+        assert_allclose(np.dot([4.0, 4.0, 4.0], mu.weights), 4.0)
 
     def test_mean_of_split_pair(self, grid02):
-        f = LipschitzFn(grid02, grid02.points)
         mu = make_measure(grid02, [0.5, 0.0, 0.5])
-        assert_allclose(integrate(f, mu), 1.0)
+        assert_allclose(np.dot(grid02.points, mu.weights), 1.0)
 
     def test_dirac_evaluates(self, grid02):
-        f = LipschitzFn(grid02, [7.0, -2.0, 0.1])
-        assert_allclose(integrate(f, dirac(grid02, 1)), -2.0)
-
-    def test_cross_grid_1d_interpolates(self):
-        f = LipschitzFn(line_grid(0.0, 2.0), [0.0, 4.0])
-        mu = dirac(line_grid(1.0), 0)
-        assert_allclose(integrate(f, mu), 2.0)
-
-    def test_cross_grid_finite_metric_rejected(self):
-        a = StateGrid(np.arange(2.0), metric_kind=DISCRETE)
-        b = StateGrid(np.arange(3.0), metric_kind=DISCRETE)
-        f = LipschitzFn(a, [1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            integrate(f, dirac(b, 0))
+        assert_allclose(np.dot([7.0, -2.0, 0.1], dirac(grid02, 1).weights), -2.0)
 
     def test_linearity(self, grid02):
         rng = np.random.default_rng(31)
         mu = make_measure(grid02, rng.dirichlet(np.ones(3)))
         nu = make_measure(grid02, rng.dirichlet(np.ones(3)))
-        f = LipschitzFn(grid02, rng.uniform(-1, 1, 3))
-        h = LipschitzFn(grid02, rng.uniform(-1, 1, 3))
-        both = LipschitzFn(grid02, 2.0 * f.values + 3.0 * h.values)
+        f = rng.uniform(-1, 1, 3)
+        h = rng.uniform(-1, 1, 3)
         assert_allclose(
-            integrate(both, mu), 2.0 * integrate(f, mu) + 3.0 * integrate(h, mu)
+            np.dot(2.0 * f + 3.0 * h, mu.weights),
+            2.0 * np.dot(f, mu.weights) + 3.0 * np.dot(h, mu.weights),
         )
         mix = make_measure(grid02, 0.25 * mu.weights + 0.75 * nu.weights)
         assert_allclose(
-            integrate(f, mix), 0.25 * integrate(f, mu) + 0.75 * integrate(f, nu)
+            np.dot(f, mix.weights), 0.25 * np.dot(f, mu.weights) + 0.75 * np.dot(f, nu.weights)
         )
 
 
@@ -675,7 +660,7 @@ class TestCdfEmbedding:
                 for j in range(6):
                     assert_allclose(
                         np.abs(emb[i] - emb[j]).sum(),
-                        w1(beliefs[i], beliefs[j]),
+                        oracles.w1(beliefs[i], beliefs[j]),
                         atol=1e-12,
                     )
 
@@ -733,8 +718,10 @@ def test_w1_triangle_inequality(triple):
 @settings(deadline=None, max_examples=60)
 @given(measure_pairs())
 def test_w1_closed_form_agrees_with_lp(pair):
+    """The kernel's closed form (``w1``) against the LP and the CDF oracle."""
     _, mu, nu = pair
-    assert_allclose(w1_1d(mu, nu), w1_lp(mu, nu), atol=1e-9)
+    assert_allclose(w1(mu, nu), w1_lp(mu, nu), atol=1e-9)
+    assert_allclose(w1(mu, nu), oracles.w1(mu, nu), atol=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -742,16 +729,14 @@ def test_w1_closed_form_agrees_with_lp(pair):
 def test_kr_weak_duality(pair, raw_vals):
     g, mu, nu = pair
     vals = np.asarray(raw_vals[: g.n], dtype=float)
-    rough = LipschitzFn(g, vals)
-    scale = max(rough.lip_const, 1.0)
-    f = LipschitzFn(g, vals / scale)
-    assert kr_dual_gap(mu, nu, f) <= w1_lp(mu, nu) + 1e-9
+    f = vals / max(lipschitz_constants(g, vals), 1.0)
+    assert dual_gap(f, mu, nu) <= w1_lp(mu, nu) + 1e-9
 
 
 @settings(deadline=None, max_examples=60)
 @given(measure_pairs(), st.lists(st.integers(-6, 6), min_size=6, max_size=6))
 def test_integral_difference_bounded_by_lip_times_w1(pair, raw_vals):
     g, mu, nu = pair
-    f = LipschitzFn(g, np.asarray(raw_vals[: g.n], dtype=float))
-    gap = abs(integrate(f, mu) - integrate(f, nu))
-    assert gap <= f.lip_const * w1_lp(mu, nu) + 1e-9
+    f = np.asarray(raw_vals[: g.n], dtype=float)
+    gap = abs(dual_gap(f, mu, nu))
+    assert gap <= lipschitz_constants(g, f) * w1_lp(mu, nu) + 1e-9

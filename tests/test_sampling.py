@@ -17,6 +17,7 @@ from oracles import (
     knn_bruteforce,
     l1_broadcast,
     reachability_tree_dense,
+    w1,
 )
 from wpomdp import sampling
 from wpomdp.errors import DimensionMismatch, EmptySample
@@ -28,7 +29,6 @@ from wpomdp.measures import (
     DiscreteMeasure,
     StateGrid,
     make_measure,
-    w1,
     w1_lp,
 )
 from wpomdp.sampling import (

@@ -25,6 +25,7 @@ from oracles import (
     posterior_knn_bruteforce,
     solve_vi_broadcast,
     table_lip_estimate_dense,
+    weighted_norm,
 )
 from wpomdp import sampling, value_iteration
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
@@ -40,11 +41,9 @@ from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,
     EXPLICIT_TABLE,
-    LipschitzFn,
     StateGrid,
     WeightFunction,
     make_measure,
-    weighted_norm,
 )
 from wpomdp.model import PomdpModel, certify
 from wpomdp.sampling import (
@@ -288,11 +287,8 @@ class TestOperatorProperties:
         # phi given as a sup of Lipschitz functions is convex in the
         # belief, and one backup keeps it that way at sample level
         m = pbvi_toy()
-        fns = [
-            LipschitzFn(m.state_grid, [1.0, -0.5]),
-            LipschitzFn(m.state_grid, [-0.2, 0.8]),
-        ]
-        phi = lambda mu: max(float(np.dot(f.values, mu.weights)) for f in fns)
+        fns = [np.array([1.0, -0.5]), np.array([-0.2, 0.8])]
+        phi = lambda mu: max(float(np.dot(f, mu.weights)) for f in fns)
         backed = lambda mu: max(
             bellman_backup_point(m, phi, mu, a) for a in range(m.n_actions)
         )
