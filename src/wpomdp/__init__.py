@@ -11,7 +11,6 @@ from .measures import (
     WeightFunction,
     dirac,
     make_measure,
-    tilde_w,
     w1_lp,
 )
 from .model import (
@@ -20,14 +19,10 @@ from .model import (
     PomdpModel,
     certify,
     estimate_drift_beta,
-    probe_q_tv_continuity,
     validate_reward_bound,
 )
 from .filtering import (
-    ObservationMarginal,
-    SampledTransition,
     bayes_update,
-    expected_reward,
     obs_marginal,
     predict,
     sample_transition,

@@ -172,12 +172,11 @@ def cmd_filter(args) -> int:
     pts = model.state_grid.points
     for t in range(args.steps):
         a = int(rng.integers(model.n_actions))
-        probs = obs_marginal(model, mu, a).node_probs
-        step = sample_transition(model, mu, a, rng_seed=int(rng.integers(2**31)))
-        mu = step.posterior
+        probs = model.obs_quadrature.weights * obs_marginal(model, mu, a)
+        j, mu = sample_transition(model, mu, a, rng_seed=int(rng.integers(2**31)))
         mean = float(pts @ mu.weights)
         std = float(np.sqrt(max(pts**2 @ mu.weights - mean**2, 0.0)))
-        records.append((t, a, step.node_index, probs[step.node_index], mean, std))
+        records.append((t, a, j, probs[j], mean, std))
     serialize.write_filter_csv(out / "filter.csv", records)
     print(f"filter: {args.steps} steps replayed")
     return 0

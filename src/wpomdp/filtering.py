@@ -1,11 +1,11 @@
-"""Belief-space reduction: expected reward, prediction, Bayes update.
+"""Belief-space reduction: prediction, observation marginal, Bayes update.
 
-The hidden-state problem is driven entirely through four maps on beliefs:
+The hidden-state problem is driven through three maps on beliefs and the
+Bayes step behind the last:
 
-* ``expected_reward``  -- mean reward under the current belief,
 * ``predict``          -- push the belief through the transition kernel,
-* ``obs_marginal``     -- likelihood of each observation node under the
-                          predicted belief (the observation marginal),
+* ``obs_marginal``     -- likelihood row lam of the observation nodes under
+                          the predicted belief,
 * ``bayes_update``     -- condition the predicted belief on one node.
 
 ``bayes_step`` is the one Bayes step behind ``bayes_update``: it conditions
@@ -17,14 +17,14 @@ refuses exactly the others.
 
 Together they realise the belief recursion: observing node j after playing
 action a moves belief mu to the normalised product of its prediction with
-the j-th likelihood column.  The node marginals ``phi_j * lam_j`` are
+the j-th likelihood column.  The node probabilities ``phi_j * lam_j`` are
 exactly the mixture weights that glue the posteriors back into the
-prediction, which is what the consistency tests exercise.
+prediction, which is what the consistency tests exercise.  The expected
+rewards of a sample's weight rows W are ``W @ reward.T``, which the
+solvers form directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ from .measures import DiscreteMeasure, make_measure
 from .model import PomdpModel
 
 __all__ = [
-    "ObservationMarginal",
-    "SampledTransition",
-    "expected_reward",
     "predict",
     "obs_marginal",
     "possible_nodes",
@@ -53,44 +50,19 @@ POSTERIOR_PRUNE_TOL = 1e-15
 _ZERO_LIKELIHOOD_TOL = 1e-300
 
 
-@dataclass(frozen=True)
-class ObservationMarginal:
-    """Per-node likelihoods lam_j of the predicted belief.
-
-    ``node_probs`` (phi_j * lam_j) are the actual probabilities of the
-    nodes; they sum to one because the density rows are quadrature
-    normalised at model load.
-    """
-
-    lam: np.ndarray
-    quad_weights: np.ndarray
-
-    @property
-    def node_probs(self) -> np.ndarray:
-        return self.quad_weights * self.lam
-
-
-@dataclass(frozen=True)
-class SampledTransition:
-    node_index: int
-    node_value: float
-    posterior: DiscreteMeasure
-
-
-def expected_reward(model: PomdpModel, mu: DiscreteMeasure, a: int) -> float:
-    model.check_belief(mu)
-    return float(np.dot(model.reward[a], mu.weights))
-
-
 def predict(model: PomdpModel, mu: DiscreteMeasure, a: int) -> DiscreteMeasure:
     """Belief pushed through the transition kernel of action ``a``."""
     model.check_belief(mu)
     return make_measure(model.state_grid, mu.weights @ model.trans[a])
 
 
-def obs_marginal(model: PomdpModel, mu: DiscreteMeasure, a: int) -> ObservationMarginal:
-    lam = predict(model, mu, a).weights @ model.obs_density[a]
-    return ObservationMarginal(lam=lam, quad_weights=model.obs_quadrature.weights)
+def obs_marginal(model: PomdpModel, mu: DiscreteMeasure, a: int) -> np.ndarray:
+    """Likelihood row lam, shape (J,), of the nodes under the prediction.
+
+    The node probabilities are ``phi_j * lam_j``; they sum to one because
+    the density rows are quadrature normalised at model load.
+    """
+    return predict(model, mu, a).weights @ model.obs_density[a]
 
 
 def possible_nodes(lam: np.ndarray) -> np.ndarray:
@@ -140,18 +112,13 @@ def bayes_update(model: PomdpModel, mu: DiscreteMeasure, a: int, j: int) -> Disc
 
 def sample_transition(
     model: PomdpModel, mu: DiscreteMeasure, a: int, rng_seed: int
-) -> SampledTransition:
-    """Draw a possible observation node with probability phi_j*lam_j and condition.
-
-    Nodes :func:`possible_nodes` refuses get probability 0.  The per-call
-    seed (no shared generator state) keeps parallel rollouts reproducible.
+) -> tuple[int, DiscreteMeasure]:
+    """(node index, posterior): a possible node drawn with probability
+    phi_j*lam_j from a generator seeded with ``rng_seed``, and the belief
+    conditioned on it.  Nodes :func:`possible_nodes` refuses get probability 0.
     """
-    marg = obs_marginal(model, mu, a)
-    probs = np.where(possible_nodes(marg.lam), marg.node_probs, 0.0)
+    lam = obs_marginal(model, mu, a)
+    probs = np.where(possible_nodes(lam), model.obs_quadrature.weights * lam, 0.0)
     rng = np.random.default_rng(rng_seed)
     j = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return SampledTransition(
-        node_index=j,
-        node_value=float(model.obs_quadrature.nodes[j]),
-        posterior=bayes_update(model, mu, a, j),
-    )
+    return j, bayes_update(model, mu, a, j)

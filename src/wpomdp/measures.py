@@ -5,9 +5,10 @@ Three metric modes are supported: points on the real line with d(x,y)=|x-y|,
 the 0/1 discrete metric, and an explicit symmetric distance table.  On top
 of that the module provides
 
-* affine weight functions w(x) = 1 + k*d(x0, x) and their lifts
-  ``tilde_w(mu) = int w dmu`` to belief space, the denominators of the
-  weighted supremum norm behind every convergence certificate,
+* affine weight functions w(x) = 1 + k*d(x0, x); their lift
+  ``int w dmu`` to belief space is the denominator of the weighted
+  supremum norm behind every convergence certificate, and the solvers
+  compute it for a sample's weight rows W as ``W @ weight_values``,
 * the Lipschitz constants of grid functions (:func:`lipschitz_constants`),
 * the pieces of the order-1 Wasserstein distance: the CDF embedding on the
   line (:func:`cdf_embedding`), whose L1 distance is W1, and the
@@ -39,7 +40,6 @@ __all__ = [
     "dirac",
     "cdf_embedding",
     "w1_lp",
-    "tilde_w",
 ]
 
 EUCLIDEAN_1D = "euclidean_1d"
@@ -98,9 +98,13 @@ class StateGrid:
                 raise MetricKindMismatch("distances must be nonnegative")
             if (t[~np.eye(n, dtype=bool)] == 0).any():
                 raise MetricKindMismatch("distinct points need a positive distance")
-            # triangle inequality, vectorised over the middle point:
-            # min_k t[i,k] + t[k,j] must not undercut t[i,j]
-            if ((t[:, None, :] + t.T[None, :, :]).min(axis=2) < t - 1e-12).any():
+            # triangle inequality, one middle point k at a time so only
+            # (n, n) arrays are held: min_k t[i,k] + t[k,j] must not
+            # undercut t[i,j]
+            shortest = t[:, :1] + t[:1, :]
+            for k in range(1, n):
+                np.minimum(shortest, t[:, k, None] + t[None, k, :], out=shortest)
+            if (shortest < t - 1e-12).any():
                 raise MetricKindMismatch("table violates the triangle inequality")
             self.distance_table = t
         else:  # discrete
@@ -205,11 +209,6 @@ class WeightFunction:
 
     def values_on(self, grid: StateGrid) -> np.ndarray:
         return 1.0 + self.k * grid.distance_to(self.x0)
-
-
-def tilde_w(wf: WeightFunction, mu: DiscreteMeasure) -> float:
-    """Lift of the state weight to belief space: int w dmu (always >= 1)."""
-    return float(np.dot(wf.values_on(mu.grid), mu.weights))
 
 
 def lipschitz_constants(grid: StateGrid, rows: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ resolve the density and the model is rejected.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,8 +42,6 @@ __all__ = [
     "estimate_drift_beta",
     "certify",
     "check_stop_rule",
-    "probe_q_tv_continuity",
-    "TvProbeReport",
 ]
 
 _TRANS_TOL = 1e-10
@@ -224,6 +223,14 @@ def estimate_drift_beta(model: PomdpModel) -> float:
     return beta_hat
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def check_stop_rule(epsilon: float, max_iters: int) -> None:
     """Refuse a stopping rule no solver runs: ``max_iters`` < 0, or an
     ``epsilon`` that is not positive.
@@ -248,35 +255,3 @@ def certify(model: PomdpModel) -> CertifiedConstants:
         k=model.weight.k,
     )
 
-
-@dataclass(frozen=True)
-class TvProbeReport:
-    """Distances d(x, x') paired with total-variation gaps of q-rows."""
-
-    distances: tuple[float, ...]
-    tv_gaps: tuple[float, ...]
-
-    def is_monotone_decreasing(self) -> bool:
-        gaps = self.tv_gaps
-        return all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
-
-
-def probe_q_tv_continuity(model: PomdpModel, x_pairs, a_pairs) -> TvProbeReport:
-    """Quadrature total-variation gap of the observation density.
-
-    For each probe ((x_i, a_i), (x_i', a_i')) computes
-    ``0.5 * sum_j phi_j |q(y_j|x,a) - q(y_j|x',a')|`` together with
-    d(x, x').  Diagnostic only: small TV gaps at small state distances are
-    the numeric evidence for observation-kernel continuity.
-    """
-    x_pairs = list(x_pairs)
-    a_pairs = list(a_pairs)
-    if len(x_pairs) == 0 or len(x_pairs) != len(a_pairs):
-        raise DimensionMismatch("need matching, nonempty probe pair lists")
-    phi = model.obs_quadrature.weights
-    dists, gaps = [], []
-    for (i, i2), (a, a2) in zip(x_pairs, a_pairs):
-        diff = model.obs_density[a, i] - model.obs_density[a2, i2]
-        gaps.append(0.5 * float(np.dot(phi, np.abs(diff))))
-        dists.append(float(model.state_grid.pairwise()[i, i2]))
-    return TvProbeReport(tuple(dists), tuple(gaps))

@@ -488,7 +488,7 @@ def reachability_tree(
         next_frontier = []
         for mu in frontier:
             for a in range(model.n_actions):
-                for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
+                for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a))):
                     post = bayes_update(model, mu, a, int(j))
                     solves += len(kept)
                     check_lp_budget(kept.grid, solves)

@@ -16,7 +16,6 @@ reference form of the same operator lives with the test oracles.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .filtering import bayes_step, possible_nodes
 from .measures import EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure
-from .model import CertifiedConstants, PomdpModel, certify, check_stop_rule
+from .model import CertifiedConstants, PomdpModel, _physical_memory, certify, check_stop_rule
 from .sampling import (
     _GATHER_BYTES,
     _KNN_CHUNK,
@@ -193,14 +192,6 @@ def _split(pool: ThreadPoolExecutor | None, fn, parts: list) -> list:
     """``fn`` over ``parts``: the first on this thread, the rest on ``pool``."""
     rest = [pool.submit(fn, p) for p in parts[1:]]
     return [fn(parts[0])] + [f.result() for f in rest]
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _precompute_bytes(

@@ -2,7 +2,7 @@
 
 Nothing in here imports solver internals beyond plain data containers and
 the per-belief building blocks (filter steps, pairwise W1, the kept
-rows a ``BeliefDistances`` stores); each oracle
+rows a ``BeliefDistances`` stores, the Kalman observation rows); each oracle
 recomputes its target quantity by the most literal method available
 (vertex enumeration, exhaustive recursion, dense matrix algebra, one W1 per
 pair) so that agreement with the package is evidence, not tautology.
@@ -21,18 +21,20 @@ from wpomdp.errors import (
     NonPositiveMass,
     SolverFailure,
 )
-from wpomdp.filtering import bayes_update, expected_reward, obs_marginal, possible_nodes
+from wpomdp.filtering import bayes_update, obs_marginal, possible_nodes
+from wpomdp.kalman import _observations
 from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,
     DiscreteMeasure,
     cdf_embedding,
     lipschitz_constants,
+    StateGrid,
+    WeightFunction,
     make_measure,
-    tilde_w,
     w1_lp,
 )
-from wpomdp.model import certify
+from wpomdp.model import PomdpModel, certify
 from wpomdp.sampling import DEDUP_W1_TOL, BeliefDistances
 from wpomdp.value_iteration import Selector, TabulatedValue
 
@@ -257,6 +259,44 @@ def tv_distance(weights_a, weights_b):
     return 0.5 * float(np.abs(np.asarray(weights_a) - np.asarray(weights_b)).sum())
 
 
+def q_tv_gap(model, i, i2):
+    """0.5 * sum_j phi_j |q(y_j|x_i) - q(y_j|x_i2)| under action 0, with d(x_i, x_i2)."""
+    diff = model.obs_density[0, i] - model.obs_density[0, i2]
+    gap = 0.5 * float(np.dot(model.obs_quadrature.weights, np.abs(diff)))
+    return float(model.state_grid.pairwise()[i, i2]), gap
+
+
+def tv_ladders(spec):
+    """(distances, gaps) per anchor 0, 1, -2, through a probe model each.
+
+    The probe states are x0 and x0 + 0.5 / 2^r for every r until the
+    separation is at most 1e-3; a one-action ``PomdpModel`` with identity
+    transitions holds their quadrature-normalised observation rows, and
+    each rung, largest separation first, is one :func:`q_tv_gap` to x0.
+    """
+    deltas = [0.5]
+    while deltas[-1] > 1e-3:
+        deltas.append(deltas[-1] / 2.0)
+    out = []
+    for x0 in (0.0, 1.0, -2.0):
+        points = np.array([x0] + [x0 + d for d in reversed(deltas)])
+        n = len(points)
+        quad, dens = _observations(spec, points)
+        probe = PomdpModel(
+            state_grid=StateGrid(points),
+            actions=("probe",),
+            obs_quadrature=quad,
+            trans=np.eye(n)[None, :, :],
+            obs_density=dens[None, :, :],
+            reward=np.zeros((1, n)),
+            discount=spec.discount,
+            weight=WeightFunction(x0=x0, k=1.0),
+        )
+        rungs = [q_tv_gap(probe, i, 0) for i in range(n - 1, 0, -1)]
+        out.append(tuple(tuple(col) for col in zip(*rungs)))
+    return out
+
+
 # --------------------------------------------------------------------------
 # W1, Lipschitz constants and weighted norms by their textbook formulas
 # --------------------------------------------------------------------------
@@ -285,6 +325,11 @@ def lip_const_bruteforce(grid, f):
     for i, j in itertools.combinations(range(grid.n), 2):
         best = max(best, abs(f[i] - f[j]) / min(pw[i, j], pw[j, i]))
     return best
+
+
+def tilde_w(wf, mu):
+    """Lift of the state weight to belief space: int w dmu (always >= 1)."""
+    return float(np.dot(wf.values_on(mu.grid), mu.weights))
 
 
 def weighted_norm(values, beliefs, wf):
@@ -434,7 +479,7 @@ def reachability_tree_dense(model, mu0, depth, *, cap):
         next_frontier = []
         for mu in frontier:
             for a in range(model.n_actions):
-                for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a).lam)):
+                for j in np.flatnonzero(possible_nodes(obs_marginal(model, mu, a))):
                     post = bayes_update(model, mu, a, int(j))
                     if dense_dists(kept, post.weights[None, :]).min() < DEDUP_W1_TOL:
                         continue
@@ -621,16 +666,22 @@ def mcshane_evaluator(table, *, lip_bound=None, k_neighbors=None):
     return evaluate
 
 
+def expected_reward(model, mu, a):
+    """Mean reward of action ``a`` under ``mu``: one entry of ``W @ reward.T``."""
+    model.check_belief(mu)
+    return float(np.dot(model.reward[a], mu.weights))
+
+
 def bellman_backup_point(model, value_eval, mu, a):
     """One-action backup r~(mu,a) + alpha * E_nodes[ value(posterior) ].
 
     Nodes ``possible_nodes`` refuses contribute nothing and are skipped
     (conditioning on them is undefined).
     """
-    marg = obs_marginal(model, mu, a)
+    lam = obs_marginal(model, mu, a)
     acc = 0.0
-    for j in np.flatnonzero(possible_nodes(marg.lam)):
-        p = marg.node_probs[j]
+    for j in np.flatnonzero(possible_nodes(lam)):
+        p = model.obs_quadrature.weights[j] * lam[j]
         v = value_eval(bayes_update(model, mu, a, j))
         if not np.isfinite(v):
             raise NonFiniteValue(f"generalizer returned {v!r} at node {j}")

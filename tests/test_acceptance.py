@@ -178,7 +178,7 @@ def test_c03_filter_consistency():
         )
         mu = make_measure(m.state_grid, rng.dirichlet(np.ones(m.n_states)))
         a = int(rng.integers(m.n_actions))
-        probs = obs_marginal(m, mu, a).node_probs
+        probs = m.obs_quadrature.weights * obs_marginal(m, mu, a)
         worst_mass = max(worst_mass, abs(float(probs.sum()) - 1.0))
         pred = predict(m, mu, a).weights
         mix = np.zeros_like(pred)

@@ -116,10 +116,12 @@ class TestExample:
         [
             '{"reward_fn": 3}', '{"obs_mean": "x"}', '{"n_obs_nodes": 2.5}',
             '{"n_obs_nodes": 33.0}', '{"drift": "x"}', '{"drift": 1%s}' % ("0" * 400),
+            # grids that cannot be built: 160,001 states, and no finite count
+            '{"grid_step": 1e-4}', '{"grid_step": 1e-320}',
         ],
         ids=[
             "reward_fn_int", "obs_mean", "n_obs_nodes_fraction", "n_obs_nodes_float", "drift_str",
-            "drift_401_digits",
+            "drift_401_digits", "grid_step_1e-4", "grid_step_1e-320",
         ],
     )
     def test_mistyped_spec_field_is_a_one_line_error(self, text, tmp_path, capsys):

@@ -13,6 +13,7 @@ from oracles import (
     classical_pbvi_backup,
     conjugate_rho_loop,
     eval_sup,
+    expected_reward,
     lip_const_bruteforce,
     lip_growth_constants,
     measured_growth,
@@ -36,7 +37,6 @@ from wpomdp.conjugate import (
     zero_alpha_set,
 )
 from wpomdp.errors import DimensionMismatch, EmptySample, SolverFailure
-from wpomdp.filtering import expected_reward
 from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,

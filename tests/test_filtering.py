@@ -11,15 +11,14 @@ from numpy.testing import assert_allclose
 from wpomdp.errors import ZeroLikelihood
 from wpomdp.filtering import (
     POSTERIOR_PRUNE_TOL,
-    SampledTransition,
     bayes_step,
     bayes_update,
-    expected_reward,
     obs_marginal,
     possible_nodes,
     predict,
     sample_transition,
 )
+from oracles import expected_reward
 from wpomdp.measures import (
     DISCRETE,
     EXPLICIT_TABLE,
@@ -145,8 +144,7 @@ class TestObsMarginal:
             discount=m.discount,
             weight=m.weight,
         )
-        marg = obs_marginal(flat_obs, uniform_belief(flat_obs), 0)
-        assert_allclose(marg.lam, col)
+        assert_allclose(obs_marginal(flat_obs, uniform_belief(flat_obs), 0), col)
 
     def test_deterministic_chain_reads_single_row(self):
         m = pbvi_toy()
@@ -160,15 +158,13 @@ class TestObsMarginal:
             discount=m.discount,
             weight=m.weight,
         )
-        marg = obs_marginal(det, dirac(det.state_grid, 0), 0)
-        assert_allclose(marg.lam, det.obs_density[0, 1])
+        assert_allclose(obs_marginal(det, dirac(det.state_grid, 0), 0), det.obs_density[0, 1])
 
     def test_uniform_belief_averages_columns(self):
         m = revealing_toy()
         mu = uniform_belief(m)
         pred = predict(m, mu, 0).weights
-        marg = obs_marginal(m, mu, 0)
-        assert_allclose(marg.lam, pred @ m.obs_density[0])
+        assert_allclose(obs_marginal(m, mu, 0), pred @ m.obs_density[0])
 
     def test_node_probs_sum_to_one(self):
         rng = np.random.default_rng(17)
@@ -176,7 +172,8 @@ class TestObsMarginal:
             m = random_finite_model(seed)
             mu = make_measure(m.state_grid, rng.dirichlet(np.ones(m.n_states)))
             for a in range(m.n_actions):
-                assert_allclose(obs_marginal(m, mu, a).node_probs.sum(), 1.0, atol=1e-9)
+                probs = m.obs_quadrature.weights * obs_marginal(m, mu, a)
+                assert_allclose(probs.sum(), 1.0, atol=1e-9)
 
 
 class TestBayesUpdate:
@@ -350,7 +347,7 @@ class TestOneLikelihoodRule:
         mu0 = make_measure(m.state_grid, rng.dirichlet(np.ones(n)))
         want = scales >= 1e-290
 
-        got = np.stack([possible_nodes(obs_marginal(m, mu0, a).lam) for a in range(A)])
+        got = np.stack([possible_nodes(obs_marginal(m, mu0, a)) for a in range(A)])
         np.testing.assert_array_equal(got, want)
 
         with mock.patch.object(sampling, "bayes_update", wraps=bayes_update) as spy:
@@ -399,10 +396,10 @@ class TestReductionIdentities:
             m = random_finite_model(seed)
             mu = make_measure(m.state_grid, rng.dirichlet(np.ones(m.n_states)))
             for a in range(m.n_actions):
-                marg = obs_marginal(m, mu, a)
+                probs = m.obs_quadrature.weights * obs_marginal(m, mu, a)
                 mixed = sum(
                     p * bayes_update(m, mu, a, j).weights
-                    for j, p in enumerate(marg.node_probs)
+                    for j, p in enumerate(probs)
                 )
                 assert_allclose(mixed, predict(m, mu, a).weights, atol=1e-9)
 
@@ -415,10 +412,10 @@ class TestReductionIdentities:
         phi = m.obs_quadrature.weights
         for a in range(m.n_actions):
             pred = predict(m, mu, a).weights
-            marg = obs_marginal(m, mu, a)
+            probs = phi * obs_marginal(m, mu, a)
             posts = [bayes_update(m, mu, a, j).weights for j in range(m.n_obs)]
             for subset in ([0], [1], [2], [0, 2], list(range(m.n_obs))):
-                lhs = sum(marg.node_probs[j] * posts[j] for j in subset)
+                lhs = sum(probs[j] * posts[j] for j in subset)
                 rhs = pred * sum(phi[j] * m.obs_density[a, :, j] for j in subset)
                 assert_allclose(lhs, rhs, atol=1e-9)
 
@@ -430,8 +427,8 @@ class TestReductionIdentities:
         mix = make_measure(m.state_grid, 0.6 * mu.weights + 0.4 * nu.weights)
         for a in range(m.n_actions):
             assert_allclose(
-                obs_marginal(m, mix, a).lam,
-                0.6 * obs_marginal(m, mu, a).lam + 0.4 * obs_marginal(m, nu, a).lam,
+                obs_marginal(m, mix, a),
+                0.6 * obs_marginal(m, mu, a) + 0.4 * obs_marginal(m, nu, a),
                 atol=1e-12,
             )
 
@@ -439,36 +436,33 @@ class TestReductionIdentities:
 class TestSampleTransition:
     def test_single_node_always_drawn(self):
         m = line_model()
-        out = sample_transition(m, uniform_belief(m), 0, rng_seed=0)
-        assert isinstance(out, SampledTransition)
-        assert out.node_index == 0
-        assert out.node_value == m.obs_quadrature.nodes[0]
+        j, post = sample_transition(m, uniform_belief(m), 0, rng_seed=0)
+        assert j == 0
+        assert_allclose(post.weights, uniform_belief(m).weights)
 
     def test_fixed_seed_reproduces(self):
         m = pbvi_toy()
         mu = uniform_belief(m)
-        a = sample_transition(m, mu, 1, rng_seed=123)
-        b = sample_transition(m, mu, 1, rng_seed=123)
-        assert a.node_index == b.node_index
-        assert_allclose(a.posterior.weights, b.posterior.weights)
+        j_a, post_a = sample_transition(m, mu, 1, rng_seed=123)
+        j_b, post_b = sample_transition(m, mu, 1, rng_seed=123)
+        assert j_a == j_b
+        assert_allclose(post_a.weights, post_b.weights)
 
     def test_posterior_matches_bayes_update(self):
         m = pbvi_toy()
         mu = uniform_belief(m)
-        out = sample_transition(m, mu, 0, rng_seed=99)
-        assert_allclose(
-            out.posterior.weights, bayes_update(m, mu, 0, out.node_index).weights
-        )
+        j, post = sample_transition(m, mu, 0, rng_seed=99)
+        assert_allclose(post.weights, bayes_update(m, mu, 0, j).weights)
 
     def test_empirical_node_frequencies(self):
         """10^5 seeded draws stay inside 3-sigma binomial bands."""
         m = pbvi_toy()
         mu = uniform_belief(m)
-        probs = obs_marginal(m, mu, 0).node_probs
+        probs = m.obs_quadrature.weights * obs_marginal(m, mu, 0)
         n = 100_000
         counts = np.zeros(m.n_obs)
         for s in range(n):
-            counts[sample_transition(m, mu, 0, rng_seed=s).node_index] += 1
+            counts[sample_transition(m, mu, 0, rng_seed=s)[0]] += 1
         for j in range(m.n_obs):
             sigma = np.sqrt(probs[j] * (1 - probs[j]) / n)
             assert abs(counts[j] / n - probs[j]) < 3 * sigma

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
+from wpomdp import kalman
 from wpomdp.errors import DriftDerivationFailed, GridTooCoarse, ModelValidationError
 from wpomdp.filtering import bayes_update
 from wpomdp.kalman import (
@@ -38,6 +40,34 @@ class TestSpecValidation:
             KalmanSpec(process_std=0.0)
         with pytest.raises(ModelValidationError):
             KalmanSpec(obs_std=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"grid_step": 1e-320}, {"grid_lo": -1e308, "grid_hi": 1e308}],
+        ids=["tiny_step", "huge_range"],
+    )
+    def test_no_finite_state_count_refused(self, fields):
+        with pytest.raises(ModelValidationError, match="no finite state count"):
+            KalmanSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"grid_step": 1e-4}, {"grid_step": 1e-3}, {"n_obs_nodes": 10**7}],
+        ids=["160001_states", "16001_states", "ten_million_nodes"],
+    )
+    def test_grid_beyond_physical_memory_refused(self, fields, monkeypatch):
+        # the spec is refused on construction, before any (A, n, n) array
+        monkeypatch.setattr(kalman, "_physical_memory", lambda: 8 * 2**30)
+        with pytest.raises(ModelValidationError, match="physical memory"):
+            KalmanSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "fields", [{}, {"drift": 1.0, "grid_step": 0.2}, {"grid_step": 0.05}],
+        ids=["reference", "drift", "step_0.05"],
+    )
+    def test_acceptance_specs_fit_in_8_gib(self, fields, monkeypatch):
+        monkeypatch.setattr(kalman, "_physical_memory", lambda: 8 * 2**30)
+        KalmanSpec(**fields)
 
     def test_grid_and_discount_bounds(self):
         with pytest.raises(ModelValidationError):
@@ -168,6 +198,14 @@ class TestTvContinuity:
             assert rep.tv_gaps[-1] < 1e-3
             ratios = np.diff(np.log(np.asarray(rep.distances)))
             assert_allclose(ratios, -np.log(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec", [reference_spec(), KalmanSpec(drift=1.0, grid_step=0.2)], ids=["reference", "drift"]
+    )
+    def test_matches_the_probe_model_oracle_bit_for_bit(self, spec):
+        got = [(rep.distances, rep.tv_gaps) for rep in tv_continuity_report(spec)]
+        want = oracles.tv_ladders(spec)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_gaps_track_the_closed_form(self):
         import math

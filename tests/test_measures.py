@@ -1,6 +1,7 @@
 """Measure layer: W1 distances, duality, weights, Lipschitz constants."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from wpomdp.measures import (
     dirac,
     lipschitz_constants,
     make_measure,
-    tilde_w,
     w1_lp,
 )
 from wpomdp.sampling import BeliefDistances, _embed_rows, w1
@@ -68,6 +68,32 @@ class TestStateGrid:
         t = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(MetricKindMismatch):
             StateGrid(np.arange(3.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
+
+    def test_triangle_check_holds_no_cube(self):
+        # a 300-point Manhattan lattice table; the check used to hold an
+        # (n, n, n) sum, 206 MiB here
+        cells = np.array([(i, j) for i in range(15) for j in range(20)], dtype=float)
+        t = np.abs(cells[:, None] - cells[None, :]).sum(axis=2)
+        tracemalloc.start()
+        try:
+            StateGrid(np.arange(300.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_table_broken_at_one_triple_is_refused(self):
+        # distinct points sit 2 apart, except 3 and 29, which sit 1 from 17;
+        # d(3, 29) exceeds the path through 17 by 1e-9, and every other
+        # middle point costs 4
+        n = 40
+        t = 2.0 * (1.0 - np.eye(n))
+        t[3, 17] = t[17, 3] = t[17, 29] = t[29, 17] = 1.0
+        t[3, 29] = t[29, 3] = 2.0 + 1e-9
+        with pytest.raises(MetricKindMismatch, match="triangle"):
+            StateGrid(np.arange(float(n)), metric_kind=EXPLICIT_TABLE, distance_table=t)
+        t[3, 29] = t[29, 3] = t[3, 17] + t[17, 29]
+        StateGrid(np.arange(float(n)), metric_kind=EXPLICIT_TABLE, distance_table=t)
 
     def test_table_requires_positive_distances_between_distinct_points(self):
         # a metric table, except that points 0 and 1 sit at distance zero
@@ -510,16 +536,16 @@ class TestWeighting:
     def test_anchor_has_unit_weight(self):
         g = line_grid(-1.0, 0.0, 3.0)
         wf = WeightFunction(x0=0.0, k=2.0)
-        assert_allclose(tilde_w(wf, dirac(g, 1)), 1.0)
+        assert_allclose(oracles.tilde_w(wf, dirac(g, 1)), 1.0)
 
     def test_dirac_away_from_anchor(self):
         g = line_grid(0.0, 2.0)
-        assert_allclose(tilde_w(WeightFunction(0.0, 1.0), dirac(g, 1)), 3.0)
+        assert_allclose(oracles.tilde_w(WeightFunction(0.0, 1.0), dirac(g, 1)), 3.0)
 
     def test_mixture_is_linear(self):
         g = line_grid(0.0, 4.0)
         mu = make_measure(g, [0.5, 0.5])
-        assert_allclose(tilde_w(WeightFunction(0.0, 0.5), mu), 2.0)
+        assert_allclose(oracles.tilde_w(WeightFunction(0.0, 0.5), mu), 2.0)
 
     def test_slope_must_be_positive(self):
         with pytest.raises(NonPositiveMass):

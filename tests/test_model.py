@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
+from oracles import expected_reward, tilde_w
 from wpomdp.errors import (
     DimensionMismatch,
     DriftViolation,
     ModelValidationError,
     NonFiniteReward,
 )
-from wpomdp.measures import StateGrid, WeightFunction, dirac, make_measure, tilde_w
+from wpomdp.filtering import bayes_update, obs_marginal
+from wpomdp.measures import StateGrid, WeightFunction, dirac, make_measure
 from wpomdp.model import (
     CertifiedConstants,
     ObservationQuadrature,
     PomdpModel,
     certify,
     estimate_drift_beta,
-    probe_q_tv_continuity,
     validate_reward_bound,
 )
 from wpomdp.synthetic import (
@@ -252,39 +254,22 @@ def gaussian_obs_model():
 
 
 class TestTvProbe:
-    def test_identical_pair_is_zero(self):
-        m = revealing_toy()
-        rep = probe_q_tv_continuity(m, [(0, 0)], [(0, 0)])
-        assert rep.tv_gaps == (0.0,)
-        assert rep.distances == (0.0,)
-
-    def test_equal_columns_are_zero(self):
-        m = tiny_model()  # single flat observation column
-        rep = probe_q_tv_continuity(m, [(0, 1)], [(0, 0)])
-        assert_allclose(rep.tv_gaps, [0.0], atol=1e-15)
-
     def test_gaussian_shift_sequence(self):
         """TV between N(0,s^2) and N(d,s^2) is erf(d / (2 s sqrt(2)))."""
         m = gaussian_obs_model()
         i0 = m.state_grid.index_of(0.0)
-        probes_x = [(i0, m.state_grid.index_of(d)) for d in (0.5, 0.25, 0.125)]
-        rep = probe_q_tv_continuity(m, probes_x, [(0, 0)] * 3)
-        assert rep.distances == (0.5, 0.25, 0.125)
-        assert rep.is_monotone_decreasing()
-        for d, gap in zip(rep.distances, rep.tv_gaps):
+        rungs = [oracles.q_tv_gap(m, m.state_grid.index_of(d), i0) for d in (0.5, 0.25, 0.125)]
+        dists, gaps = zip(*rungs)
+        assert dists == (0.5, 0.25, 0.125)
+        assert gaps[0] > gaps[1] > gaps[2]
+        for d, gap in rungs:
             assert_allclose(gap, math.erf(d / (2 * 0.5 * math.sqrt(2))), atol=1e-3)
-
-    def test_empty_probe_list_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            probe_q_tv_continuity(revealing_toy(), [], [])
 
 
 class TestWeightSurrogates:
     """Reward / drift bounds lifted from states to randomized beliefs."""
 
     def test_expected_reward_bounded_by_rbar_tilde_w(self):
-        from wpomdp.filtering import expected_reward
-
         rng = np.random.default_rng(41)
         for seed in range(4):
             m = random_finite_model(seed)
@@ -297,8 +282,6 @@ class TestWeightSurrogates:
                     )
 
     def test_belief_drift_bounded_by_beta(self):
-        from wpomdp.filtering import bayes_update, obs_marginal
-
         rng = np.random.default_rng(43)
         for seed in range(4):
             m = random_finite_model(seed)
@@ -306,10 +289,10 @@ class TestWeightSurrogates:
             for _ in range(10):
                 mu = make_measure(m.state_grid, rng.dirichlet(np.ones(m.n_states)))
                 for a in range(m.n_actions):
-                    marg = obs_marginal(m, mu, a)
+                    probs = m.obs_quadrature.weights * obs_marginal(m, mu, a)
                     lifted = sum(
                         p * tilde_w(m.weight, bayes_update(m, mu, a, j))
-                        for j, p in enumerate(marg.node_probs)
+                        for j, p in enumerate(probs)
                         if p > 0
                     )
                     assert lifted <= c.beta * tilde_w(m.weight, mu) + 1e-9

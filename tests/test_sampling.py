@@ -114,7 +114,7 @@ class TestReachabilityTree:
             [
                 bayes_update(m, mu, a, int(j))
                 for a in range(m.n_actions)
-                for j in np.flatnonzero(obs_marginal(m, mu, a).node_probs > 0)
+                for j in np.flatnonzero(m.obs_quadrature.weights * obs_marginal(m, mu, a) > 0)
             ]
             for mu in s.beliefs
         ]

@@ -18,6 +18,7 @@ from oracles import (
     bellman_backup_point,
     dense_dists,
     exact_sample_evaluator,
+    expected_reward,
     finite_horizon_value_bruteforce,
     greedy_selector,
     mcshane_broadcast,
@@ -29,13 +30,7 @@ from oracles import (
 )
 from wpomdp import sampling, value_iteration
 from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
-from wpomdp.filtering import (
-    POSTERIOR_PRUNE_TOL,
-    bayes_update,
-    expected_reward,
-    obs_marginal,
-    possible_nodes,
-)
+from wpomdp.filtering import POSTERIOR_PRUNE_TOL, bayes_update, obs_marginal, possible_nodes
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec, start_belief
 from wpomdp.measures import (
     DISCRETE,
@@ -830,7 +825,7 @@ class TestSolveVi:
         # Bayes step refusing them
         m = build_model(KalmanSpec(grid_lo=-32, grid_hi=32, grid_step=1.0, n_obs_nodes=129))
         s = centred_tree(m, 300)
-        lam = np.array([[obs_marginal(m, mu, a).lam for a in range(m.n_actions)]
+        lam = np.array([[obs_marginal(m, mu, a) for a in range(m.n_actions)]
                         for mu in s.beliefs])
         assert ((lam > 0.0) & ~possible_nodes(lam)).any()
         res = solve_vi(m, s, parallel=1)
