@@ -29,7 +29,7 @@ import numpy as np
 from . import serialize
 from .conjugate import solve_sets
 from .errors import BeliefSpaceError, ModelValidationError
-from .filtering import obs_marginal, sample_transition
+from .filtering import sample_transition
 from .kalman import KalmanSpec, build_model, start_belief
 from .measures import make_measure
 from .model import certify, check_stop_rule
@@ -172,11 +172,10 @@ def cmd_filter(args) -> int:
     pts = model.state_grid.points
     for t in range(args.steps):
         a = int(rng.integers(model.n_actions))
-        probs = model.obs_quadrature.weights * obs_marginal(model, mu, a)
-        j, mu = sample_transition(model, mu, a, rng_seed=int(rng.integers(2**31)))
+        j, p, mu = sample_transition(model, mu, a, rng_seed=int(rng.integers(2**31)))
         mean = float(pts @ mu.weights)
         std = float(np.sqrt(max(pts**2 @ mu.weights - mean**2, 0.0)))
-        records.append((t, a, j, probs[j], mean, std))
+        records.append((t, a, j, p, mean, std))
     serialize.write_filter_csv(out / "filter.csv", records)
     print(f"filter: {args.steps} steps replayed")
     return 0

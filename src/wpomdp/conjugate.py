@@ -209,6 +209,8 @@ def _backup_against(model: PomdpModel, sets, sample: BeliefSample) -> BackupResu
     set per action, new set ``a`` keeps every belief's function for action
     ``a``.  On a one-action model the two coincide.
     """
+    model.check_belief(sample)
+    certify(model)
     fn_matrix = np.vstack([s.values for s in sets])
     W = sample.weight_matrix()
     B, n = W.shape
@@ -245,7 +247,6 @@ def set_backup(model: PomdpModel, alpha_set: AlphaSet, sample: BeliefSample) -> 
     The returned table satisfies value(mu) = integral of the kept function
     against mu = max_a of the one-action backup of the envelope.
     """
-    certify(model)
     return _backup_against(model, (alpha_set,), sample)
 
 
@@ -256,7 +257,6 @@ def q_set_backup(model: PomdpModel, qsets, sample: BeliefSample) -> BackupResult
     ``a`` at each belief is filed under action ``a`` regardless of which
     action wins the value.  Reported values are the outer max.
     """
-    certify(model)
     qsets = tuple(qsets)
     if len(qsets) != model.n_actions:
         raise SolverFailure("need one alpha set per action")
@@ -316,9 +316,11 @@ def solve_sets(
     fixes the iteration count.  As in :func:`solve_vi`, ``max_iters`` cuts
     the run short with ``converged=False``; ``max_iters=0`` returns the
     zero start with the greedy actions of the expected reward; a negative
-    ``max_iters`` raises :class:`~wpomdp.errors.SolverFailure`.
+    ``max_iters`` raises :class:`~wpomdp.errors.SolverFailure`, and a sample
+    on another grid :class:`~wpomdp.errors.DimensionMismatch`.
     """
     check_stop_rule(epsilon, max_iters)
+    model.check_belief(sample)
     constants = certify(model)
     if algorithm not in ("alg1", "alg2"):
         raise SolverFailure(f"unknown algorithm {algorithm!r}")

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Everything derives from :class:`BeliefSpaceError` so callers (and the CLI)
-can distinguish our semantic failures from programming errors.  Model
-validation problems get their own intermediate base because the CLI maps
-them to a dedicated exit code.
+Everything derives from :class:`BeliefSpaceError` so callers (and the CLI,
+which reports each as one ``error:`` line and exit code 1) can distinguish
+our semantic failures from programming errors.  Model validation problems
+share an intermediate base so that callers can catch them as one kind.
 """
 
 from __future__ import annotations

@@ -99,26 +99,31 @@ def bayes_step(model: PomdpModel, pred_rows: np.ndarray, actions, nodes) -> np.n
     return post / post.sum(axis=1, keepdims=True)
 
 
-def bayes_update(model: PomdpModel, mu: DiscreteMeasure, a: int, j: int) -> DiscreteMeasure:
-    """Posterior after playing ``a`` and observing quadrature node ``j``."""
-    if not 0 <= j < model.n_obs:
-        raise IndexError(f"observation node {j} out of range")
-    pred = predict(model, mu, a).weights
-    # already a probability row: make_measure would normalise it twice
+def _condition(model: PomdpModel, pred: np.ndarray, a: int, j: int) -> DiscreteMeasure:
+    # the Bayes step on one prediction row; its result is already a
+    # probability row, which make_measure would normalise twice
     post = DiscreteMeasure(model.state_grid, bayes_step(model, pred[None, :], [a], [j])[0])
     post.weights.flags.writeable = False
     return post
 
 
+def bayes_update(model: PomdpModel, mu: DiscreteMeasure, a: int, j: int) -> DiscreteMeasure:
+    """Posterior after playing ``a`` and observing quadrature node ``j``."""
+    if not 0 <= j < model.n_obs:
+        raise IndexError(f"observation node {j} out of range")
+    return _condition(model, predict(model, mu, a).weights, a, j)
+
+
 def sample_transition(
     model: PomdpModel, mu: DiscreteMeasure, a: int, rng_seed: int
-) -> tuple[int, DiscreteMeasure]:
-    """(node index, posterior): a possible node drawn with probability
-    phi_j*lam_j from a generator seeded with ``rng_seed``, and the belief
+) -> tuple[int, float, DiscreteMeasure]:
+    """(node, its probability phi_j*lam_j, posterior) from one prediction: a
+    possible node drawn by a generator seeded with ``rng_seed``, and the belief
     conditioned on it.  Nodes :func:`possible_nodes` refuses get probability 0.
     """
-    lam = obs_marginal(model, mu, a)
+    pred = predict(model, mu, a).weights
+    lam = pred @ model.obs_density[a]
     probs = np.where(possible_nodes(lam), model.obs_quadrature.weights * lam, 0.0)
     rng = np.random.default_rng(rng_seed)
     j = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return j, bayes_update(model, mu, a, j)
+    return j, float(probs[j]), _condition(model, pred, a, j)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DriftDerivationFailed, GridTooCoarse, ModelValidationError
 from .measures import DiscreteMeasure, StateGrid, WeightFunction, make_measure
-from .model import ObservationQuadrature, PomdpModel, _physical_memory
+from .model import ObservationQuadrature, PomdpModel, _physical_memory, estimate_drift_beta
 
 __all__ = [
     "KalmanSpec",
@@ -199,9 +199,8 @@ def choose_weight(spec: KalmanSpec) -> tuple[float, float, float]:
     and K the largest slack of that bound over the grid.
     Scaling the distance by k = (beta - 1) / K, with beta halfway into
     (1, 1/alpha) for alpha the spec's discount, turns this into the
-    weighted-drift certificate the solver needs; the discretized rows are
-    then re-checked numerically, and a failure means the grid truncation
-    broke the derivation.
+    weighted-drift certificate the solver needs.  This is the closed form
+    alone: :func:`build_model` checks beta on the model it returns.
     """
     points = spec.state_points()
     beta_tilde = 0.5 * (1.0 + spec.feedback_sup)
@@ -217,28 +216,13 @@ def choose_weight(spec: KalmanSpec) -> tuple[float, float, float]:
         raise DriftDerivationFailed("drift slack collapsed to zero on the grid")
     beta = 0.5 * (1.0 + 1.0 / spec.discount)
     k = (beta - 1.0) / big_k
-
-    # numeric re-check on the discretized, renormalized rows; rows that
-    # underflow to zero mass turn into NaN and fail the finiteness gate
-    raw = _transition_rows(spec, points)
-    with np.errstate(invalid="ignore"):
-        rows = raw / raw.sum(axis=2, keepdims=True)
-    w = 1.0 + k * np.abs(points)
-    measured = float(((rows @ w) / w[None, :]).max())
-    if not np.isfinite(measured):
-        raise DriftDerivationFailed(
-            "discretized rows lost all mass; sigma is far below the grid step"
-        )
-    if measured > beta + _DRIFT_SLACK:
-        raise DriftDerivationFailed(
-            f"measured drift factor {measured:.8f} exceeds target {beta:.8f}; "
-            "the grid likely truncates reachable mass"
-        )
     return k, beta, big_k
 
 
 def build_model(spec: KalmanSpec) -> PomdpModel:
-    """Discretize the Gaussian kernels onto the grid and certify them."""
+    """Discretize the Gaussian kernels onto the grid and certify the weight:
+    :class:`DriftDerivationFailed` where the model's ``estimate_drift_beta``
+    exceeds :func:`choose_weight`'s beta by more than ``_DRIFT_SLACK``."""
     points = spec.state_points()
     raw = _transition_rows(spec, points)
     mass_err = np.abs(raw.sum(axis=2) - 1.0)
@@ -251,14 +235,14 @@ def build_model(spec: KalmanSpec) -> PomdpModel:
         )
     trans = raw / raw.sum(axis=2, keepdims=True)
 
-    k, _, _ = choose_weight(spec)
+    k, beta, _ = choose_weight(spec)
 
     quad, dens = _observations(spec, points)  # the same under every action
     obs = np.repeat(dens[None, :, :], spec.n_actions, axis=0)
 
     reward = np.stack([spec.reward_at(points, a) for a in range(spec.n_actions)])
 
-    return PomdpModel(
+    model = PomdpModel(
         state_grid=StateGrid(points),
         actions=tuple(f"gain={g:+g}" for g in spec.gains),
         obs_quadrature=quad,
@@ -268,6 +252,13 @@ def build_model(spec: KalmanSpec) -> PomdpModel:
         discount=spec.discount,
         weight=WeightFunction(x0=0.0, k=k),
     )
+    measured = estimate_drift_beta(model)
+    if measured > beta + _DRIFT_SLACK:
+        raise DriftDerivationFailed(
+            f"measured drift factor {measured:.8f} exceeds target {beta:.8f}; "
+            "the grid likely truncates reachable mass"
+        )
+    return model
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteReward,
     SolverFailure,
 )
-from .measures import DiscreteMeasure, StateGrid, WeightFunction
+from .measures import StateGrid, WeightFunction
 
 __all__ = [
     "ObservationQuadrature",
@@ -156,7 +156,7 @@ class PomdpModel:
     def n_obs(self) -> int:
         return self.obs_quadrature.n
 
-    def check_belief(self, mu: DiscreteMeasure) -> None:
+    def check_belief(self, mu) -> None:  # a belief, or a sample of beliefs on one grid
         if not mu.grid.same_points(self.state_grid):
             raise DimensionMismatch("belief lives on a different grid than the model")
 

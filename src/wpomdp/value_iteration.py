@@ -360,7 +360,8 @@ def solve_vi(
     with ``converged=False`` rather than raised; ``max_iters=0`` returns
     the zero table with the greedy actions of the expected reward; a
     negative ``max_iters`` or a ``parallel`` below 1 raises
-    :class:`~wpomdp.errors.SolverFailure`.
+    :class:`~wpomdp.errors.SolverFailure`, and a sample on another grid
+    :class:`~wpomdp.errors.DimensionMismatch`.
 
     One pool of ``parallel`` threads serves the k-NN precompute and every
     sweep.  A sweep splits the beliefs into ``parallel`` contiguous ranges,
@@ -376,6 +377,7 @@ def solve_vi(
     """
     check_stop_rule(epsilon, max_iters)
     check_parallel(parallel)
+    model.check_belief(sample)
     constants = certify(model)
     with _pool(parallel) as pool:
         pre = _Precomputed(model, sample, parallel, pool)

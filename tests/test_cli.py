@@ -12,11 +12,12 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from wpomdp import cli, value_iteration
+from wpomdp import cli, filtering, value_iteration
 from wpomdp.cli import main
 from wpomdp.kalman import KalmanSpec, start_belief
 from wpomdp.measures import EXPLICIT_TABLE, StateGrid
@@ -556,6 +557,13 @@ class TestFilter:
         assert (tmp_path / "a" / "filter.csv").read_bytes() == (
             tmp_path / "b" / "filter.csv"
         ).read_bytes()
+
+    def test_one_prediction_per_step(self, kalman_file, tmp_path, monkeypatch):
+        calls = mock.Mock(wraps=filtering.predict)
+        monkeypatch.setattr(filtering, "predict", calls)
+        argv = ["filter", "--model", str(kalman_file), "--out-dir", str(tmp_path), "--steps", "5"]
+        assert main(argv) == 0
+        assert calls.call_count == 5
 
 
 class TestRollout:

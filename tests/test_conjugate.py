@@ -573,6 +573,30 @@ class TestPrune:
         assert prune(s, toy_sample(m)).n_fns == 1
 
 
+class TestForeignSample:
+    """Every solver entry point refuses a sample on another grid before any array work."""
+
+    ENTRIES = {
+        "set_backup": lambda m, s: set_backup(m, zero_alpha_set(m), s),
+        "q_set_backup": lambda m, s: q_set_backup(m, (zero_alpha_set(m),) * m.n_actions, s),
+        "solve_sets": lambda m, s: solve_sets(m, s, epsilon=0.1),
+        "solve_vi": lambda m, s: solve_vi(m, s, epsilon=0.1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "model",
+        # a model with the sample's point count, and one with another count
+        [pbvi_toy(), random_finite_model(0, n_states=3)],
+        ids=["other_points", "other_count"],
+    )
+    def test_refused(self, entry, model):
+        grid = StateGrid(np.array([5.0, 7.0]), DISCRETE)
+        sample = user_sample([make_measure(grid, [0.5, 0.5])])
+        with pytest.raises(DimensionMismatch, match="different grid"):
+            self.ENTRIES[entry](model, sample)
+
+
 class TestSolveSets:
     def test_zero_reward_stays_zero(self):
         m = dataclasses.replace(pbvi_toy(), reward=np.zeros((2, 2)))

@@ -436,23 +436,26 @@ class TestReductionIdentities:
 class TestSampleTransition:
     def test_single_node_always_drawn(self):
         m = line_model()
-        j, post = sample_transition(m, uniform_belief(m), 0, rng_seed=0)
+        j, p, post = sample_transition(m, uniform_belief(m), 0, rng_seed=0)
         assert j == 0
+        assert p == m.obs_quadrature.weights[0] * obs_marginal(m, uniform_belief(m), 0)[0]
         assert_allclose(post.weights, uniform_belief(m).weights)
 
     def test_fixed_seed_reproduces(self):
         m = pbvi_toy()
         mu = uniform_belief(m)
-        j_a, post_a = sample_transition(m, mu, 1, rng_seed=123)
-        j_b, post_b = sample_transition(m, mu, 1, rng_seed=123)
-        assert j_a == j_b
+        j_a, p_a, post_a = sample_transition(m, mu, 1, rng_seed=123)
+        j_b, p_b, post_b = sample_transition(m, mu, 1, rng_seed=123)
+        assert j_a == j_b and p_a == p_b
         assert_allclose(post_a.weights, post_b.weights)
 
     def test_posterior_matches_bayes_update(self):
         m = pbvi_toy()
         mu = uniform_belief(m)
-        j, post = sample_transition(m, mu, 0, rng_seed=99)
-        assert_allclose(post.weights, bayes_update(m, mu, 0, j).weights)
+        j, p, post = sample_transition(m, mu, 0, rng_seed=99)
+        assert post.weights.tobytes() == bayes_update(m, mu, 0, j).weights.tobytes()
+        # the drawn node's probability phi_j * lam_j, bit for bit
+        assert p == m.obs_quadrature.weights[j] * obs_marginal(m, mu, 0)[j]
 
     def test_empirical_node_frequencies(self):
         """10^5 seeded draws stay inside 3-sigma binomial bands."""

@@ -1,5 +1,7 @@
 """Linear-Gaussian reference model: construction and certification."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -131,11 +133,6 @@ class TestChooseWeight:
         model = build_model(spec)
         assert estimate_drift_beta(model) <= beta + 1e-6
 
-    def test_underflowing_rows_are_caught(self):
-        spec = KalmanSpec(gains=(0.5,), process_std=1e-3, grid_step=1.0)
-        with pytest.raises(DriftDerivationFailed):
-            choose_weight(spec)
-
     def test_degenerate_slack_is_caught(self):
         # grid far from the anchor: the slack is negative everywhere
         spec = KalmanSpec(gains=(1e-6,), process_std=0.1, grid_lo=5.0, grid_hi=8.0, grid_step=0.5)
@@ -159,6 +156,37 @@ class TestBuildModel:
     def test_truncated_range_rejected(self):
         with pytest.raises(GridTooCoarse):
             build_model(KalmanSpec(grid_lo=-3.0, grid_hi=3.0))
+
+    def test_underflowing_rows_are_caught(self):
+        # rows whose mass underflows miss all of it: the one row-mass rule
+        spec = KalmanSpec(gains=(0.5,), process_std=1e-3, grid_step=1.0)
+        with pytest.raises(GridTooCoarse):
+            build_model(spec)
+
+    def test_discretises_once(self, monkeypatch):
+        calls = mock.Mock(wraps=kalman._transition_rows)
+        monkeypatch.setattr(kalman, "_transition_rows", calls)
+        choose_weight(reference_spec())
+        assert calls.call_count == 0
+        build_model(reference_spec())
+        assert calls.call_count == 1
+
+    def test_drift_above_the_target_is_refused(self, monkeypatch):
+        # the check runs on the built model: a target below its drift fails
+        k, _, big_k = choose_weight(reference_spec())
+        monkeypatch.setattr(kalman, "choose_weight", lambda spec: (k, 1.0, big_k))
+        with pytest.raises(DriftDerivationFailed, match="measured drift"):
+            build_model(reference_spec())
+
+    @pytest.mark.parametrize("drift", [0.0, 1.0])
+    @pytest.mark.parametrize("hi", [8, 16, 32])
+    def test_truncation_widths_keep_the_certificate(self, hi, drift):
+        spec = KalmanSpec(drift=drift, grid_lo=-hi, grid_hi=hi, grid_step=0.5,
+                          n_obs_nodes=1 + 4 * hi)
+        k, beta, _ = choose_weight(spec)
+        c = certify(build_model(spec))
+        assert c.r_bar < 1.0 / k
+        assert c.gamma <= spec.discount * (beta + kalman._DRIFT_SLACK)
 
     def test_reference_model_passes_the_validators(self):
         m = build_model(reference_spec())
