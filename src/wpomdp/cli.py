@@ -6,10 +6,10 @@ given its flags -- including the parallelism degree, which never changes
 any emitted byte.
 
 Every subcommand creates its output directory before any other work; a
-solving one then reads the model and refuses every bad flag value before
-it builds a sample.  Exit codes: 0 success, 1 model or assumption failure
-or unusable path (one machine-readable ``error:`` line on stderr), 2
-usage error.
+solving one, or ``filter``, then reads the model and refuses every bad
+flag value before it builds or draws a sample.  Exit codes: 0 success, 1
+model or assumption failure or unusable path (one machine-readable
+``error:`` line on stderr), 2 usage error.
 
 The steps in ``__all__`` are public: the reference script composes them
 on the model file it writes, so its CSVs are the bytes these subcommands
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import serialize
 from .conjugate import solve_sets
-from .errors import BeliefSpaceError, ModelValidationError
+from .errors import BeliefSpaceError, DimensionMismatch, ModelValidationError
 from .filtering import sample_transition
 from .kalman import KalmanSpec, build_model, start_belief
 from .measures import make_measure
@@ -55,7 +55,7 @@ def check_flags(args) -> None:
     if "parallel" in args:
         check_parallel(args.parallel)
     if "n_paths" in args:  # a missing horizon is the certificate's, never negative
-        check_rollout_size(args.horizon or 0, args.n_paths)
+        check_rollout_size(args.horizon or 0, args.n_paths, args.seed)
     check_tree_size(args.depth, args.cap)
 
 
@@ -167,6 +167,8 @@ def cmd_solve_sets(args) -> int:
 def cmd_filter(args) -> int:
     out = out_dir(args)
     model, mu = _load(args)
+    if args.steps < 0 or args.seed < 0:
+        raise DimensionMismatch(f"need steps >= 0 and seed >= 0, got {args.steps} and {args.seed}")
     rng = np.random.default_rng(args.seed)
     records = []
     pts = model.state_grid.points

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -73,8 +72,9 @@ class KalmanSpec:
     ``gains`` is the per-action feedback coefficient table; its largest
     magnitude must stay strictly below one, which is what makes a
     sub-unit drift factor attainable at all.  Observations are centred on
-    the state.  ``reward_fn`` takes (state, action index) and defaults to
-    the negative-distance reward.
+    the state, and the reward is -|x| under every action.  Every field is
+    data, so a ``--spec`` JSON file can set each one; another reward goes on
+    the built model, ``dataclasses.replace(build_model(spec), reward=...)``.
     """
 
     drift: float = 0.0
@@ -87,7 +87,6 @@ class KalmanSpec:
     grid_step: float = 0.1
     n_obs_nodes: int = 33
     obs_pad_stds: float = 5.0
-    reward_fn: Callable | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -110,8 +109,6 @@ class KalmanSpec:
             raise ModelValidationError("grid range must be increasing with step > 0")
         if self.n_obs_nodes < 2:
             raise ModelValidationError("need at least two observation nodes")
-        if self.reward_fn is not None and not callable(self.reward_fn):
-            raise ModelValidationError("reward_fn must be None or a callable")
         if not math.isfinite((self.grid_hi - self.grid_lo) / self.grid_step):
             raise ModelValidationError(
                 f"grid_step {self.grid_step!r} gives no finite state count on "
@@ -145,11 +142,6 @@ class KalmanSpec:
     def mean_after(self, x, a: int) -> np.ndarray:
         """Next-state mean drift + gain(a) * x, vectorised over x."""
         return self.drift + self.gains[a] * np.asarray(x, dtype=float)
-
-    def reward_at(self, x, a: int) -> np.ndarray:
-        if self.reward_fn is None:
-            return -np.abs(np.asarray(x, dtype=float))
-        return np.asarray(self.reward_fn(x, a), dtype=float)
 
 
 def reference_spec(grid_step: float = 0.1) -> KalmanSpec:
@@ -240,7 +232,7 @@ def build_model(spec: KalmanSpec) -> PomdpModel:
     quad, dens = _observations(spec, points)  # the same under every action
     obs = np.repeat(dens[None, :, :], spec.n_actions, axis=0)
 
-    reward = np.stack([spec.reward_at(points, a) for a in range(spec.n_actions)])
+    reward = np.tile(-np.abs(points), (spec.n_actions, 1))
 
     model = PomdpModel(
         state_grid=StateGrid(points),

@@ -37,6 +37,7 @@ __all__ = [
     "WeightFunction",
     "lipschitz_constants",
     "make_measure",
+    "check_probability_rows",
     "dirac",
     "cdf_embedding",
     "w1_lp",
@@ -47,6 +48,10 @@ DISCRETE = "discrete"
 EXPLICIT_TABLE = "explicit_table"
 
 _METRIC_KINDS = (EUCLIDEAN_1D, DISCRETE, EXPLICIT_TABLE)
+
+# a belief row's total may be off 1 by at most this much; normalising
+# leaves it off by a few ulps per state, far below
+MASS_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -92,7 +97,7 @@ class StateGrid:
                 raise DimensionMismatch("distance table shape mismatch")
             if not np.isfinite(t).all():
                 raise DimensionMismatch("distance table entries must be finite")
-            if not np.allclose(t, t.T, atol=1e-12) or (np.diag(t) != 0).any():
+            if not np.allclose(t, t.T, rtol=0.0, atol=1e-12) or (np.diag(t) != 0).any():
                 raise MetricKindMismatch("table must be symmetric with zero diagonal")
             if (t < 0).any():
                 raise MetricKindMismatch("distances must be nonnegative")
@@ -188,6 +193,22 @@ def make_measure(grid: StateGrid, weights: Sequence[float]) -> DiscreteMeasure:
     out = DiscreteMeasure(grid, w / total)
     out.weights.flags.writeable = False
     return out
+
+
+def check_probability_rows(rows: np.ndarray) -> None:
+    """Refuse weight rows (last axis: states) that are not probability rows.
+
+    A row with a non-finite or negative weight, or whose total is off 1 by
+    more than ``MASS_TOL``, raises :class:`NonPositiveMass`.  Every row
+    :func:`make_measure` and the filter return passes.
+    """
+    if not np.isfinite(rows).all():
+        raise NonPositiveMass("belief weights must be finite")
+    if (rows < 0).any():
+        raise NonPositiveMass("belief weights must be nonnegative")
+    off = float(np.abs(rows.sum(axis=-1) - 1.0).max())
+    if off > MASS_TOL:
+        raise NonPositiveMass(f"a belief's total mass is off 1 by {off:.3g} > {MASS_TOL:g}")
 
 
 def dirac(grid: StateGrid, index: int) -> DiscreteMeasure:

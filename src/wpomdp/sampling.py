@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySample, MetricKindMismatch, SolverFailure
 from .filtering import bayes_update, obs_marginal, possible_nodes
 from .measures import (
-    DISCRETE, EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure, cdf_embedding, make_measure, w1_lp,
+    DISCRETE, EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure, cdf_embedding, check_probability_rows,
+    make_measure, w1_lp,
 )
 from .model import PomdpModel
 
@@ -65,7 +66,9 @@ class BeliefSample:
     """Ordered, deduplicated belief set.
 
     ``provenance`` names the construction; ``truncated`` marks that the
-    cap cut the expansion off.
+    cap cut the expansion off.  A belief that is not a probability row
+    raises :class:`~wpomdp.errors.NonPositiveMass`
+    (:func:`~wpomdp.measures.check_probability_rows`).
     """
 
     beliefs: tuple[DiscreteMeasure, ...]
@@ -81,6 +84,7 @@ class BeliefSample:
         for b in self.beliefs[1:]:
             if not b.grid.same_points(g):
                 raise DimensionMismatch("sample beliefs live on different grids")
+        check_probability_rows(self.weight_matrix())
 
     @property
     def n(self) -> int:
@@ -475,9 +479,12 @@ def reachability_tree(
     every dedup check solves one LP per kept belief; the tree raises
     :class:`~wpomdp.errors.SolverFailure` before its count of them would
     pass ``MAX_TABLE_LP_SOLVES``.  :func:`check_tree_size` refuses a
-    negative ``depth`` or a ``cap`` below 1.
+    negative ``depth`` or a ``cap`` below 1, and
+    :func:`~wpomdp.measures.check_probability_rows` a ``mu0`` that is no
+    probability row.
     """
     model.check_belief(mu0)
+    check_probability_rows(mu0.weights)
     check_tree_size(depth, cap)
     provenance = f"reachability_tree(depth={depth})"
     beliefs = [mu0]

@@ -28,7 +28,7 @@ from .errors import (
     SolverFailure,
 )
 from .filtering import bayes_step, possible_nodes
-from .measures import EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure
+from .measures import EUCLIDEAN_1D, EXPLICIT_TABLE, DiscreteMeasure, check_probability_rows
 from .model import CertifiedConstants, PomdpModel, _physical_memory, certify, check_stop_rule
 from .sampling import (
     _GATHER_BYTES,
@@ -87,17 +87,22 @@ class TabulatedValue:
 
 @dataclass(frozen=True)
 class Selector:
-    """Greedy action per sampled belief (ties -> lowest action index)."""
+    """Greedy action per sampled belief, in sample order (ties -> lowest action index)."""
 
-    sample: BeliefSample
     actions: tuple[int, ...]
-
-    def action_at(self, i: int) -> int:
-        return self.actions[i]
 
 
 @dataclass(eq=False)
 class VIResult:
+    """A VI solve: the table, its greedy actions and its certificate.
+
+    ``error_bound`` bounds the weighted sup distance from ``value`` to the
+    fixed point of the *sampled* operator, the one whose posteriors read
+    the McShane extension of the table.  That fixed point is V* only on a
+    closed sample, where every posterior is a sample point; on an open one
+    it can sit below V* by more than the bound.
+    """
+
     value: TabulatedValue
     selector: Selector
     iterations: int
@@ -356,7 +361,9 @@ def solve_vi(
     Runs exactly the number of sweeps the a-priori geometric bound
     r_bar * gamma^t / (1 - gamma) needs to fall below ``epsilon`` (the
     empirical sup-difference is reported alongside, and is typically far
-    smaller).  If ``max_iters`` cuts the run short the result is returned
+    smaller).  The bound certifies the distance to the fixed point of the
+    sampled operator, which is V* only on a closed sample (see
+    :class:`VIResult`).  If ``max_iters`` cuts the run short the result is returned
     with ``converged=False`` rather than raised; ``max_iters=0`` returns
     the zero table with the greedy actions of the expected reward; a
     negative ``max_iters`` or a ``parallel`` below 1 raises
@@ -414,7 +421,7 @@ def solve_vi(
                 lip_hat = max(lip_hat, *per_part)
 
     table = TabulatedValue(sample, v)
-    selector = Selector(sample, tuple(int(i) for i in q.argmax(axis=1)))
+    selector = Selector(tuple(int(i) for i in q.argmax(axis=1)))
     return VIResult(
         value=table,
         selector=selector,
@@ -452,12 +459,12 @@ class NearestAnchorPolicy:
 
 
 def selector_policy(result: VIResult) -> NearestAnchorPolicy:
-    sample = result.selector.sample
+    sample = result.value.sample
     return NearestAnchorPolicy(sample.grid, sample.weight_matrix(), result.selector.actions)
 
 
-def check_rollout_size(horizon: int, n_paths: int) -> None:
-    """Refuse a negative ``horizon`` or fewer than one path.
+def check_rollout_size(horizon: int, n_paths: int, seed: int) -> None:
+    """Refuse a negative ``horizon`` or ``seed``, or fewer than one path.
 
     Raises :class:`~wpomdp.errors.DimensionMismatch`;
     :func:`rollout_estimate` calls it, and the CLI before it builds a
@@ -465,6 +472,8 @@ def check_rollout_size(horizon: int, n_paths: int) -> None:
     """
     if horizon < 0 or n_paths <= 0:
         raise DimensionMismatch("need horizon >= 0 and n_paths > 0")
+    if seed < 0:
+        raise DimensionMismatch(f"seed must be >= 0, got {seed}")
 
 
 def rollout_estimate(
@@ -483,11 +492,14 @@ def rollout_estimate(
     Paths are simulated in chunks of ``_PATH_CHUNK`` with per-chunk seeded
     generators, which bound the memory of a step.
     ``policy`` has a vectorised ``act_batch``: a (paths, n_states) matrix
-    of belief weights in, one action index per row out.
-    Returns (mean, standard error).
+    of belief weights in, one action index per row out.  A ``mu0`` that is
+    no probability row raises :class:`~wpomdp.errors.NonPositiveMass`, and
+    a negative ``seed`` :class:`~wpomdp.errors.DimensionMismatch`, before
+    any path.  Returns (mean, standard error).
     """
     model.check_belief(mu0)
-    check_rollout_size(horizon, n_paths)
+    check_probability_rows(mu0.weights)
+    check_rollout_size(horizon, n_paths, seed)
     n, A, J = model.n_states, model.n_actions, model.n_obs
     trans_cum = np.cumsum(model.trans, axis=2)  # (A, n, n)
     # node draw for a path in state x' under action a: phi_j q(y_j|x',a)

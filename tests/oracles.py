@@ -713,7 +713,7 @@ def greedy_selector(model, value, value_eval):
         int(np.argmax(_backup_all_actions(model, value_eval, mu)))
         for mu in value.sample.beliefs
     ]
-    return Selector(value.sample, tuple(acts))
+    return Selector(tuple(acts))
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ minutes range.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -83,23 +84,28 @@ def pbvi_vi():
     return toy, sample, solve_vi(toy, sample, epsilon=EPS_REF)
 
 
-def _two_sided(x, a):
+def _two_sided(spec):
     # -|x| + 3 g_a x: a reward unbounded on both sides as the grid widens
-    return -np.abs(x) + 3.0 * KalmanSpec().gains[a] * x
+    model = build_model(spec)
+    x = model.state_grid.points
+    reward = -np.abs(x) + 3.0 * np.array(spec.gains)[:, None] * x
+    return dataclasses.replace(model, reward=reward)
 
+
+DRIFT = KalmanSpec(drift=1.0, grid_step=0.2)
 
 # belief-dependent instances: the policy depends on the belief, unlike the
 # reference model's, where VI picks one action everywhere
 BELIEF_DEPENDENT = {
-    "drift": KalmanSpec(drift=1.0, grid_step=0.2),
-    "two_sided": KalmanSpec(grid_step=0.2, reward_fn=_two_sided),
-    "drift_two_sided": KalmanSpec(drift=1.0, grid_step=0.2, reward_fn=_two_sided),
+    "drift": lambda: build_model(DRIFT),
+    "two_sided": lambda: _two_sided(KalmanSpec(grid_step=0.2)),
+    "drift_two_sided": lambda: _two_sided(DRIFT),
 }
 
 
 @pytest.fixture(scope="module", params=list(BELIEF_DEPENDENT))
 def belief_dependent_vi(request):
-    model = build_model(BELIEF_DEPENDENT[request.param])
+    model = BELIEF_DEPENDENT[request.param]()
     sample = reachability_tree(model, start_belief(model), depth=2, cap=300)
     return request.param, sample, solve_vi(model, sample, epsilon=EPS_REF, parallel=4)
 
@@ -301,7 +307,7 @@ def test_c07_cross_solver_agreement(kalman_ref):
 
 def test_c07_on_the_drift_instance():
     # cap 600: at cap 300 the gap is 4.3 times the combined bound
-    model = build_model(BELIEF_DEPENDENT["drift"])
+    model = build_model(DRIFT)
     sample = reachability_tree(model, start_belief(model), depth=2, cap=600)
     vi = solve_vi(model, sample, epsilon=0.05, parallel=4)
     st = solve_sets(model, sample, epsilon=0.05, algorithm="alg1")
@@ -399,7 +405,7 @@ def test_c10_policy_value_realism(kalman_ref):
     # scales with states x anchors x horizon.  The drift instance passes
     # at cap 600, not at cap 300, where the McShane extension's low bias
     # puts VI 12 stderr below the Monte Carlo value.
-    for spec, cap in ((reference_spec(grid_step=0.2), 300), (BELIEF_DEPENDENT["drift"], 600)):
+    for spec, cap in ((reference_spec(grid_step=0.2), 300), (DRIFT, 600)):
         model = build_model(spec)
         mu0 = start_belief(model)
         sample = reachability_tree(model, mu0, depth=2, cap=cap)

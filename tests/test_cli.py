@@ -216,11 +216,10 @@ class TestReadmeCli:
         assert named and named - known == set()
 
     def test_spec_fields_are_the_json_settable_ones(self):
-        # a callable field (reward_fn) cannot come from a JSON file
+        # every field is data, so the README lists them all
         prose = " ".join(readme_cli_section()[1].split())
         listed = prose.split("`KalmanSpec` fields (", 1)[1].split(")", 1)[0]
-        settable = [f.name for f in dataclasses.fields(KalmanSpec) if "Callable" not in str(f.type)]
-        assert re.findall(r"`(\w+)`", listed) == settable
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(KalmanSpec)]
 
 
 class TestValidate:
@@ -306,6 +305,21 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: DimensionMismatch: distance table entries must be finite\n"
+
+    def test_asymmetric_table_is_a_one_line_error(self, tmp_path, capsys):
+        # a 3-point explicit table, saved, with d(1, 0) moved 5e-6 off d(0, 1)
+        model = random_finite_model(0, n_states=3, n_actions=2, n_obs=2)
+        table = np.abs(np.arange(3.0)[:, None] - np.arange(3.0)[None, :])
+        grid = StateGrid(np.arange(3.0), EXPLICIT_TABLE, table)
+        p = tmp_path / "table.json"
+        save_model(dataclasses.replace(model, state_grid=grid), p)
+        doc = json.loads(p.read_text())
+        doc["states"]["distance_table"][1][0] = 1.000005
+        p.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: MetricKindMismatch: table must be symmetric with zero diagonal\n"
 
 
 class TestUsageErrors:
@@ -469,7 +483,9 @@ class TestFlagsRefusedBeforeTheTree:
         assert err.startswith("error: SolverFailure: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag, value", [("--n-paths", "0"), ("--horizon", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--n-paths", "0"), ("--horizon", "-1"), ("--seed", "-1")]
+    )
     def test_rollout_flags(self, flag, value, toy_file, tmp_path, capsys):
         rc = main(["rollout", "--model", str(toy_file), "--out-dir", str(tmp_path), flag, value])
         assert rc == 1
@@ -557,6 +573,34 @@ class TestFilter:
         assert (tmp_path / "a" / "filter.csv").read_bytes() == (
             tmp_path / "b" / "filter.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "need steps >= 0 and seed >= 0, got 20 and -1"),
+            (["--steps", "-2"], "need steps >= 0 and seed >= 0, got -2 and 0"),
+        ],
+        ids=["seed", "steps"],
+    )
+    def test_negative_flag_is_a_one_line_error(
+        self, flags, message, kalman_file, tmp_path, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a transition was sampled")
+
+        monkeypatch.setattr(cli, "sample_transition", fail)
+        out = tmp_path / "out"
+        assert main(["filter", "--model", str(kalman_file), "--out-dir", str(out), *flags]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: DimensionMismatch: {message}\n"
+        assert list(out.iterdir()) == []  # the directory comes first, no filter.csv
+
+    def test_negative_flag_comes_after_the_model(self, tmp_path, capsys):
+        argv = ["filter", "--model", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path),
+                "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ModelValidationError")
 
     def test_one_prediction_per_step(self, kalman_file, tmp_path, monkeypatch):
         calls = mock.Mock(wraps=filtering.predict)

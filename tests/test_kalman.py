@@ -1,5 +1,6 @@
 """Linear-Gaussian reference model: construction and certification."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -85,7 +86,7 @@ class TestSpecValidation:
         "field, value",
         [
             ("n_obs_nodes", 2.5), ("n_obs_nodes", 33.0), ("n_obs_nodes", True),
-            ("reward_fn", 3), ("drift", "x"), ("grid_lo", None), ("obs_pad_stds", "5"),
+            ("process_std", "1"), ("drift", "x"), ("grid_lo", None), ("obs_pad_stds", "5"),
             ("drift", float("nan")), ("obs_std", float("inf")),
             # each gain is checked like a scalar field
             ("gains", (float("nan"), 0.5)), ("gains", (float("inf"),)), ("gains", (False, 0.5)),
@@ -103,9 +104,9 @@ class TestSpecValidation:
         assert KalmanSpec(gains=[0, 0.5]).feedback_sup == 0.5
 
     def test_default_tables(self):
-        spec = reference_spec()
-        xs = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_array_equal(spec.reward_at(xs, 1), [-2.0, 0.0, -3.0])
+        spec = reference_spec(grid_step=1.0)
+        xs = spec.state_points()
+        np.testing.assert_array_equal(build_model(spec).reward, [-np.abs(xs)] * 3)
         np.testing.assert_array_equal(spec.mean_after(xs, 2), 0.5 * xs)
 
 
@@ -264,17 +265,14 @@ class TestFilterConcentration:
 
 
 class TestTwoSidedReward:
-    def test_a_callable_reward_is_tabulated_and_solved(self):
+    def test_a_replaced_reward_is_certified_and_solved(self):
         # -|x| + 3 g_a x: unbounded on both sides as the grid widens
-        gains = KalmanSpec().gains
-
-        def fn(x, a):
-            return -np.abs(x) + 3.0 * gains[a] * x
-
-        m = build_model(KalmanSpec(grid_step=0.2, reward_fn=fn))
+        spec = KalmanSpec(grid_step=0.2)
+        m = build_model(spec)
         pts = m.state_grid.points
-        for a in range(m.n_actions):
-            assert m.reward[a].tobytes() == np.asarray(fn(pts, a), dtype=float).tobytes()
+        reward = -np.abs(pts) + 3.0 * np.array(spec.gains)[:, None] * pts
+        m = dataclasses.replace(m, reward=reward)
+        assert m.reward.tobytes() == reward.tobytes()
         assert (m.reward.min(), m.reward.max()) == (-20.0, 4.0)
         assert certify(m).gamma < 1.0
         res = solve_vi(m, reachability_tree(m, start_belief(m), depth=1, cap=60), epsilon=0.05)

@@ -63,6 +63,12 @@ class TestStateGrid:
         with pytest.raises(MetricKindMismatch):
             StateGrid(np.arange(2.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
 
+    def test_table_symmetry_has_no_relative_slack(self):
+        # within numpy's default rtol of 1e-5, but 5e-6 apart: past 1e-12
+        t = np.array([[0.0, 1.0], [1.000005, 0.0]])
+        with pytest.raises(MetricKindMismatch, match="symmetric"):
+            StateGrid(np.arange(2.0), metric_kind=EXPLICIT_TABLE, distance_table=t)
+
     def test_table_requires_triangle_inequality(self):
         # d(0,2)=5 but the path through 1 costs 2
         t = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])

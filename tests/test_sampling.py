@@ -20,12 +20,13 @@ from oracles import (
     w1,
 )
 from wpomdp import sampling
-from wpomdp.errors import DimensionMismatch, EmptySample
+from wpomdp.errors import DimensionMismatch, EmptySample, NonPositiveMass
 from wpomdp.filtering import bayes_update, obs_marginal
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec, start_belief
 from wpomdp.measures import (
     DISCRETE,
     EXPLICIT_TABLE,
+    MASS_TOL,
     DiscreteMeasure,
     StateGrid,
     make_measure,
@@ -195,6 +196,32 @@ class TestSampleValidation:
             BeliefSample((), provenance="user_supplied")
         s = BeliefSample((uniform_belief(m),), provenance="user_supplied")
         assert s.grid is m.state_grid
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1.0, 1.0], [-1.0, 2.0], [np.nan, 1.0], [np.inf, 0.0], [0.5, 0.5 + 2 * MASS_TOL]],
+        ids=["total_2", "negative", "nan", "inf", "off_by_twice_the_tolerance"],
+    )
+    def test_rows_that_are_not_probabilities_are_refused(self, row):
+        m = pbvi_toy()
+        good = make_measure(m.state_grid, [0.3, 0.7])
+        with pytest.raises(NonPositiveMass):
+            user_sample([good, DiscreteMeasure(m.state_grid, row)])
+
+    def test_a_total_within_the_tolerance_passes(self):
+        g = pbvi_toy().state_grid
+        assert user_sample([DiscreteMeasure(g, [0.5, 0.5 + MASS_TOL / 2])]).n == 1
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [-1.0, 2.0], [np.nan, 1.0]])
+    def test_tree_refuses_a_start_that_is_no_probability(self, row, monkeypatch):
+        m = pbvi_toy()
+
+        def fail(*args):
+            raise AssertionError("the tree expanded its start")
+
+        monkeypatch.setattr(sampling, "obs_marginal", fail)
+        with pytest.raises(NonPositiveMass):
+            reachability_tree(m, DiscreteMeasure(m.state_grid, row), depth=2)
 
 
 def random_grid(kind, n, rng):

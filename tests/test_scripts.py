@@ -86,6 +86,7 @@ def test_run_kalman_reference_refuses_flags_before_any_work(tmp_path):
     for flags, error in [
         (("--cap", 20, "--parallel", 0), "error: SolverFailure"),
         (("--cap", 0), "error: DimensionMismatch: cap must be >= 1\n"),
+        (("--cap", 20, "--seed", -1), "error: DimensionMismatch: seed must be >= 0, got -1\n"),
     ]:
         proc = run_script(
             "run_kalman_reference.py", "--grid-step", 1.0, *flags, "--out-dir", out

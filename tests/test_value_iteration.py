@@ -29,13 +29,14 @@ from oracles import (
     weighted_norm,
 )
 from wpomdp import sampling, value_iteration
-from wpomdp.errors import DimensionMismatch, NonFiniteValue, SolverFailure
+from wpomdp.errors import DimensionMismatch, NonFiniteValue, NonPositiveMass, SolverFailure
 from wpomdp.filtering import POSTERIOR_PRUNE_TOL, bayes_update, obs_marginal, possible_nodes
 from wpomdp.kalman import KalmanSpec, build_model, reference_spec, start_belief
 from wpomdp.measures import (
     DISCRETE,
     EUCLIDEAN_1D,
     EXPLICIT_TABLE,
+    DiscreteMeasure,
     StateGrid,
     WeightFunction,
     make_measure,
@@ -58,7 +59,6 @@ from wpomdp.synthetic import (
 )
 from wpomdp.value_iteration import (
     NearestAnchorPolicy,
-    Selector,
     TabulatedValue,
     _K_NEIGHBORS,
     _mcshane,
@@ -110,11 +110,6 @@ class TestTypes:
             TabulatedValue(s, np.zeros(3))
         with pytest.raises(NonFiniteValue):
             TabulatedValue(s, np.array([0.0, np.nan]))
-
-    def test_selector_lookup(self):
-        s = toy_sample(pbvi_toy(), ps=(0.5, 0.2))
-        sel = Selector(s, (1, 0))
-        assert sel.action_at(0) == 1
 
 
 class TestEvaluators:
@@ -1009,6 +1004,14 @@ class TestRollout:
             rollout_estimate(m, Constant(0), uniform_belief(m), -1, 10)
         with pytest.raises(DimensionMismatch):
             rollout_estimate(m, Constant(0), uniform_belief(m), 1, 0)
+        with pytest.raises(DimensionMismatch, match="seed"):
+            rollout_estimate(m, Constant(0), uniform_belief(m), 1, 10, seed=-1)
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [-1.0, 2.0], [np.nan, 1.0]])
+    def test_start_that_is_no_probability_refused(self, row):
+        m = pbvi_toy()
+        with pytest.raises(NonPositiveMass):
+            rollout_estimate(m, Constant(0), DiscreteMeasure(m.state_grid, row), 1, 10)
 
 
 class TestAnchorPolicy:
